@@ -107,6 +107,17 @@ def _positive_float(cfg: dict, key: str) -> float:
     return value
 
 
+def _integer_at_least(cfg: dict, key: str, minimum: int, default=None) -> int:
+    value = cfg.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field {key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"field {key} must be at least {minimum}, got {value}")
+    return value
+
+
 def take_epsilon(cfg: dict) -> float:
     if "epsilon_list" in cfg:
         if "epsilon" in cfg:
@@ -376,14 +387,12 @@ def _validate_lattice_cfg(cfg: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown lattice fields: {', '.join(unknown)}")
     out = {
-        "M": int(spec["M"]),
+        "M": _integer_at_least(spec, "M", 200),
         "T": _positive_float(spec, "T"),
         "gamma": _positive_float(spec, "gamma"),
         "source": spec.get("source", "front"),
-        "output_every": int(spec.get("output_every", 50)),
+        "output_every": _integer_at_least(spec, "output_every", 1, default=50),
     }
-    if out["M"] < 200:
-        raise ConfigError(f"lattice chain too short: M = {out['M']} < 200")
     if out["source"] not in ("front", "step"):
         raise ConfigError("lattice source must be \"front\" or \"step\"")
     if "dt" in spec:
@@ -411,6 +420,12 @@ def lattice_run(config_path, out, seed):
             raise ConfigError("perturb must be an object with an 'amplitude' field")
         if seed is None:
             raise ConfigError("perturb requests need --seed for reproducibility")
+        try:
+            amp = float(perturb["amplitude"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("perturb amplitude must be a number") from exc
+        if not np.isfinite(amp):
+            raise ConfigError(f"perturb amplitude must be finite, got {amp}")
     out_path = _out_dir(out)
 
     eps = 1.0 / lat["gamma"]
@@ -422,7 +437,6 @@ def lattice_run(config_path, out, seed):
     else:
         state = init_chain(lat["M"], "step", eps)
     if perturb is not None:
-        amp = float(perturb["amplitude"])
         rng = np.random.default_rng(seed)
         state.r = state.r + amp * rng.uniform(-1.0, 1.0, state.M)
 

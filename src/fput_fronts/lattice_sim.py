@@ -4,9 +4,11 @@ The chain evolves r_n'' = (Delta dphi(r))_n + gamma (Delta r')_n with
 Dirichlet ghost values r_0 = r_minus, r_{M+1} = r_plus and zero velocity
 ghosts.  The stiff damping term (gamma = 1/eps is large) is treated
 implicitly: each step solves a tridiagonal system for the new velocities
-and then updates r explicitly.  Fronts initialized from a solved profile
-should travel at unit speed; the crossing position of the 1/2 level is
-tracked every step so the speed can be fitted afterwards.
+and then updates r explicitly.  The damping matrix I + dt gamma L is
+constant, so it is LDL^T-factored once per run (LAPACK ``dpttrf``) and each
+step only back-substitutes (``dpttrs``).  Fronts initialized from a solved
+profile should travel at unit speed; the crossing position of the 1/2 level
+is tracked every step so the speed can be fitted afterwards.
 
 A separate free-end integrator works in particle-velocity form (u are
 particle velocities, r the M-1 spring strains).  There the discrete
@@ -16,10 +18,10 @@ term, which gives a sharp per-step check of the integrator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigError, InsufficientDataError, NumericsError
 from .front_solver import FrontSolution
@@ -118,37 +120,58 @@ def _laplacian(w: np.ndarray, left: float, right: float) -> np.ndarray:
     return out
 
 
+def _damping_factor(M: int, c: float, free_ends: bool = False):
+    """LDL^T factor of the SPD tridiagonal I + c L, for ``solve_banded``.
+
+    L is the negative Dirichlet Laplacian (diagonal 2, off-diagonals -1) or,
+    with ``free_ends``, D^T D for the forward difference D (corner entries 1).
+    """
+    diag = np.full(M, 1.0 + 2.0 * c)
+    if free_ends:
+        diag[0] = diag[-1] = 1.0 + c
+    d, e, info = dpttrf(diag, np.full(M - 1, -c))
+    if info != 0:
+        raise NumericsError(f"damping matrix not positive definite (dpttrf info = {info})")
+    return d, e
+
+
+def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve the damping system for ``rhs`` with a ``_damping_factor`` factor."""
+    x, info = dpttrs(*factor, rhs)
+    if info != 0:
+        raise NumericsError(f"damping solve failed (dpttrs info = {info})")
+    return x
+
+
+def _advance(r, v, t, dt, potential, factor, f_left, f_right):
+    """One IMEX step on arrays from time t; f_left/f_right are the ghost forces."""
+    rhs = v + dt * _laplacian(potential.dphi(r), f_left, f_right)
+    if not np.isfinite(rhs).all():
+        raise NumericsError(
+            f"blow-up at t = {t + dt:.4g}: max |v| = {np.max(np.abs(v)):.3g}"
+        )
+    v_new = solve_banded(factor, rhs)
+    r_new = r + dt * v_new
+    if not np.isfinite(r_new).all():
+        raise NumericsError(
+            f"blow-up at t = {t + dt:.4g}: max |v| = {np.max(np.abs(v_new)):.3g}"
+        )
+    return r_new, v_new
+
+
+def _ghost_forces(state: LatticeState, potential: Potential) -> tuple[float, float]:
+    return float(potential.dphi(state.r_left)), float(potential.dphi(state.r_right))
+
+
 def step_imex(state: LatticeState, dt: float, potential: Potential) -> LatticeState:
     """One semi-implicit step: implicit damping, explicit nonlinear force."""
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    r, v, g = state.r, state.v, state.gamma
-    M = r.size
-    force = _laplacian(
-        potential.dphi(r),
-        float(potential.dphi(state.r_left)),
-        float(potential.dphi(state.r_right)),
+    factor = _damping_factor(state.M, dt * state.gamma)
+    r, v = _advance(
+        state.r, state.v, state.t, dt, potential, factor, *_ghost_forces(state, potential)
     )
-    rhs = v + dt * force
-    if not np.all(np.isfinite(rhs)):
-        raise NumericsError(
-            f"blow-up at t = {state.t + dt:.4g}: max |v| = {np.max(np.abs(v)):.3g}"
-        )
-    c = dt * g
-    ab = np.empty((3, M))
-    ab[0] = -c
-    ab[1] = 1.0 + 2.0 * c
-    ab[2] = -c
-    v_new = solve_banded((1, 1), ab, rhs)
-    r_new = r + dt * v_new
-    if not np.all(np.isfinite(r_new)):
-        raise NumericsError(
-            f"blow-up at t = {state.t + dt:.4g}: max |v| = {np.max(np.abs(v_new)):.3g}"
-        )
-    return LatticeState(
-        r=r_new, v=v_new, t=state.t + dt, gamma=g,
-        r_left=state.r_left, r_right=state.r_right,
-    )
+    return replace(state, r=r, v=v, t=state.t + dt)
 
 
 def crossing_position(r: np.ndarray, level: float = LEVEL) -> float | None:
@@ -189,6 +212,8 @@ def run(
     """Integrate to time T, recording snapshots and the 1/2-level crossing."""
     if T <= 0 or dt <= 0:
         raise ConfigError("T and dt must be positive")
+    if output_every < 1:
+        raise ConfigError(f"output_every must be at least 1, got {output_every}")
     n_steps = int(round(T / dt))
     eps = 1.0 / state.gamma if eps is None else eps
     level = 0.5 * (state.r_left + state.r_right)
@@ -201,16 +226,20 @@ def run(
         ct.append(state.t)
         cp.append(c0)
     mono = monotone_defect(state.r)
+    factor = _damping_factor(state.M, dt * state.gamma)
+    f_left, f_right = _ghost_forces(state, potential)
+    r, v, t = state.r, state.v, state.t
     for step in range(1, n_steps + 1):
-        state = step_imex(state, dt, potential)
-        c = crossing_position(state.r, level)
+        r, v = _advance(r, v, t, dt, potential, factor, f_left, f_right)
+        t = t + dt
+        c = crossing_position(r, level)
         if c is not None:
-            ct.append(state.t)
+            ct.append(t)
             cp.append(c)
         if step % output_every == 0 or step == n_steps:
-            times.append(state.t)
-            snaps.append(state.r.copy())
-            mono = max(mono, monotone_defect(state.r))
+            times.append(t)
+            snaps.append(r.copy())
+            mono = max(mono, monotone_defect(r))
     return Trajectory(
         times=np.array(times),
         snapshots=np.array(snaps),
@@ -218,7 +247,7 @@ def run(
         crossing_positions=np.array(cp),
         dt=dt,
         eps=eps,
-        final_state=state,
+        final_state=replace(state, r=r, v=v, t=t),
         monotone_defect=mono,
     )
 
@@ -310,12 +339,7 @@ def run_free_chain(
     M = u.size
     if r.size != M - 1:
         raise ConfigError("free chain needs M velocities and M-1 strains")
-    c = dt * gamma
-    ab = np.empty((3, M))
-    ab[0] = -c
-    ab[1] = 1.0 + 2.0 * c
-    ab[1, 0] = ab[1, -1] = 1.0 + c
-    ab[2] = -c
+    factor = _damping_factor(M, dt * gamma, free_ends=True)
 
     def dT(w):  # D^T: (M-1,) -> (M,)
         out = np.empty(M)
@@ -328,7 +352,7 @@ def run_free_chain(
     times = [0.0]
     for s in range(1, n_steps + 1):
         rhs = u - dt * dT(potential.dphi(r))
-        u = solve_banded((1, 1), ab, rhs)
+        u = solve_banded(factor, rhs)
         r = r + dt * np.diff(u)
         energies.append(float(np.sum(u**2) / 2 + np.sum(potential.phi(r))))
         times.append(s * dt)

@@ -123,15 +123,23 @@ class Potential:
     def _eval_extended(self, r, core, below, above):
         r = np.asarray(r, dtype=float)
         rc = np.clip(r, self.r_plus, self.r_minus)
+        if r.ndim == 0:
+            if r < self.r_plus:
+                return float(below(r))
+            if r > self.r_minus:
+                return float(above(r))
+            return float(core(rc))
         out = np.asarray(core(rc), dtype=float)
         lo = r < self.r_plus
         hi = r > self.r_minus
-        if np.any(lo):
-            out = np.where(lo, below(r), out)
-        if np.any(hi):
-            out = np.where(hi, above(r), out)
-        if np.ndim(r) == 0:
-            return float(out)
+        has_lo, has_hi = lo.any(), hi.any()
+        if has_lo or has_hi:
+            # a fresh full-shape copy: a core may return a scalar or a view
+            out = np.array(np.broadcast_to(out, r.shape))
+        if has_lo:
+            out[lo] = below(r[lo])
+        if has_hi:
+            out[hi] = above(r[hi])
         return out
 
     def phi(self, r):

@@ -342,16 +342,19 @@ def verify_symbol_bounds(
     The strip half-widths must be admissible for the given far-field
     curvatures (eta_plus < 1 - p_plus, eta_minus < p_minus - 1); sampling
     uses the midpoint between the requested and the critical width, n_k
-    log-spaced magnitudes |k| in [1e-3, 10/eps] with both signs, on
-    ``n_lines`` horizontal lines.
+    log-spaced magnitudes |k| in [1e-3, 10/eps] plus n_k linearly spaced
+    ones in [0.8/eps, 1.2/eps] around the first tent-symbol zero, with both
+    signs, on ``n_lines`` horizontal lines.
 
     The fitted orders (1 for the plain sup difference, 1/2 for the weighted
     sup) are eps -> 0 statements.  The weighted sup, attained near the first
     tent-symbol zero k = 0.95/eps, behaves like c1*eps + c2*sqrt(eps), so its
     local slope is 1/2 + O(sqrt(eps)): about 0.70 at eps 0.2-0.05, 0.56 at
     0.02-0.005 and 0.52 at 2e-3-5e-4; the plain order falls from 1.09 to
-    1.01 over the same ranges.  With the default ``n_k`` the log grid
-    resolves that peak down to eps of about 1e-4.
+    1.00 over the same ranges.  The peak is about eps^(-1/2) wide in k,
+    which a log grid alone stops resolving near eps = 1e-4; the linear band
+    resolves it with the default ``n_k`` (orders 1.00 and 0.51 at eps
+    2e-4-5e-5).
     """
     if not 0.0 < eta_plus < 1.0 - p_plus:
         raise ConfigError(
@@ -371,7 +374,10 @@ def verify_symbol_bounds(
     bulk = {m: [] for m in mus}
     tail = {m: [] for m in mus}
     for eps in eps_list:
-        mags = np.logspace(np.log10(1e-3), np.log10(10.0 / eps), n_k)
+        mags = np.union1d(
+            np.logspace(np.log10(1e-3), np.log10(10.0 / eps), n_k),
+            np.linspace(0.8 / eps, 1.2 / eps, n_k),
+        )
         k_real = np.concatenate([-mags[::-1], mags])
         K = (k_real[None, :] + 1j * offsets[:, None]).ravel()
         diff = symbol_a(eps, K) - symbol_a0(K)

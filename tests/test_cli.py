@@ -201,6 +201,26 @@ class TestLatticeRun:
         assert res.exit_code == 2
         assert "--seed" in res.output
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"lattice": {"M": 400, "T": 5.0, "gamma": 10.0, "output_every": 0}},
+            {"lattice": {"M": "x", "T": 5.0, "gamma": 10.0}},
+            {"lattice": {"M": 400, "T": 5.0, "gamma": 10.0}, "perturb": {"amplitude": "big"}},
+        ],
+        ids=["output_every_zero", "M_not_integer", "amplitude_not_number"],
+    )
+    def test_malformed_field_is_config_error(self, runner, tmp_path, fields):
+        cfg = write_cfg(tmp_path, {"potential": {"kind": "quadratic"}, **fields})
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main, ["lattice", "run", "--config", cfg, "--out", str(out), "--seed", "1"]
+        )
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert not out.exists()
+
     def test_invalid_lattice_block_fails_before_output(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path,

@@ -105,6 +105,24 @@ class TestStepImex:
                 for _ in range(200):
                     state = step_imex(state, 50.0, quad)
 
+    def test_run_matches_step_loop(self, quad, quad_sol):
+        # the perturbation pushes strains out of the core, so the force-law
+        # extension runs too
+        state = init_chain(400, quad_sol, 0.1)
+        state.r = state.r + 1e-6 * np.random.default_rng(3).uniform(-1.0, 1.0, 400)
+        traj = run(state, 2.0, 0.05, quad)
+        stepped = state
+        for _ in range(40):
+            stepped = step_imex(stepped, 0.05, quad)
+        assert traj.final_state.t == stepped.t
+        assert np.max(np.abs(traj.final_state.r - stepped.r)) <= 1e-14
+        assert np.max(np.abs(traj.final_state.v - stepped.v)) <= 1e-14
+
+    def test_output_every_must_be_positive(self, quad, quad_sol):
+        state = init_chain(400, quad_sol, 0.1)
+        with pytest.raises(ConfigError, match="output_every"):
+            run(state, 1.0, 0.05, quad, output_every=0)
+
     def test_default_dt_cap(self, quad):
         assert 0 < default_dt(quad) <= 0.05
 

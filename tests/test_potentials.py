@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fput_fronts import (
+    Potential,
     PotentialError,
     hertz_potential,
     linear_force_potential,
@@ -103,6 +104,32 @@ class TestExtension:
         pot = hertz_potential()
         assert pot.dphi(-0.5) == 0.0
         assert pot.phi(-0.5) == 0.0
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("method", ["phi", "dphi", "d2phi"])
+    @pytest.mark.parametrize(
+        "pot",
+        [
+            quadratic_force_potential(),
+            hertz_potential(),
+            # a core that returns a scalar must still give a full-shape array
+            Potential(lambda r: 0.5 * r * r, lambda r: r, lambda r: 1.0),
+        ],
+        ids=["quadratic", "hertz", "scalar-curvature"],
+    )
+    def test_mixed_array_matches_scalars_bitwise(self, pot, method):
+        # below, inside and above the core [0, 1], plus the signed zeros,
+        # the core ends, NaN and both infinities
+        r = np.array(
+            [-np.inf, -3.0, -1e-6, -0.0, 0.0, 0.25, 0.5, 1.0, 1.0 + 1e-6, 2.5, np.inf, np.nan]
+        )
+        f = getattr(pot, method)
+        with np.errstate(invalid="ignore"):
+            values = f(r)
+            scalars = np.array([f(x) for x in r])
+        assert values.shape == r.shape
+        assert values.tobytes() == scalars.tobytes()
 
 
 class TestValidate:

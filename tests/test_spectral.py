@@ -273,6 +273,13 @@ class TestSymbolBounds:
         for vals in report.tail.values():
             assert np.all(np.asarray(vals) < 50.0)
 
+    def test_orders_resolved_at_small_eps(self):
+        # the weighted-sup peak near k = 0.95/eps is about eps^(-1/2) wide,
+        # narrower than the log grid's spacing there once eps ~ 1e-4
+        rep = verify_symbol_bounds(eps_list=(2e-4, 1e-4, 5e-5))
+        assert 0.9 <= rep.order_diff <= 1.1
+        assert 0.4 <= rep.order_weighted <= 0.6
+
     def test_strip_admissibility(self):
         with pytest.raises(ConfigError):
             verify_symbol_bounds(eta_plus=1.2, p_plus=0.0)
