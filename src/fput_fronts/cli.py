@@ -83,25 +83,46 @@ def build_potential(cfg: dict):
         return linear_force_potential()
     if kind == "hertz":
         return hertz_potential(
-            alpha=float(spec.get("alpha", 1.5)),
-            r_minus=float(spec.get("r_minus", 1.0)),
+            alpha=_number(spec, "alpha", 1.5), r_minus=_number(spec, "r_minus", 1.0)
         )
     if kind == "polynomial":
         if "coeffs" not in spec:
             raise ConfigError("polynomial potential needs a 'coeffs' list")
         return polynomial_potential(
-            [float(c) for c in spec["coeffs"]],
-            r_plus=float(spec.get("r_plus", 0.0)),
-            r_minus=float(spec.get("r_minus", 1.0)),
+            _number_list(spec, "coeffs"),
+            r_plus=_number(spec, "r_plus", 0.0),
+            r_minus=_number(spec, "r_minus", 1.0),
         )
     raise ConfigError(f"unknown potential kind: {kind!r}")
 
 
-def _positive_float(cfg: dict, key: str) -> float:
+def _finite(value, key: str) -> float:
+    """``value`` as a finite float, or a ConfigError naming field ``key``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"field {key} must be a number, got {value!r}")
     try:
-        value = float(cfg[key])
+        number = float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key} must be a number") from exc
+        raise ConfigError(f"field {key} must be a number, got {value!r}") from exc
+    if not np.isfinite(number):
+        raise ConfigError(f"field {key} must be finite, got {value!r}")
+    return number
+
+
+def _number(cfg: dict, key: str, default: float | None = None) -> float:
+    """The number in field ``key``; ``default`` when the field is absent."""
+    return _finite(cfg.get(key, default), key)
+
+
+def _number_list(cfg: dict, key: str) -> list[float]:
+    values = cfg[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"field {key} must be a list of numbers")
+    return [_finite(v, key) for v in values]
+
+
+def _positive_float(cfg: dict, key: str) -> float:
+    value = _number(cfg, key)
     if not value > 0:
         raise ConfigError(f"field {key} must be positive, got {value}")
     return value
@@ -133,32 +154,23 @@ def take_epsilon_list(cfg: dict) -> list[float]:
         raise ConfigError("give exactly one of epsilon / epsilon_list")
     if "epsilon_list" not in cfg:
         raise ConfigError("missing required field: epsilon_list")
-    eps_list = cfg["epsilon_list"]
-    if not isinstance(eps_list, list) or not eps_list:
+    eps_list = _number_list(cfg, "epsilon_list")
+    if not eps_list:
         raise ConfigError("epsilon_list must be a non-empty list")
-    out = []
     for e in eps_list:
-        try:
-            e = float(e)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("epsilon_list entries must be numbers") from exc
         if not e > 0:
             raise ConfigError(f"epsilon_list entries must be positive, got {e}")
-        out.append(e)
-    return out
+    return eps_list
 
 
-def take_grid(cfg: dict):
-    """Return (L, N) from the config, or (None, None) for auto selection."""
+def take_grid(cfg: dict) -> UniformGrid | None:
+    """The pinned grid from the config, or None for automatic selection."""
     spec = cfg.get("grid", "auto")
     if spec == "auto":
-        return None, None
+        return None
     if not isinstance(spec, dict) or set(spec) != {"L", "N"}:
         raise ConfigError("grid must be \"auto\" or an object with fields L and N")
-    L = float(spec["L"])
-    N = int(spec["N"])
-    UniformGrid(L, N)  # reuse the grid validation, fail fast
-    return L, N
+    return UniformGrid(_number(spec, "L"), _integer_at_least(spec, "N", 256))
 
 
 def _out_dir(out: str) -> Path:
@@ -172,9 +184,11 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_profile_csv(path: Path, x, R, S) -> None:
+    """Header x,R,S and one %.17e row per point, as np.savetxt writes them."""
+    rows = np.column_stack([x, R, S])
     with open(path, "w", newline="") as f:
         f.write("x,R,S\n")
-        np.savetxt(f, np.column_stack([x, R, S]), fmt="%.17e", delimiter=",")
+        f.write(("%.17e,%.17e,%.17e\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _eps_tag(eps: float) -> str:
@@ -226,10 +240,10 @@ def ode(config_path, out):
     """Solve the continuum front R' + R = dphi(R) and write its profile."""
     cfg = load_config(config_path)
     potential = build_potential(cfg)
-    L, N = take_grid(cfg)
+    grid = take_grid(cfg)
     out_path = _out_dir(out)
 
-    cont = solve_R0(potential, L=L, N=N)
+    cont = solve_R0(potential, grid=grid)
     S = cont.slope_profile()
     write_profile_csv(out_path / "R0_profile.csv", cont.grid.x, cont.values, S)
     write_json(
@@ -278,7 +292,7 @@ def front_solve(config_path, out):
     cfg = load_config(config_path)
     potential = build_potential(cfg)
     eps = take_epsilon(cfg)
-    L, N = take_grid(cfg)
+    grid = take_grid(cfg)
     out_path = _out_dir(out)
 
     if eps > EPS0_DEFAULT:
@@ -286,7 +300,7 @@ def front_solve(config_path, out):
             f"warning: epsilon {eps:g} above advisory threshold {EPS0_DEFAULT:g}, proceeding",
             err=True,
         )
-    sol = solve_front(potential, eps, L=L, N=N)
+    sol = solve_front(potential, eps, grid=grid)
     tag = _eps_tag(eps)
     write_profile_csv(out_path / f"front_eps{tag}.csv", sol.x, sol.R, sol.S)
     write_json(out_path / f"front_eps{tag}.json", _front_payload(sol))
@@ -301,10 +315,10 @@ def front_sweep(config_path, out):
     cfg = load_config(config_path)
     potential = build_potential(cfg)
     eps_list = take_epsilon_list(cfg)
-    take_grid(cfg)
+    grid = take_grid(cfg)
     out_path = _out_dir(out)
 
-    sols = continuation_sweep(potential, eps_list)
+    sols = continuation_sweep(potential, eps_list, grid=grid)
     members = []
     for sol in sols:
         tag = _eps_tag(sol.eps)
@@ -323,9 +337,9 @@ def poles(config_path, out):
     if "p" in cfg and "p_list" in cfg:
         raise ConfigError("give exactly one of p / p_list")
     if "p" in cfg:
-        p_list = [float(cfg["p"])]
+        p_list = [_number(cfg, "p")]
     elif "p_list" in cfg:
-        p_list = [float(v) for v in cfg["p_list"]]
+        p_list = _number_list(cfg, "p_list")
     else:
         raise ConfigError("missing required field: p (far-field curvature)")
     if "epsilon" in cfg:
@@ -361,9 +375,9 @@ def symbol_check(config_path, out):
     eps_list = take_epsilon_list(cfg)
     if len(eps_list) < 2:
         raise ConfigError("symbol-check needs at least two epsilons to fit orders")
-    s = float(cfg.get("s", 0.5))
-    eta_minus = float(cfg.get("eta_minus", 0.5))
-    eta_plus = float(cfg.get("eta_plus", 0.5))
+    s = _number(cfg, "s", 0.5)
+    eta_minus = _number(cfg, "eta_minus", 0.5)
+    eta_plus = _number(cfg, "eta_plus", 0.5)
     out_path = _out_dir(out)
 
     report = verify_symbol_bounds(
@@ -420,12 +434,7 @@ def lattice_run(config_path, out, seed):
             raise ConfigError("perturb must be an object with an 'amplitude' field")
         if seed is None:
             raise ConfigError("perturb requests need --seed for reproducibility")
-        try:
-            amp = float(perturb["amplitude"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("perturb amplitude must be a number") from exc
-        if not np.isfinite(amp):
-            raise ConfigError(f"perturb amplitude must be finite, got {amp}")
+        amp = _number(perturb, "amplitude")
     out_path = _out_dir(out)
 
     eps = 1.0 / lat["gamma"]
@@ -474,10 +483,10 @@ def report(config_path, out):
     cfg = load_config(config_path)
     potential = build_potential(cfg)
     eps = take_epsilon(cfg)
-    L, N = take_grid(cfg)
+    grid = take_grid(cfg)
     out_path = _out_dir(out)
 
-    sol = solve_front(potential, eps, L=L, N=N)
+    sol = solve_front(potential, eps, grid=grid)
     checks = consolidated_report(sol)
     payload = {
         "epsilon": eps,

@@ -31,6 +31,7 @@ from .grids import GridProfile, UniformGrid, grid_for
 from .potentials import Potential
 
 SETTLE_TOL = 1e-8
+_CHUNK = 16384  # points per evaluation pass
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
@@ -76,6 +77,75 @@ def suggest_half_length(potential: Potential) -> float:
     return max(40.0, 20.0 / min(m_minus, m_plus, 1.0))
 
 
+class _DenseTable:
+    """One branch's DOP853 dense output packed into per-segment arrays.
+
+    Gives bitwise what scipy's ``OdeSolution.__call__`` gives: the same
+    segment at the knots (``side``/``ascending`` rule, so a knot belongs to
+    the segment nearer the branch start) and the same Horner order as
+    ``Dop853DenseOutput`` (reversed F, alternating factors x and 1 - x, then
+    y_old).  It replaces scipy's argsort and per-segment Python loop by one
+    ``searchsorted`` and array arithmetic.  Segments are stored in ascending
+    knot order; query points need not be sorted, but sorted ones search fastest.
+    """
+
+    def __init__(self, ode_solution):
+        segments = list(ode_solution.interpolants)
+        if not ode_solution.ascending:
+            segments.reverse()
+        self.knots = ode_solution.ts_sorted
+        self.side = ode_solution.side
+        self.t_old = np.array([s.t_old for s in segments])
+        self.h = np.array([s.h for s in segments])
+        self.y_old = np.array([s.y_old[0] for s in segments])
+        self.horner = np.array([s.F[::-1, 0] for s in segments]).T.copy()
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        seg = np.searchsorted(self.knots, t, side=self.side) - 1
+        # mode="clip" is scipy's clamp to the first and last segment; every
+        # gathered per-segment value goes through the one buffer
+        buf = self.t_old.take(seg, mode="clip")
+        x = t - buf
+        x /= self.h.take(seg, out=buf, mode="clip")
+        one_minus_x = 1 - x
+        y = np.zeros_like(x)
+        for i, coef in enumerate(self.horner):
+            y += coef.take(seg, out=buf, mode="clip")
+            y *= x if i % 2 == 0 else one_minus_x
+        y += self.y_old.take(seg, out=buf, mode="clip")
+        return y
+
+
+def _evaluate(f, x):
+    """f applied pointwise to any-shape x; floats give floats.
+
+    Runs over cache-sized slices of the flattened points, so the temporaries
+    of each pass stay in cache.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if flat.size <= _CHUNK:
+        out = f(flat)
+    else:
+        out = np.empty_like(flat)
+        for start in range(0, flat.size, _CHUNK):
+            out[start : start + _CHUNK] = f(flat[start : start + _CHUNK])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _split(x: np.ndarray, first: np.ndarray, f_first, f_rest) -> np.ndarray:
+    """f_first on x[first] and f_rest on the other points, as one array."""
+    if first.all():
+        return f_first(x)
+    rest = ~first
+    if rest.all():
+        return f_rest(x)
+    out = np.empty_like(x)
+    out[first] = f_first(x[first])
+    out[rest] = f_rest(x[rest])
+    return out
+
+
 class ContinuumSolution:
     """Dense continuum front with grid samples and tail extension."""
 
@@ -84,9 +154,11 @@ class ContinuumSolution:
         self.grid = grid
         self._gap = sol_gap  # dense Q = 1 - R0 on [-L, 0]
         self._right = sol_right  # dense R0 on [0, L]
+        self._gap_table = _DenseTable(sol_gap.sol)
+        self._right_table = _DenseTable(sol_right.sol)
         self.m_minus, self.m_plus = decay_rates(potential)
-        self._qL = float(sol_gap.sol(-grid.L)[0])
-        self._rL = float(sol_right.sol(grid.L)[0])
+        self._qL = float(self._gap_table(np.array([-grid.L]))[0])
+        self._rL = float(self._right_table(np.array([grid.L]))[0])
         self.values = self(grid.x)
 
     @property
@@ -95,43 +167,37 @@ class ContinuumSolution:
 
     def gap(self, x):
         """The left-side gap Q(x) = 1 - R0(x), accurate at tiny values."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        mid = (x >= -self.grid.L) & (x <= 0.0)
-        tail = x < -self.grid.L
-        if np.any(mid):
-            out[mid] = self._gap.sol(x[mid])[0]
-        if np.any(tail):
-            out[tail] = self._qL * np.exp(self.m_minus * (x[tail] + self.grid.L))
-        pos = x > 0
-        if np.any(pos):
-            out[pos] = 1.0 - self._eval_right(x[pos])
-        return float(out[0]) if scalar else out
-
-    def _eval_right(self, x):
-        out = np.empty_like(x)
-        inside = x <= self.grid.L
-        if np.any(inside):
-            out[inside] = self._right.sol(x[inside])[0]
-        far = ~inside
-        if np.any(far):
-            out[far] = self._rL * np.exp(-self.m_plus * (x[far] - self.grid.L))
-        return out
+        return _evaluate(self._gap_points, x)
 
     def __call__(self, x):
         """Evaluate the dense profile; beyond the window use tail asymptotics."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        neg = x < 0
-        if np.any(neg):
-            out[neg] = 1.0 - self.gap(x[neg])
-        if np.any(~neg):
-            out[~neg] = self._eval_right(x[~neg])
-        return float(out[0]) if scalar else out
+        return _evaluate(self._profile_points, x)
+
+    def _profile_points(self, x):
+        return _split(x, x < 0.0, lambda v: 1.0 - self._eval_gap(v), self._eval_right)
+
+    def _gap_points(self, x):
+        return _split(x, x <= 0.0, self._eval_gap, lambda v: 1.0 - self._eval_right(v))
+
+    def _eval_gap(self, x):
+        """Q on x <= 0: dense output on [-L, 0], exponential tail beyond."""
+        L = self.grid.L
+        return _split(
+            x,
+            x >= -L,
+            self._gap_table,
+            lambda v: self._qL * np.exp(self.m_minus * (v + L)),
+        )
+
+    def _eval_right(self, x):
+        """R0 on x >= 0: dense output on [0, L], exponential tail beyond."""
+        L = self.grid.L
+        return _split(
+            x,
+            x <= L,
+            self._right_table,
+            lambda v: self._rL * np.exp(-self.m_plus * (v - L)),
+        )
 
     def derivative(self, x):
         """R0' evaluated through the ODE itself."""

@@ -194,10 +194,12 @@ def _tent_average_defect(continuum: ContinuumSolution, grid: UniformGrid, eps: f
     y = 0.5 * eps * (_GL_NODES + 1.0)  # nodes on (0, eps)
     w = 0.5 * eps * _GL_WEIGHTS * (1.0 - y / eps) / eps  # tent weight, one side
     x = grid.x
-    vals_m = continuum((x[:, None] - y[None, :]).ravel()).reshape(grid.N, y.size)
-    vals_p = continuum((x[:, None] + y[None, :]).ravel()).reshape(grid.N, y.size)
+    # node-major rows x -/+ y_m are each sorted, which the segment search favours
+    vals_m = continuum((x[None, :] - y[:, None]).ravel()).reshape(y.size, grid.N)
+    vals_p = continuum((x[None, :] + y[:, None]).ravel()).reshape(y.size, grid.N)
     R0 = continuum.values if grid is continuum.grid else continuum(x)
-    return (2.0 * R0[:, None] - vals_m - vals_p) @ w
+    # a C-contiguous (N, 24) operand fixes the BLAS summation order of the product
+    return np.ascontiguousarray((2.0 * R0[None, :] - vals_m - vals_p).T) @ w
 
 
 def _tent_residual(sol: FrontSolution) -> float:

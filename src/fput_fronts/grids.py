@@ -49,9 +49,6 @@ class UniformGrid:
     def k_full(self) -> np.ndarray:
         return np.fft.fftfreq(self.N, d=self.h)
 
-    def refined(self, factor: int = 2) -> "UniformGrid":
-        return UniformGrid(self.L, self.N * factor)
-
     def index_of(self, x0: float) -> int:
         """Index of the grid point at or just left of x0."""
         return int(np.floor((x0 + self.L) / self.h))
@@ -128,7 +125,3 @@ def interpolate_local(
     xs = grid.x[j0] + offs * grid.h
     interp = BarycentricInterpolator(xs, values[idx])
     return float(interp(x0))
-
-
-def trapezoid(values: np.ndarray, grid: UniformGrid) -> float:
-    return float(np.trapezoid(values, dx=grid.h))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fput_fronts.cli import main
+from fput_fronts.cli import main, write_profile_csv
 
 
 @pytest.fixture()
@@ -129,6 +129,25 @@ class TestFrontSweep:
         assert h1[0] < h1[1]
         assert (out / "front_eps0p1.csv").exists()
         assert (out / "front_eps0p2.csv").exists()
+
+
+    def test_pinned_grid_is_honoured(self, runner, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "potential": {"kind": "quadratic"},
+                "epsilon_list": [0.15, 0.2],
+                "grid": {"L": 60, "N": 16384},
+            },
+        )
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["front", "sweep", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert [(m["L"], m["N"]) for m in summary["members"]] == [(60.0, 16384)] * 2
+        _, rows = read_csv_rows(out / "front_eps0p15.csv")
+        assert len(rows) == 16384
+        assert float(rows[0][0]) == -60.0
 
 
 class TestPoles:
@@ -275,3 +294,68 @@ class TestDeterminism:
             outs.append(out)
         for name in ("lattice_snapshots.csv", "lattice_summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestNumberFields:
+    """Malformed numbers in any command's config exit 2 with one line."""
+
+    QUAD = {"kind": "quadratic"}
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            (["poles"], {"p": "abc", "epsilon": 0.1}),
+            (["poles"], {"p_list": [0.0, "x"], "epsilon": 0.1}),
+            (["poles"], {"p_list": "0.5", "epsilon": 0.1}),
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "s": "x"}),
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_minus": None}),
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": "inf"}),
+            (["ode"], {"potential": QUAD, "grid": {"L": "a", "N": 4096}}),
+            (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40, "N": "b"}}),
+            (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1], "grid": {"L": 40, "N": 4096.5}}),
+            (["report"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": [], "N": 4096}}),
+            (["ode"], {"potential": {"kind": "hertz", "alpha": "z"}}),
+            (["ode"], {"potential": {"kind": "hertz", "r_minus": {}}}),
+            (["ode"], {"potential": {"kind": "polynomial", "coeffs": ["a", 1.0]}}),
+            (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0], "r_plus": "q"}}),
+            (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0], "r_minus": True}}),
+        ],
+        ids=[
+            "poles_p",
+            "poles_p_list_entry",
+            "poles_p_list_not_list",
+            "symbol_s",
+            "symbol_eta_minus",
+            "symbol_eta_plus_inf",
+            "ode_grid_L",
+            "solve_grid_N",
+            "sweep_grid_N_fraction",
+            "report_grid_L",
+            "hertz_alpha",
+            "hertz_r_minus",
+            "polynomial_coeffs",
+            "polynomial_r_plus",
+            "polynomial_r_minus_bool",
+        ],
+    )
+    def test_config_error(self, runner, tmp_path, command, cfg):
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main, [*command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+        )
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert not out.exists()
+
+
+def test_profile_csv_bytes_match_savetxt(tmp_path):
+    x = np.array([0.0, -0.0, 1e-300, -1e-300, -2.5, 1.7976931348623157e308, np.pi])
+    R = np.array([-0.0, 5e-324, 1.0, -1e300, 0.1, -7.0, 1e-17])
+    S = np.array([3.0, -0.0, 2.2250738585072014e-308, 42.0, -1e-5, 1e22, -np.e])
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, x, R, S)
+    with open(tmp_path / "ref.csv", "w", newline="") as f:
+        f.write("x,R,S\n")
+        np.savetxt(f, np.column_stack([x, R, S]), fmt="%.17e", delimiter=",")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()

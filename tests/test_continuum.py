@@ -130,3 +130,55 @@ class TestHalfLength:
         assert suggest_half_length(quadratic_force_potential()) == 40.0
         assert suggest_half_length(hertz_potential()) == 40.0
         assert suggest_half_length(hertz_potential(alpha=1.2)) == pytest.approx(100.0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPackedEvaluator:
+    """The packed segment tables reproduce scipy's dense output bit for bit."""
+
+    @pytest.fixture(params=["quadratic", "hertz"])
+    def sol(self, request, logistic_solution, hertz_solution):
+        return logistic_solution if request.param == "quadratic" else hertz_solution
+
+    @staticmethod
+    def probe(sol):
+        knots = np.concatenate([sol._gap.t, sol._right.t, [-sol.L, sol.L]])
+        near = np.concatenate(
+            [np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf)]
+        )
+        beyond = np.array([-sol.L - 1e-9, sol.L + 1e-9, -sol.L - 7.0, sol.L + 7.0])
+        return np.concatenate([knots, near, beyond, [0.0, -0.0]])
+
+    @pytest.mark.parametrize("method", ["__call__", "gap"])
+    def test_knots_tails_and_zeros(self, sol, method, dense_reference):
+        x = self.probe(sol)
+        got = getattr(sol, method)(x)
+        assert _same_bits(got, dense_reference(sol, x, gap=method == "gap"))
+
+    @pytest.mark.parametrize("method", ["__call__", "gap"])
+    def test_unsorted_input(self, sol, method, dense_reference):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([self.probe(sol), rng.uniform(-1.2 * sol.L, 1.2 * sol.L, 50000)])
+        x = rng.permutation(x)
+        got = getattr(sol, method)(x)
+        assert _same_bits(got, dense_reference(sol, x, gap=method == "gap"))
+
+    def test_scalars_return_float(self, sol):
+        for x0 in (-7.25, -0.0, 0.0, 3.5, sol.L, -sol.L - 2.0, sol.L + 2.0):
+            value, gap = sol(x0), sol.gap(x0)
+            assert type(value) is float and type(gap) is float
+        assert sol(3.5) == float(sol._right.sol(3.5)[0])
+        assert sol.gap(-7.25) == float(sol._gap.sol(-7.25)[0])
+        assert sol(-7.25) == 1.0 - float(sol._gap.sol(-7.25)[0])
+        assert sol.gap(0.0) == float(sol._gap.sol(0.0)[0])
+        assert sol(0.0) == float(sol._right.sol(0.0)[0])
+
+    def test_shape_is_kept(self, sol, dense_reference):
+        x = np.linspace(-sol.L - 1.0, sol.L + 1.0, 24).reshape(4, 6)
+        got = sol(x)
+        assert got.shape == (4, 6)
+        assert _same_bits(got.ravel(), dense_reference(sol, x.ravel()))

@@ -12,6 +12,9 @@ from fput_fronts import (
     solve_front,
 )
 from fput_fronts.front_solver import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _tent_average_defect,
     background_term,
     continuation_sweep,
     derivative_consistency,
@@ -212,3 +215,21 @@ class TestFailurePaths:
     def test_negative_eps_rejected(self, quad):
         with pytest.raises(ConfigError):
             solve_front(quad, -0.1)
+
+
+class TestTentAverageDefect:
+    def test_matches_point_major_scipy_reference(self, quad_sol, hertz_sol, dense_reference):
+        """Bitwise against the (N, 24) point-major quadrature on scipy's output."""
+        for sol in (quad_sol, hertz_sol):
+            cont, grid, eps = sol.continuum, sol.grid, sol.eps
+            y = 0.5 * eps * (_GL_NODES + 1.0)
+            w = 0.5 * eps * _GL_WEIGHTS * (1.0 - y / eps) / eps
+            x = grid.x
+            vals_m = dense_reference(cont, (x[:, None] - y[None, :]).ravel())
+            vals_p = dense_reference(cont, (x[:, None] + y[None, :]).ravel())
+            shape = (grid.N, y.size)
+            expected = (
+                2.0 * cont.values[:, None] - vals_m.reshape(shape) - vals_p.reshape(shape)
+            ) @ w
+            got = _tent_average_defect(cont, grid, eps)
+            assert got.tobytes() == expected.tobytes()
