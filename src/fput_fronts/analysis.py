@@ -57,7 +57,8 @@ class DecayReport:
         }
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y against x and the R^2 of the line fit."""
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
@@ -81,7 +82,7 @@ def _tail_fit(x, S, side: str):
             f"empty {side} fitting window: tails under-resolved on this grid"
         )
     xs, ss = x[mask], S[mask]
-    slope, r2 = _linear_fit(xs, np.log(ss))
+    slope, r2 = linear_fit(xs, np.log(ss))
     lam = slope if side == "minus" else -slope
     return lam, r2, (float(xs[0]), float(xs[-1])), xs, ss
 

@@ -96,6 +96,29 @@ def build_potential(cfg: dict):
     raise ConfigError(f"unknown potential kind: {kind!r}")
 
 
+def _require_normalized(potential) -> None:
+    """Commands that solve a front need the normalized setting; name what is off."""
+    if potential.is_normalized:
+        return
+    wrong = [
+        f"field {key} must be {want:g}, got {value:g}"
+        for key, value, want in (
+            ("r_plus", potential.r_plus, 0.0),
+            ("r_minus", potential.r_minus, 1.0),
+        )
+        if value != want
+    ]
+    if not wrong:
+        wrong.append(
+            "field coeffs must give dphi(0) = 0 and dphi(1) = 1, got "
+            f"{potential.dphi(0.0):g} and {potential.dphi(1.0):g}"
+        )
+    raise ConfigError(
+        f"front commands solve the normalized front: {'; '.join(wrong)} "
+        "(renormalize the potential from Python with Potential.renormalize())"
+    )
+
+
 def _finite(value, key: str) -> float:
     """``value`` as a finite float, or a ConfigError naming field ``key``."""
     if isinstance(value, bool):
@@ -240,6 +263,7 @@ def ode(config_path, out):
     """Solve the continuum front R' + R = dphi(R) and write its profile."""
     cfg = load_config(config_path)
     potential = build_potential(cfg)
+    _require_normalized(potential)
     grid = take_grid(cfg)
     out_path = _out_dir(out)
 
@@ -291,6 +315,7 @@ def front_solve(config_path, out):
     """Solve one front profile and write CSV + JSON."""
     cfg = load_config(config_path)
     potential = build_potential(cfg)
+    _require_normalized(potential)
     eps = take_epsilon(cfg)
     grid = take_grid(cfg)
     out_path = _out_dir(out)
@@ -314,6 +339,7 @@ def front_sweep(config_path, out):
     """Solve a list of epsilons with warm starts; one CSV per epsilon."""
     cfg = load_config(config_path)
     potential = build_potential(cfg)
+    _require_normalized(potential)
     eps_list = take_epsilon_list(cfg)
     grid = take_grid(cfg)
     out_path = _out_dir(out)
@@ -428,6 +454,8 @@ def lattice_run(config_path, out, seed):
     cfg = load_config(config_path)
     potential = build_potential(cfg)
     lat = _validate_lattice_cfg(cfg)
+    if lat["source"] == "front":
+        _require_normalized(potential)
     perturb = cfg.get("perturb")
     if perturb is not None:
         if not isinstance(perturb, dict) or "amplitude" not in perturb:
@@ -482,6 +510,7 @@ def report(config_path, out):
     """Solve one front and write the consolidated pass/fail check list."""
     cfg = load_config(config_path)
     potential = build_potential(cfg)
+    _require_normalized(potential)
     eps = take_epsilon(cfg)
     grid = take_grid(cfg)
     out_path = _out_dir(out)

@@ -259,7 +259,10 @@ def solve_R0(
     L = grid.L
 
     def rhs_right(_, y):
-        return potential.dphi(y) - y
+        # one float through the scalar path of dphi; the same bits as the
+        # array expression dphi(y) - y
+        r = float(y[0])
+        return [potential.dphi(r) - r]
 
     opts = dict(method="DOP853", rtol=1e-13, atol=1e-300, dense_output=True)
     sol_right = solve_ivp(rhs_right, (0.0, L), [0.5], **opts)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .analysis import linear_fit
 from .errors import ConfigError, InsufficientDataError, NumericsError
 from .front_solver import FrontSolution
 from .potentials import Potential
@@ -270,12 +271,7 @@ def measure_front_speed(traj: Trajectory) -> tuple[float, float]:
         raise InsufficientDataError(
             f"only {t.size} usable crossings; front did not move through the chain"
         )
-    slope, intercept = np.polyfit(t, x, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((x - pred) ** 2))
-    ss_tot = float(np.sum((x - np.mean(x)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), r2
+    return linear_fit(t, x)
 
 
 def _sampled_profile(sol: FrontSolution, eps: float, M: int, center: float) -> np.ndarray:

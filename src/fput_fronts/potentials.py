@@ -121,24 +121,41 @@ class Potential:
     # -- evaluation ---------------------------------------------------------
 
     def _eval_extended(self, r, core, below, above):
-        r = np.asarray(r, dtype=float)
-        rc = np.clip(r, self.r_plus, self.r_minus)
-        if r.ndim == 0:
-            if r < self.r_plus:
-                return float(below(r))
-            if r > self.r_minus:
-                return float(above(r))
-            return float(core(rc))
-        out = np.asarray(core(rc), dtype=float)
-        lo = r < self.r_plus
-        hi = r > self.r_minus
-        has_lo, has_hi = lo.any(), hi.any()
-        if has_lo or has_hi:
-            # a fresh full-shape copy: a core may return a scalar or a view
+        if type(r) is not float:
+            r = np.asarray(r, dtype=float)
+            if r.ndim:
+                return self._eval_array(r, core, below, above)
+            r = float(r)
+        # one 0-d path in plain floats.  Inside [r_plus, r_minus] np.clip
+        # returns r itself, signed zeros at the core ends included, so the
+        # core gets r as the array path's core does
+        if r < self.r_plus:
+            return float(below(r))
+        if r > self.r_minus:
+            return float(above(r))
+        return float(core(r))
+
+    def _eval_array(self, r, core, below, above):
+        # NaN is skipped by both reductions and goes to the core, as np.clip
+        # passes it through
+        lowest = np.fmin.reduce(r, axis=None, initial=np.inf)
+        highest = np.fmax.reduce(r, axis=None, initial=-np.inf)
+        has_lo, has_hi = lowest < self.r_plus, highest > self.r_minus
+        # an array inside the core skips the clip (and, below, the masks);
+        # strict at r_plus, so a signed zero there gets np.clip's own rule
+        inside = self.r_plus < lowest and highest <= self.r_minus
+        out = np.asarray(
+            core(r if inside else np.clip(r, self.r_plus, self.r_minus)), dtype=float
+        )
+        if has_lo or has_hi or out.shape != r.shape or np.may_share_memory(out, r):
+            # a fresh full-shape copy: a core may return a scalar, or its
+            # argument or a view of it
             out = np.array(np.broadcast_to(out, r.shape))
         if has_lo:
+            lo = r < self.r_plus
             out[lo] = below(r[lo])
         if has_hi:
+            hi = r > self.r_minus
             out[hi] = above(r[hi])
         return out
 
@@ -148,9 +165,9 @@ class Potential:
             r,
             self._phi,
             lambda r: self._phi_a + self._dp_a * (r - self.r_plus)
-            + 0.5 * self._p_a * (r - self.r_plus) ** 2,
+            + 0.5 * self._p_a * ((r - self.r_plus) * (r - self.r_plus)),
             lambda r: self._phi_b + self._dp_b * (r - self.r_minus)
-            + 0.5 * self._p_b * (r - self.r_minus) ** 2,
+            + 0.5 * self._p_b * ((r - self.r_minus) * (r - self.r_minus)),
         )
 
     def dphi(self, r):
@@ -165,10 +182,7 @@ class Potential:
     def d2phi(self, r):
         """Curvature of the potential (derivative of the force law)."""
         return self._eval_extended(
-            r,
-            self._d2phi,
-            lambda r: np.full_like(r, self._p_a, dtype=float),
-            lambda r: np.full_like(r, self._p_b, dtype=float),
+            r, self._d2phi, lambda r: self._p_a, lambda r: self._p_b
         )
 
     # -- derived constants --------------------------------------------------
@@ -238,15 +252,15 @@ class Potential:
         ddp = self._dp_b - self._dp_a
         phi_a, dp_a = self._phi_a, self._dp_a
 
+        # like every core, these take a plain float or an array
         def dphi_n(R):
-            return (self._dphi(a + dr * np.asarray(R)) - dp_a) / ddp
+            return (self._dphi(a + dr * R) - dp_a) / ddp
 
         def phi_n(R):
-            R = np.asarray(R)
             return (self._phi(a + dr * R) - phi_a - dp_a * dr * R) / (ddp * dr)
 
         def d2phi_n(R):
-            return self._d2phi(a + dr * np.asarray(R)) * dr / ddp
+            return self._d2phi(a + dr * R) * dr / ddp
 
         normalized = Potential(
             phi_n, dphi_n, d2phi_n, 0.0, 1.0, name=f"{self.name} (normalized)"
@@ -315,6 +329,24 @@ class Potential:
 
 
 # -- factories --------------------------------------------------------------
+#
+# Every core takes a plain float (returning a float) or an array; the scalar
+# path of Potential never builds an array.
+
+
+def _horner(coeffs: tuple, x):
+    """``npoly.polyval(x, coeffs)`` in its exact operation order.
+
+    polyval seeds with ``coeffs[-1] + x*0`` (so inf gives NaN at any degree)
+    and steps ``c_j + y*x``; here on one array updated in place, or on plain
+    floats.
+    """
+    y = x * 0
+    y += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        y *= x
+        y += c
+    return y
 
 
 def polynomial_potential(
@@ -328,15 +360,16 @@ def polynomial_potential(
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise PotentialError("polynomial force law needs a 1-d coefficient list")
-    ci = npoly.polyint(c)
-    cd = npoly.polyder(c) if c.size > 1 else np.zeros(1)
+    ci = tuple(map(float, npoly.polyint(c)))
+    cd = tuple(map(float, npoly.polyder(c))) if c.size > 1 else (0.0,)
+    cf = tuple(map(float, c))
     return Potential(
-        lambda r: npoly.polyval(np.asarray(r, dtype=float), ci),
-        lambda r: npoly.polyval(np.asarray(r, dtype=float), c),
-        lambda r: npoly.polyval(np.asarray(r, dtype=float), cd),
+        lambda r: _horner(ci, r),
+        lambda r: _horner(cf, r),
+        lambda r: _horner(cd, r),
         r_plus,
         r_minus,
-        name=f"polynomial{list(map(float, c))}",
+        name=f"polynomial{list(cf)}",
     )
 
 
@@ -350,26 +383,33 @@ def linear_force_potential() -> Potential:
     return polynomial_potential([0.0, 1.0])
 
 
+def _positive_part(r):
+    """``np.maximum(r, 0.0)``: +0.0 for r <= 0 (-0.0 included), NaN kept."""
+    if type(r) is float:
+        return 0.0 if r <= 0.0 else r
+    return np.maximum(r, 0.0)
+
+
 def hertz_potential(alpha: float = 1.5, r_minus: float = 1.0) -> Potential:
     """Hertz contact law: force (r)_+^alpha on [0, r_minus].
 
     For 1 < alpha < 2 the curvature vanishes at zero strain and is only
-    Hoelder continuous there, with exponent alpha - 1.
+    Hoelder continuous there, with exponent alpha - 1.  Floats go through
+    ``np.power`` too: Python's ``**`` (libm ``pow``) differs in the last bit
+    from numpy's SIMD ``pow`` at some points, and a float must give what an
+    array gives.
     """
     if alpha <= 1:
         raise PotentialError("hertz exponent must exceed 1")
     a = float(alpha)
 
     def phi(r):
-        r = np.asarray(r, dtype=float)
-        return np.maximum(r, 0.0) ** (a + 1.0) / (a + 1.0)
+        return np.power(_positive_part(r), a + 1.0) / (a + 1.0)
 
     def dphi(r):
-        r = np.asarray(r, dtype=float)
-        return np.maximum(r, 0.0) ** a
+        return np.power(_positive_part(r), a)
 
     def d2phi(r):
-        r = np.asarray(r, dtype=float)
-        return a * np.maximum(r, 0.0) ** (a - 1.0)
+        return a * np.power(_positive_part(r), a - 1.0)
 
     return Potential(phi, dphi, d2phi, 0.0, float(r_minus), name=f"hertz(alpha={a})")

@@ -349,6 +349,35 @@ class TestNumberFields:
         assert not out.exists()
 
 
+class TestUnnormalizedPotential:
+    """Front commands name the field that keeps the potential unnormalized."""
+
+    HERTZ = {"kind": "hertz", "r_minus": 2.0}
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            (["ode"], {"potential": HERTZ}),
+            (["front", "solve"], {"potential": HERTZ, "epsilon": 0.1}),
+            (["front", "sweep"], {"potential": HERTZ, "epsilon_list": [0.2, 0.1]}),
+            (["report"], {"potential": HERTZ, "epsilon": 0.1}),
+            (["lattice", "run"], {"potential": HERTZ, "lattice": {"M": 400, "T": 5, "gamma": 10}}),
+        ],
+        ids=["ode", "front_solve", "front_sweep", "report", "lattice_run"],
+    )
+    def test_hertz_r_minus_is_named(self, runner, tmp_path, command, cfg):
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main, [*command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+        )
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "field r_minus must be 1, got 2" in lines[0]
+        assert "Potential.renormalize()" in lines[0]
+        assert not out.exists()
+
+
 def test_profile_csv_bytes_match_savetxt(tmp_path):
     x = np.array([0.0, -0.0, 1e-300, -1e-300, -2.5, 1.7976931348623157e308, np.pi])
     R = np.array([-0.0, 5e-324, 1.0, -1e300, 0.1, -7.0, 1e-17])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fput_fronts import (
     ConfigError,
@@ -182,3 +183,26 @@ class TestPackedEvaluator:
         got = sol(x)
         assert got.shape == (4, 6)
         assert _same_bits(got.ravel(), dense_reference(sol, x.ravel()))
+
+
+class TestRightHandSide:
+    """The float right-hand side integrates exactly as the array form does."""
+
+    @pytest.mark.parametrize("name", ["quadratic", "hertz"])
+    def test_right_branch_matches_array_rhs(self, name, logistic_solution, hertz_solution):
+        sol = logistic_solution if name == "quadratic" else hertz_solution
+        pot = sol.potential
+        ref = solve_ivp(
+            lambda _, y: pot.dphi(y) - y,
+            (0.0, sol.L),
+            [0.5],
+            method="DOP853",
+            rtol=1e-13,
+            atol=1e-300,
+            dense_output=True,
+        )
+        assert sol._right.nfev == ref.nfev
+        assert _same_bits(sol._right.t, ref.t)
+        assert _same_bits(sol._right.y, ref.y)
+        x = np.concatenate([ref.t, np.linspace(0.0, sol.L, 20001)])
+        assert _same_bits(sol(x), ref.sol(x)[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from fput_fronts import (
@@ -14,6 +15,7 @@ from fput_fronts import (
     polynomial_potential,
     quadratic_force_potential,
 )
+from fput_fronts.potentials import _horner
 
 
 def chord_area_oracle(pot):
@@ -130,6 +132,108 @@ class TestArrayEvaluation:
             scalars = np.array([f(x) for x in r])
         assert values.shape == r.shape
         assert values.tobytes() == scalars.tobytes()
+
+
+_FORCE_LAWS = {
+    "quadratic": quadratic_force_potential,
+    "hertz": hertz_potential,
+    "degree4": lambda: polynomial_potential(
+        [0.1, 0.7, 1.3, 0.4, 0.2], r_plus=0.2, r_minus=1.7
+    ),
+}
+
+
+class TestScalarPath:
+    """Floats, numpy scalars and 0-d arrays give what the array path gives."""
+
+    @staticmethod
+    def probe(pot):
+        a, b = pot.r_plus, pot.r_minus
+        ends = [a, b, 0.0, -0.0]
+        neighbours = [np.nextafter(e, d) for e in ends for d in (-np.inf, np.inf)]
+        # enough interior points that a last-bit difference in pow shows
+        inside = np.linspace(a, b, 201)[1:-1]
+        outside = [a - 1.5, b + 2.0, -np.inf, np.inf, np.nan]
+        return np.concatenate([ends, neighbours, inside, outside])
+
+    @pytest.mark.parametrize("method", ["phi", "dphi", "d2phi"])
+    @pytest.mark.parametrize("norm", [False, True], ids=["raw", "renormalized"])
+    @pytest.mark.parametrize("name", list(_FORCE_LAWS))
+    def test_scalars_match_array_bitwise(self, name, norm, method):
+        pot = _FORCE_LAWS[name]()
+        if norm:
+            pot = pot.renormalize()[0]
+        r = self.probe(pot)
+        f = getattr(pot, method)
+        with np.errstate(invalid="ignore"):
+            values = f(r)
+            for kind in (float, np.float64, np.array):
+                scalars = [f(kind(x)) for x in r]
+                assert all(type(v) is float for v in scalars)
+                assert np.array(scalars).tobytes() == values.tobytes(), kind
+
+
+class TestHorner:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_polyval_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=seed + 1)
+        c[rng.random(c.size) < 0.3] = -0.0  # signed zero coefficients
+        x = np.concatenate(
+            [rng.normal(scale=3.0, size=500), [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300]]
+        )
+        x_before = x.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref = npoly.polyval(x, c)
+            out = _horner(tuple(map(float, c)), x)
+            scalars = np.array([_horner(tuple(map(float, c)), float(v)) for v in x])
+        assert out.tobytes() == ref.tobytes()
+        assert scalars.tobytes() == ref.tobytes()
+        assert x.tobytes() == x_before.tobytes()
+
+
+class TestInCoreShortcut:
+    @pytest.mark.parametrize(
+        "lo, r",
+        [
+            # all inside [-1, 1]: the core gets the caller's array
+            (-1.0, [-0.0, 0.0, 0.5, -0.5, 1.0, np.nextafter(-1.0, 0.0)]),
+            # -0.0 and 0.0 at the end r_plus = 0
+            (0.0, [-0.0, 0.0, 0.5, 1.0, 5e-324]),
+        ],
+    )
+    def test_identity_core_returns_fresh_clip_result(self, lo, r):
+        r = np.array(r)
+        pot = Potential(lambda x: x, lambda x: x, lambda x: x, r_plus=lo, r_minus=1.0)
+        for f in (pot.phi, pot.dphi, pot.d2phi):
+            out = f(r)
+            assert not np.shares_memory(out, r)
+            assert out.tobytes() == np.clip(r, lo, 1.0).tobytes()
+            assert np.array([f(float(x)) for x in r]).tobytes() == out.tobytes()
+
+    def test_array_touching_r_plus_goes_through_clip(self, monkeypatch):
+        """The shortcut leaves r_plus itself to np.clip, whatever its tie rule.
+
+        numpy's own clip returns -0.0 at a bound of 0.0; a max/min clip,
+        min(max(x, lo), hi) with ``a > b ? a : b``, returns the bound's
+        +0.0.  The core must see what np.clip gives.
+        """
+
+        def max_min_clip(x, lo, hi):
+            m = np.where(x > lo, x, lo)
+            return np.where(m < hi, m, hi)
+
+        monkeypatch.setattr(np, "clip", max_min_clip)
+        pot = Potential(lambda x: x, lambda x: x, lambda x: x, r_plus=0.0, r_minus=1.0)
+        r = np.array([-0.0, 0.25, 1.0])
+        assert pot.dphi(r).tobytes() == max_min_clip(r, 0.0, 1.0).tobytes()
+
+    def test_scalar_core_gives_full_shape(self):
+        pot = Potential(lambda r: 0.5 * r * r, lambda r: r, lambda r: 1.0)
+        r = np.array([[0.25, 0.5, 1.0], [0.75, 0.1, 0.2]])
+        out = pot.d2phi(r)
+        assert out.shape == r.shape
+        assert np.all(out == 1.0)
 
 
 class TestValidate:
