@@ -100,18 +100,19 @@ def _require_normalized(potential) -> None:
     """Commands that solve a front need the normalized setting; name what is off."""
     if potential.is_normalized:
         return
+    # values are printed with repr, so a value off in its last digits shows
     wrong = [
-        f"field {key} must be {want:g}, got {value:g}"
+        f"field {key} must be {want}, got {value!r}"
         for key, value, want in (
-            ("r_plus", potential.r_plus, 0.0),
-            ("r_minus", potential.r_minus, 1.0),
+            ("r_plus", potential.r_plus, 0),
+            ("r_minus", potential.r_minus, 1),
         )
         if value != want
     ]
     if not wrong:
         wrong.append(
             "field coeffs must give dphi(0) = 0 and dphi(1) = 1, got "
-            f"{potential.dphi(0.0):g} and {potential.dphi(1.0):g}"
+            f"{potential.dphi(0.0)!r} and {potential.dphi(1.0)!r}"
         )
     raise ConfigError(
         f"front commands solve the normalized front: {'; '.join(wrong)} "

@@ -137,19 +137,12 @@ class Potential:
 
     def _eval_array(self, r, core, below, above):
         # NaN is skipped by both reductions and goes to the core, as np.clip
-        # passes it through
-        lowest = np.fmin.reduce(r, axis=None, initial=np.inf)
-        highest = np.fmax.reduce(r, axis=None, initial=-np.inf)
-        has_lo, has_hi = lowest < self.r_plus, highest > self.r_minus
-        # an array inside the core skips the clip (and, below, the masks);
-        # strict at r_plus, so a signed zero there gets np.clip's own rule
-        inside = self.r_plus < lowest and highest <= self.r_minus
-        out = np.asarray(
-            core(r if inside else np.clip(r, self.r_plus, self.r_minus)), dtype=float
-        )
-        if has_lo or has_hi or out.shape != r.shape or np.may_share_memory(out, r):
-            # a fresh full-shape copy: a core may return a scalar, or its
-            # argument or a view of it
+        # passes it through; a mask is built only for an occupied side
+        has_lo = np.fmin.reduce(r, axis=None, initial=np.inf) < self.r_plus
+        has_hi = np.fmax.reduce(r, axis=None, initial=-np.inf) > self.r_minus
+        out = np.asarray(core(np.clip(r, self.r_plus, self.r_minus)), dtype=float)
+        if has_lo or has_hi or out.shape != r.shape:
+            # a fresh full-shape copy: a core may return a scalar or a view
             out = np.array(np.broadcast_to(out, r.shape))
         if has_lo:
             lo = r < self.r_plus
@@ -383,33 +376,26 @@ def linear_force_potential() -> Potential:
     return polynomial_potential([0.0, 1.0])
 
 
-def _positive_part(r):
-    """``np.maximum(r, 0.0)``: +0.0 for r <= 0 (-0.0 included), NaN kept."""
-    if type(r) is float:
-        return 0.0 if r <= 0.0 else r
-    return np.maximum(r, 0.0)
-
-
 def hertz_potential(alpha: float = 1.5, r_minus: float = 1.0) -> Potential:
     """Hertz contact law: force (r)_+^alpha on [0, r_minus].
 
     For 1 < alpha < 2 the curvature vanishes at zero strain and is only
     Hoelder continuous there, with exponent alpha - 1.  Floats go through
-    ``np.power`` too: Python's ``**`` (libm ``pow``) differs in the last bit
-    from numpy's SIMD ``pow`` at some points, and a float must give what an
-    array gives.
+    the same ufuncs as arrays: Python's ``**`` (libm ``pow``) differs in the
+    last bit from numpy's SIMD ``pow`` at some points, and a float must give
+    what an array gives.
     """
     if alpha <= 1:
         raise PotentialError("hertz exponent must exceed 1")
     a = float(alpha)
 
     def phi(r):
-        return np.power(_positive_part(r), a + 1.0) / (a + 1.0)
+        return np.power(np.maximum(r, 0.0), a + 1.0) / (a + 1.0)
 
     def dphi(r):
-        return np.power(_positive_part(r), a)
+        return np.power(np.maximum(r, 0.0), a)
 
     def d2phi(r):
-        return a * np.power(_positive_part(r), a - 1.0)
+        return a * np.power(np.maximum(r, 0.0), a - 1.0)
 
     return Potential(phi, dphi, d2phi, 0.0, float(r_minus), name=f"hertz(alpha={a})")

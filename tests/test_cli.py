@@ -373,8 +373,34 @@ class TestUnnormalizedPotential:
         assert res.exit_code == 2
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
-        assert "field r_minus must be 1, got 2" in lines[0]
+        assert "field r_minus must be 1, got 2.0 (" in lines[0]
         assert "Potential.renormalize()" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "potential, message",
+        [
+            (
+                {"kind": "polynomial", "coeffs": [0, 0, 1], "r_minus": 1.0000001},
+                "field r_minus must be 1, got 1.0000001 (",
+            ),
+            # dphi(1) off by 2e-12, beyond the endpoint tolerance 1e-12
+            (
+                {"kind": "polynomial", "coeffs": [0, 0, 1.000000000002]},
+                "dphi(0) = 0 and dphi(1) = 1, got 0.0 and 1.000000000002 (",
+            ),
+        ],
+        ids=["r_minus_near_1", "dphi_1_near_1"],
+    )
+    def test_near_normalized_values_print_in_full(self, runner, tmp_path, potential, message):
+        out = tmp_path / "o"
+        cfg = {"potential": potential, "epsilon": 0.1}
+        res = runner.invoke(
+            main, ["front", "solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+        )
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
         assert not out.exists()
 
 
