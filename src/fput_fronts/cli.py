@@ -215,6 +215,20 @@ def write_profile_csv(path: Path, x, R, S) -> None:
         f.write(("%.17e,%.17e,%.17e\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
+def write_snapshots_csv(path: Path, times, snapshots) -> None:
+    """Header t,n,r and one row per site and snapshot, as np.savetxt writes them.
+
+    Rows are ``%.17e,%d,%.17e``: the snapshot time, the site index from 1
+    and the strain.  Each snapshot is formatted as one string, so the text
+    held in memory is one snapshot's, not the whole trajectory's.
+    """
+    with open(path, "w", newline="") as f:
+        f.write("t,n,r\n")
+        for t, snap in zip(times, snapshots):
+            block = np.column_stack([np.full(snap.size, t), np.arange(1, snap.size + 1), snap])
+            f.write(("%.17e,%d,%.17e\n" * snap.size) % tuple(block.ravel().tolist()))
+
+
 def _eps_tag(eps: float) -> str:
     return f"{eps:g}".replace(".", "p").replace("-", "m")
 
@@ -457,6 +471,7 @@ def lattice_run(config_path, out, seed):
     lat = _validate_lattice_cfg(cfg)
     if lat["source"] == "front":
         _require_normalized(potential)
+    grid = take_grid(cfg)
     perturb = cfg.get("perturb")
     if perturb is not None:
         if not isinstance(perturb, dict) or "amplitude" not in perturb:
@@ -470,7 +485,7 @@ def lattice_run(config_path, out, seed):
     dt = lat.get("dt", default_dt(potential))
     sol = None
     if lat["source"] == "front":
-        sol = solve_front(potential, eps)
+        sol = solve_front(potential, eps, grid=grid)
         state = init_chain(lat["M"], sol, eps)
     else:
         state = init_chain(lat["M"], "step", eps)
@@ -493,13 +508,7 @@ def lattice_run(config_path, out, seed):
     if sol is not None:
         summary["max_profile_distance"] = compare_profile(traj, sol)
 
-    with open(out_path / "lattice_snapshots.csv", "w", newline="") as f:
-        f.write("t,n,r\n")
-        for t, snap in zip(traj.times, traj.snapshots):
-            block = np.column_stack(
-                [np.full(snap.size, t), np.arange(1, snap.size + 1), snap]
-            )
-            np.savetxt(f, block, fmt=["%.17e", "%d", "%.17e"], delimiter=",")
+    write_snapshots_csv(out_path / "lattice_snapshots.csv", traj.times, traj.snapshots)
     write_json(out_path / "lattice_summary.json", summary)
     click.echo(f"wrote {out_path / 'lattice_summary.json'}")
 

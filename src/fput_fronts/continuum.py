@@ -4,27 +4,35 @@ In the normalized setting the continuum profile solves the scalar ODE
 
     R0'(x) = dphi(R0(x)) - R0(x),   R0(0) = 1/2,
 
-connecting 1 at -infinity to 0 at +infinity.  It is computed with a
-high-order explicit integrator outward from the midpoint in both
-directions and kept as dense output for off-grid evaluation.
+connecting 1 at -infinity to 0 at +infinity.  It is integrated outward
+from the midpoint in both directions by the module's own DOP853 stepper
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.5) on Python floats:
+scipy's tableau from ``scipy.integrate._ivp.dop853_coefficients`` and
+scipy's step-size controller (rtol 1e-13, atol 1e-300).  Each accepted step
+becomes one segment of a packed dense-output table, kept for off-grid
+evaluation.
 
 A precaution keeps the exponential tails meaningful in double precision.
 The left branch is integrated in the gap variable Q = 1 - R0 with purely
-relative error control, and its right-hand side is evaluated through the
-curvature integral
+relative error control, and its right-hand side needs the gap force
 
     dphi(1) - dphi(1 - Q) = Q * integral_0^1 d2phi(1 - Q s) ds
 
-(by Gauss-Legendre quadrature) instead of by direct subtraction, which
-would lose all relative accuracy once Q drops below about 1e-7 and stall
-the step controller.  The right branch has no such cancellation and is
-integrated directly.
+without the direct subtraction, which would lose all relative accuracy
+once Q drops below about 1e-7 and stall the step controller.  The built-in
+force laws give it in closed form (``Potential.gap_force``); other cores
+fall back to Gauss-Legendre quadrature of the curvature integral.  The
+right branch has no such cancellation and is integrated directly.
 """
 
 from __future__ import annotations
 
+import math
+from operator import mul
+
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
+from scipy.integrate._ivp import dop853_coefficients as _tableau
 
 from .errors import ConfigError, DomainTooSmallError
 from .grids import GridProfile, UniformGrid, grid_for
@@ -34,24 +42,35 @@ SETTLE_TOL = 1e-8
 _CHUNK = 16384  # points per evaluation pass
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
+# DOP853 on floats: stage rows A[s, :s], weights and the two error
+# estimators, with scipy's step-size controller constants.  The extra stages
+# and dense-output rows of the accepted steps are evaluated on arrays.
+_RTOL, _ATOL = 1e-13, 1e-300
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
+_N_STAGES = _tableau.N_STAGES
+_A = [tuple(map(float, _tableau.A[s, :s])) for s in range(1, _N_STAGES)]
+_B = tuple(map(float, _tableau.B))
+_E3 = tuple(map(float, _tableau.E3))
+_E5 = tuple(map(float, _tableau.E5))
+
 
 def _gap_rhs(potential: Potential):
     """Right-hand side for the gap Q = 1 - R0, free of cancellation.
 
-    Returns Q' = (1 - Q) - dphi(1 - Q) written as Q*(I(Q) - 1) + e1 with
-    I(Q) the curvature integral over [1 - Q, 1] divided by Q and e1 the
-    (at most 1e-12) normalization defect 1 - dphi(1).
+    Returns Q' = (1 - Q) - dphi(1 - Q) written as g(Q) - Q + e1 with g the
+    gap force dphi(1) - dphi(1 - Q) and e1 the (at most 1e-12)
+    normalization defect 1 - dphi(1).  Without a closed-form gap force, g
+    is Q times the curvature integral by Gauss-Legendre quadrature.
     """
+    e1 = 1.0 - potential.dphi(1.0)
+    if potential.gap_core is not None:
+        g = potential.gap_force
+        return lambda q: g(q) - q + e1
     s = 0.5 * (_GL_NODES + 1.0)  # quadrature nodes on [0, 1]
     w = 0.5 * _GL_WEIGHTS
-    e1 = 1.0 - float(potential.dphi(1.0))
-
-    def rhs(_, q):
-        qv = q[0]
-        curv = potential.d2phi(1.0 - qv * s)
-        return qv * (float(np.dot(w, curv)) - 1.0) + e1
-
-    return rhs
+    d2phi = potential.d2phi
+    return lambda q: q * (float(np.dot(w, d2phi(1.0 - q * s))) - 1.0) + e1
 
 
 def decay_rates(potential: Potential) -> tuple[float, float]:
@@ -80,25 +99,34 @@ def suggest_half_length(potential: Potential) -> float:
 class _DenseTable:
     """One branch's DOP853 dense output packed into per-segment arrays.
 
-    Gives bitwise what scipy's ``OdeSolution.__call__`` gives: the same
-    segment at the knots (``side``/``ascending`` rule, so a knot belongs to
-    the segment nearer the branch start) and the same Horner order as
-    ``Dop853DenseOutput`` (reversed F, alternating factors x and 1 - x, then
-    y_old).  It replaces scipy's argsort and per-segment Python loop by one
-    ``searchsorted`` and array arithmetic.  Segments are stored in ascending
-    knot order; query points need not be sorted, but sorted ones search fastest.
+    Built from the stepper's knots, the solution values at the knots and
+    the 16 stages of each accepted step, all in integration order; ``nfev``
+    counts the right-hand side evaluations the branch cost.  The dense rows
+    are scipy's ``Dop853DenseOutput`` F: the step difference, two Hermite
+    terms and the four rows of ``h * D @ K``.  Segments are stored in
+    ascending knot order.  A knot belongs to the segment nearer the branch
+    start (``side``, scipy's ``OdeSolution`` rule), and each segment is
+    evaluated in ``Dop853DenseOutput``'s Horner order: F[6] .. F[0] with
+    alternating factors x and 1 - x, then y_old.  Query points need not be
+    sorted, but sorted ones search fastest.
     """
 
-    def __init__(self, ode_solution):
-        segments = list(ode_solution.interpolants)
-        if not ode_solution.ascending:
-            segments.reverse()
-        self.knots = ode_solution.ts_sorted
-        self.side = ode_solution.side
-        self.t_old = np.array([s.t_old for s in segments])
-        self.h = np.array([s.h for s in segments])
-        self.y_old = np.array([s.y_old[0] for s in segments])
-        self.horner = np.array([s.F[::-1, 0] for s in segments]).T.copy()
+    def __init__(self, knots, y, K, nfev: int):
+        knots, y = np.array(knots), np.array(y)
+        h = np.diff(knots)  # t_new - t_old, as the stepper took it
+        dy = np.diff(y)
+        f_old, f_new = K[:, 0], K[:, _N_STAGES]
+        hermite = [2.0 * dy - h * (f_new + f_old), h * f_old - dy, dy]  # F[2], F[1], F[0]
+        horner = np.vstack([h * (_tableau.D[::-1] @ K.T), hermite])
+        ascending = knots[-1] > knots[0]
+        self.side = "left" if ascending else "right"
+        order = slice(None) if ascending else slice(None, None, -1)
+        self.knots = knots[order].copy()
+        self.t_old = knots[:-1][order].copy()
+        self.h = h[order].copy()
+        self.y_old = y[:-1][order].copy()
+        self.horner = horner[:, order].copy()
+        self.nfev = nfev
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         seg = np.searchsorted(self.knots, t, side=self.side) - 1
@@ -114,6 +142,95 @@ class _DenseTable:
             y *= x if i % 2 == 0 else one_minus_x
         y += self.y_old.take(seg, out=buf, mode="clip")
         return y
+
+
+def _initial_step(fun, y0: float, f0: float, direction: float, interval: float) -> float:
+    """scipy's ``select_initial_step`` (HNW II.4) on floats, error order 7."""
+    scale = _ATOL + abs(y0) * _RTOL
+    d0, d1 = abs(y0 / scale), abs(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = abs((fun(y0 + h0 * direction * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, interval)
+
+
+def _dop853(fun, t_bound: float, y0: float) -> _DenseTable:
+    """Integrate the autonomous scalar ODE y' = fun(y) from t = 0 to t_bound.
+
+    ``fun`` maps a float to a float.  The step-size control is scipy's
+    ``DOP853`` solver's: the 5th/3rd-order error blend, SAFETY 0.9, growth
+    in [0.2, 10], no growth right after a rejection, and a minimum step of
+    10 ulp of t.  Each attempted step costs 12 evaluations, and each
+    accepted one 3 more for its dense output.  Raises
+    ``DomainTooSmallError`` if the step size falls below that minimum.
+    """
+    direction = 1.0 if t_bound > 0 else -1.0
+    t, y = 0.0, y0
+    f = fun(y)
+    h_abs = _initial_step(fun, y, f, direction, abs(t_bound))
+    nfev = 2
+    knots, ys, stages = [t], [y], []
+    while direction * (t - t_bound) < 0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise DomainTooSmallError(
+                    f"continuum integration failed: step size below {min_step:.3g} "
+                    f"at x = {t}",
+                    suggested_L=2 * abs(t_bound),
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for a in _A:
+                K.append(fun(y + sum(map(mul, a, K)) * h))
+            y_new = y + h * sum(map(mul, _B, K))
+            f_new = fun(y_new)
+            K.append(f_new)
+            nfev += _N_STAGES
+            scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
+            err5 = sum(map(mul, _E5, K)) / scale
+            err3 = sum(map(mul, _E3, K)) / scale
+            err5_2, err3_2 = err5 * err5, err3 * err3
+            if err5_2 == 0.0 and err3_2 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5_2 / math.sqrt(err5_2 + 0.01 * err3_2)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+
+        stages.append(K)
+        knots.append(t_new)
+        ys.append(y_new)
+        t, y, f = t_new, y_new, f_new
+
+    # the 3 extra dense-output stages of every accepted step, stage by stage
+    h, y_old = np.diff(knots), np.array(ys[:-1])
+    K = np.zeros((h.size, _tableau.N_STAGES_EXTENDED))
+    K[:, : _N_STAGES + 1] = stages
+    for s in range(_N_STAGES + 1, _tableau.N_STAGES_EXTENDED):
+        args = y_old + (K[:, :s] @ _tableau.A[s, :s]) * h
+        K[:, s] = [fun(v) for v in args.tolist()]
+    nfev += (_tableau.N_STAGES_EXTENDED - _N_STAGES - 1) * h.size
+    return _DenseTable(knots, ys, K, nfev)
 
 
 def _evaluate(f, x):
@@ -149,13 +266,17 @@ def _split(x: np.ndarray, first: np.ndarray, f_first, f_rest) -> np.ndarray:
 class ContinuumSolution:
     """Dense continuum front with grid samples and tail extension."""
 
-    def __init__(self, potential: Potential, grid: UniformGrid, sol_gap, sol_right):
+    def __init__(
+        self,
+        potential: Potential,
+        grid: UniformGrid,
+        gap_table: _DenseTable,
+        right_table: _DenseTable,
+    ):
         self.potential = potential
         self.grid = grid
-        self._gap = sol_gap  # dense Q = 1 - R0 on [-L, 0]
-        self._right = sol_right  # dense R0 on [0, L]
-        self._gap_table = _DenseTable(sol_gap.sol)
-        self._right_table = _DenseTable(sol_right.sol)
+        self._gap_table = gap_table  # dense Q = 1 - R0 on [-L, 0]
+        self._right_table = right_table  # dense R0 on [0, L]
         self.m_minus, self.m_plus = decay_rates(potential)
         self._qL = float(self._gap_table(np.array([-grid.L]))[0])
         self._rL = float(self._right_table(np.array([grid.L]))[0])
@@ -258,19 +379,13 @@ def solve_R0(
             grid = UniformGrid(L, N)
     L = grid.L
 
-    def rhs_right(_, y):
-        # one float through the scalar path of dphi; the same bits as the
-        # array expression dphi(y) - y
-        r = float(y[0])
-        return [potential.dphi(r) - r]
-
-    opts = dict(method="DOP853", rtol=1e-13, atol=1e-300, dense_output=True)
-    sol_right = solve_ivp(rhs_right, (0.0, L), [0.5], **opts)
-    sol_gap = solve_ivp(_gap_rhs(potential), (0.0, -L), [0.5], **opts)
-    if not (sol_right.success and sol_gap.success):
-        raise DomainTooSmallError("continuum integration failed", suggested_L=2 * L)
-
-    sol = ContinuumSolution(potential, grid, sol_gap, sol_right)
+    dphi = potential.dphi
+    sol = ContinuumSolution(
+        potential,
+        grid,
+        _dop853(_gap_rhs(potential), -L, 0.5),
+        _dop853(lambda r: dphi(r) - r, L, 0.5),
+    )
     end_r = sol(L)
     end_l = sol.gap(-L)
     if end_r > SETTLE_TOL or end_l > SETTLE_TOL:

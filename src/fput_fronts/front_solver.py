@@ -216,6 +216,11 @@ def _tent_residual(sol: FrontSolution) -> float:
     return float(np.max(np.abs(res)))
 
 
+def _level(xq, continuum: ContinuumSolution, W: np.ndarray, grid: UniformGrid):
+    """R(xq) - 1/2 for the profile R = continuum + W."""
+    return continuum(xq) + interpolate_local(W, grid, xq) - 0.5
+
+
 def _recenter(
     W: np.ndarray, continuum: ContinuumSolution, grid: UniformGrid, center: float
 ) -> tuple[np.ndarray, float]:
@@ -233,12 +238,10 @@ def _recenter(
     j = crossings[np.argmin(np.abs(x[idx[crossings]] - center))]
     j0 = idx[j]
 
-    def level(xq):
-        return (
-            continuum(xq) + interpolate_local(W, grid, xq) - 0.5
-        )
-
-    x_star = brentq(level, x[j0], x[j0 + 1], xtol=1e-14)
+    # passed as args, not captured: brentq wraps the function in a
+    # self-referencing closure, which would keep the continuum and W alive
+    # until the cyclic garbage collector next runs
+    x_star = brentq(_level, x[j0], x[j0 + 1], args=(continuum, W, grid), xtol=1e-14)
     shift = x_star - center
     if shift == 0.0:
         return W, 0.0

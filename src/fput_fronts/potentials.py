@@ -13,7 +13,9 @@ monotone convex force law can be brought to it with :meth:`Potential.renormalize
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,7 +92,10 @@ class Potential:
 
     Parameters are callables for the potential, force, and curvature on the
     core interval; all evaluation methods accept scalars or arrays and apply
-    the extension automatically.
+    the extension automatically.  ``gap_core``, when given, is the gap force
+    ``d -> dphi(r_minus) - dphi(r_minus - d)`` on plain floats d in
+    ``[0, r_minus - r_plus]``, evaluated without cancellation at small d
+    (see :meth:`gap_force`); the built-in factories supply it.
     """
 
     def __init__(
@@ -101,6 +106,7 @@ class Potential:
         r_plus: float = 0.0,
         r_minus: float = 1.0,
         name: str = "potential",
+        gap_core: Callable | None = None,
     ):
         if not r_minus > r_plus:
             raise PotentialError(f"need r_minus > r_plus, got [{r_plus}, {r_minus}]")
@@ -110,6 +116,7 @@ class Potential:
         self.r_plus = float(r_plus)
         self.r_minus = float(r_minus)
         self.name = name
+        self.gap_core = gap_core
         # one-sided values at the core ends, reused by the extension
         self._phi_a = float(phi_core(self.r_plus))
         self._phi_b = float(phi_core(self.r_minus))
@@ -177,6 +184,20 @@ class Potential:
         return self._eval_extended(
             r, self._d2phi, lambda r: self._p_a, lambda r: self._p_b
         )
+
+    def gap_force(self, d: float) -> float:
+        """dphi(r_minus) - dphi(r_minus - d) for a float d, via ``gap_core``.
+
+        Inside the core the closed form keeps full relative accuracy as d
+        goes to 0, where direct subtraction would cancel.  Beyond the core
+        ends the constant-curvature extension gives p_minus * d above
+        (d < 0) and a plain difference below.  Needs a ``gap_core``.
+        """
+        if d < 0.0:
+            return self._p_b * d
+        if d > self.r_minus - self.r_plus:
+            return self._dp_b - self.dphi(self.r_minus - d)
+        return float(self.gap_core(d))
 
     # -- derived constants --------------------------------------------------
 
@@ -255,8 +276,17 @@ class Potential:
         def d2phi_n(R):
             return self._d2phi(a + dr * R) * dr / ddp
 
+        def gap_n(Q):
+            return self.gap_core(dr * Q) / ddp
+
         normalized = Potential(
-            phi_n, dphi_n, d2phi_n, 0.0, 1.0, name=f"{self.name} (normalized)"
+            phi_n,
+            dphi_n,
+            d2phi_n,
+            0.0,
+            1.0,
+            name=f"{self.name} (normalized)",
+            gap_core=None if self.gap_core is None else gap_n,
         )
         fc = self.front_constants()
         fmap = RenormalizationMap(
@@ -324,7 +354,7 @@ class Potential:
 # -- factories --------------------------------------------------------------
 #
 # Every core takes a plain float (returning a float) or an array; the scalar
-# path of Potential never builds an array.
+# path of Potential never builds an array.  Gap cores take plain floats only.
 
 
 def _horner(coeffs: tuple, x):
@@ -342,6 +372,22 @@ def _horner(coeffs: tuple, x):
     return y
 
 
+def _gap_coefficients(coeffs: Sequence[float], r_minus: float) -> tuple:
+    """h with dphi(r_minus) - dphi(r_minus - d) = d * sum_k h[k] d**k.
+
+    Taylor-shifts the force polynomial to r_minus: h[k-1] is
+    (-1)**(k+1) dphi^(k)(r_minus) / k!.  The shift is exact rational
+    arithmetic on the float inputs, so each h[k] is correctly rounded.
+    """
+    c = [Fraction(v) for v in coeffs]
+    rm = Fraction(r_minus)
+    h = [
+        (-1) ** (k + 1) * sum(c[j] * math.comb(j, k) * rm ** (j - k) for j in range(k, len(c)))
+        for k in range(1, len(c))
+    ]
+    return tuple(map(float, h)) or (0.0,)
+
+
 def polynomial_potential(
     coeffs: Sequence[float], r_plus: float = 0.0, r_minus: float = 1.0
 ) -> Potential:
@@ -356,6 +402,7 @@ def polynomial_potential(
     ci = tuple(map(float, npoly.polyint(c)))
     cd = tuple(map(float, npoly.polyder(c))) if c.size > 1 else (0.0,)
     cf = tuple(map(float, c))
+    cg = _gap_coefficients(cf, r_minus)
     return Potential(
         lambda r: _horner(ci, r),
         lambda r: _horner(cf, r),
@@ -363,6 +410,7 @@ def polynomial_potential(
         r_plus,
         r_minus,
         name=f"polynomial{list(cf)}",
+        gap_core=lambda d: d * _horner(cg, d),
     )
 
 
@@ -383,11 +431,20 @@ def hertz_potential(alpha: float = 1.5, r_minus: float = 1.0) -> Potential:
     Hoelder continuous there, with exponent alpha - 1.  Floats go through
     the same ufuncs as arrays: Python's ``**`` (libm ``pow``) differs in the
     last bit from numpy's SIMD ``pow`` at some points, and a float must give
-    what an array gives.
+    what an array gives.  The gap force is
+    ``r_minus**alpha * (1 - (1 - d/r_minus)**alpha)``, written with
+    ``expm1``/``log1p`` so it keeps its relative accuracy as d goes to 0.
     """
     if alpha <= 1:
         raise PotentialError("hertz exponent must exceed 1")
     a = float(alpha)
+    rm = float(r_minus)
+    rm_a = float(np.power(rm, a))  # dphi(r_minus), as the core gives it
+
+    def gap(d):
+        x = d / rm
+        # x rounds to 1 only at the far core end, where the force is 0
+        return rm_a if x >= 1.0 else -rm_a * math.expm1(a * math.log1p(-x))
 
     def phi(r):
         return np.power(np.maximum(r, 0.0), a + 1.0) / (a + 1.0)
@@ -398,4 +455,4 @@ def hertz_potential(alpha: float = 1.5, r_minus: float = 1.0) -> Potential:
     def d2phi(r):
         return a * np.power(np.maximum(r, 0.0), a - 1.0)
 
-    return Potential(phi, dphi, d2phi, 0.0, float(r_minus), name=f"hertz(alpha={a})")
+    return Potential(phi, dphi, d2phi, 0.0, rm, name=f"hertz(alpha={a})", gap_core=gap)

@@ -23,7 +23,6 @@ the amplitude of the one-sided exponential that dominates the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -199,40 +198,15 @@ def residue_symbol(pole: PoleData, z):
 EPS_HARD_MAX = 1.0
 
 
-def _check_eps_mu(eps: float, mu: float, eps_max: float = EPS_HARD_MAX):
+def _check_eps_mu(eps: float, mu: float):
     # values above EPS0_DEFAULT are experimental (callers may warn) but the
     # symbol and its pole stay well defined up to eps = 1
-    if not 0.0 < eps <= eps_max:
-        raise ConfigError(f"eps must lie in (0, {eps_max}], got {eps}")
+    if not 0.0 < eps <= EPS_HARD_MAX:
+        raise ConfigError(f"eps must lie in (0, {EPS_HARD_MAX}], got {eps}")
     if not 0.0 <= mu < 4.0:
         raise ConfigError(f"mu must lie in [0, 4), got {mu}")
     if abs(mu - 1.0) < 1e-10:
         raise ConfigError("mu = 1 is degenerate: far-field state is marginal")
-
-
-@dataclass(frozen=True)
-class SymbolFamily:
-    """Kernel symbols at fixed eps and far-field curvature mu."""
-
-    eps: float
-    mu: float = 0.0
-    eps0: float = EPS0_DEFAULT
-
-    def __post_init__(self):
-        _check_eps_mu(self.eps, self.mu, self.eps0)
-
-    def tent(self, k):
-        return tent_symbol(self.eps, k)
-
-    def a_hat(self, k):
-        return symbol_a_mu(self.eps, self.mu, k)
-
-    def denominator(self, z):
-        return denominator_D(self.eps, self.mu, z)
-
-    @cached_property
-    def pole(self) -> PoleData:
-        return find_pole(self.eps, self.mu)
 
 
 @dataclass

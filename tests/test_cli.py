@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fput_fronts.cli import main, write_profile_csv
+import fput_fronts.cli as cli
+from fput_fronts.cli import main, write_profile_csv, write_snapshots_csv
 
 
 @pytest.fixture()
@@ -240,6 +241,57 @@ class TestLatticeRun:
         assert len(lines) == 1 and lines[0].startswith("config error:")
         assert not out.exists()
 
+    def test_malformed_grid_is_config_error(self, runner, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "potential": {"kind": "quadratic"},
+                "lattice": {"M": 400, "T": 5.0, "gamma": 10.0},
+                "grid": {"L": "x", "N": 7},
+            },
+        )
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["lattice", "run", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:") and "L" in lines[0]
+        assert not out.exists()
+
+    def test_pinned_grid_reaches_the_front_solve(self, runner, tmp_path):
+        # a window too short for the tails: honoured, it is a numerical failure
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "potential": {"kind": "quadratic"},
+                "lattice": {"M": 400, "T": 5.0, "gamma": 10.0},
+                "grid": {"L": 10, "N": 4096},
+            },
+        )
+        res = runner.invoke(main, ["lattice", "run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert "x = +-10.0" in res.output
+
+    def test_pinned_grid_is_passed_on(self, runner, tmp_path, monkeypatch):
+        grids = []
+        solve_front = cli.solve_front
+
+        def spy(potential, eps, grid=None):
+            grids.append(grid)
+            return solve_front(potential, eps, grid=grid)
+
+        monkeypatch.setattr(cli, "solve_front", spy)
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "potential": {"kind": "quadratic"},
+                "lattice": {"M": 400, "T": 10.0, "gamma": 5.0},
+                "grid": {"L": 50, "N": 8192},
+            },
+        )
+        res = runner.invoke(main, ["lattice", "run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        assert [(g.L, g.N) for g in grids] == [(50.0, 8192)]
+
     def test_invalid_lattice_block_fails_before_output(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -413,4 +465,21 @@ def test_profile_csv_bytes_match_savetxt(tmp_path):
     with open(tmp_path / "ref.csv", "w", newline="") as f:
         f.write("x,R,S\n")
         np.savetxt(f, np.column_stack([x, R, S]), fmt="%.17e", delimiter=",")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_snapshot_csv_bytes_match_savetxt(tmp_path):
+    times = [0.0, 2.5, 1e300]
+    snapshots = [
+        np.array([0.0, -0.0, 5e-324, -5e-324]),
+        np.array([1.7976931348623157e308, -1e300, 1e-17, np.pi]),
+        np.array([0.5, 2.2250738585072014e-308, -7.0, 42.0]),
+    ]
+    path = tmp_path / "s.csv"
+    write_snapshots_csv(path, times, snapshots)
+    with open(tmp_path / "ref.csv", "w", newline="") as f:
+        f.write("t,n,r\n")
+        for t, snap in zip(times, snapshots):
+            block = np.column_stack([np.full(snap.size, t), np.arange(1, snap.size + 1), snap])
+            np.savetxt(f, block, fmt=["%.17e", "%d", "%.17e"], delimiter=",")
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -1,5 +1,8 @@
 """Finite-eps front solver: background term oracle, contract, covariances."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from fput_fronts import (
 from fput_fronts.front_solver import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _recenter,
     _tent_average_defect,
     background_term,
     continuation_sweep,
@@ -186,6 +190,22 @@ class TestInvariances:
         F1 = background_term(sol.eps, cont, sol.grid).values
         F = fixed_point_residual(sol.eps, cont, sol.W, sol.grid, F1, a_hat)
         assert np.max(np.abs(F)) <= 1e-9 * sol.grid.N
+
+
+class TestRecenter:
+    def test_leaves_no_reference_cycle(self, quad):
+        """The root search frees the continuum by reference counting alone."""
+        cont = solve_R0(quad)
+        W = np.zeros(cont.grid.N)
+        ref = weakref.ref(cont)
+        gc.disable()
+        try:
+            _, shift = _recenter(W, cont, cont.grid, 0.3)
+            del cont
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert shift == pytest.approx(-0.3, abs=1e-12)
 
 
 class TestContinuation:

@@ -1,5 +1,7 @@
 """Potential structure, jump constants, and renormalization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,3 +294,86 @@ class TestRenormalize:
         assert A_raw > 0
         assert A_norm > 0
         assert A_norm == pytest.approx(chord_area_oracle(norm), abs=1e-12)
+
+
+def _exact_gap(coeffs, r_minus, d):
+    """dphi(r_minus) - dphi(r_minus - d) in exact rational arithmetic."""
+
+    def force(r):
+        return sum(Fraction(c) * r**j for j, c in enumerate(coeffs))
+
+    rm = Fraction(r_minus)
+    return force(rm) - force(rm - Fraction(d))
+
+
+class TestGapForce:
+    """Closed-form gap forces dphi(r_minus) - dphi(r_minus - d) of the built-ins."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c0=st.floats(-1.0, 1.0),
+        c1=st.floats(0.0, 10.0),
+        c2=st.floats(0.1, 10.0),
+        c3=st.floats(0.0, 10.0),
+        c4=st.floats(0.0, 10.0),
+        degree=st.integers(2, 4),
+        r_minus=st.sampled_from([1.0, 0.7, 2.5]),
+        q=st.floats(1e-300, 0.5),
+    )
+    def test_polynomial_matches_exact_rationals(self, c0, c1, c2, c3, c4, degree, r_minus, q):
+        # nonnegative c_j (j >= 1) keep the force convex and increasing on [0, r_minus]
+        coeffs = [c0, c1, c2, c3, c4][: degree + 1]
+        pot = polynomial_potential(coeffs, r_minus=r_minus)
+        d = q * r_minus
+        exact = _exact_gap(coeffs, r_minus, d)
+        assert abs(Fraction(pot.gap_force(d)) - exact) <= 1e-14 * exact
+
+    def test_quadratic_is_q_times_two_minus_q(self):
+        pot = quadratic_force_potential()
+        for q in (1e-300, 1e-12, 0.1, 0.5, 1.0):
+            assert pot.gap_force(q) == q * (2.0 - q)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("r_minus", [1.0, 0.7, 2.5])
+    def test_hertz_matches_quadrature_and_series(self, alpha, r_minus):
+        pot = hertz_potential(alpha, r_minus=r_minus)
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        s, w = 0.5 * (nodes + 1.0), 0.5 * weights
+        for q in np.geomspace(1e-4, 0.5, 60):
+            d = q * r_minus
+            want = d * float(np.dot(w, pot.d2phi(r_minus - d * s)))
+            assert pot.gap_force(d) == pytest.approx(want, rel=4e-15, abs=0.0)
+        rm_a = r_minus**alpha
+        for q in np.geomspace(1e-300, 1e-8, 60):
+            d = q * r_minus
+            want = rm_a * (alpha * q - 0.5 * alpha * (alpha - 1.0) * q * q)
+            assert pot.gap_force(d) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+    def test_renormalized_gap_is_scaled_raw_gap(self):
+        raw = polynomial_potential([0.2, 0.3, 1.1, 0.4], r_plus=0.1, r_minus=2.0)
+        norm, _ = raw.renormalize()
+        ddp = raw.dphi(2.0) - raw.dphi(0.1)
+        for q in np.geomspace(1e-300, 1.0, 40):
+            exact = _exact_gap([0.2, 0.3, 1.1, 0.4], 2.0, 1.9 * q) / Fraction(ddp)
+            assert abs(Fraction(norm.gap_force(q)) - exact) <= 1e-14 * exact
+        hertz = hertz_potential(1.5, r_minus=4.0).renormalize()[0]
+        unit = hertz_potential(1.5)
+        for q in np.geomspace(1e-300, 1.0, 40):
+            assert hertz.gap_force(q) == pytest.approx(unit.gap_force(q), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "pot",
+        [quadratic_force_potential(), hertz_potential(1.5, r_minus=2.0)],
+        ids=["quad", "hertz"],
+    )
+    def test_extension_beyond_the_core(self, pot):
+        span = pot.r_minus - pot.r_plus
+        for d in (-1e-300, -1e-3, -0.5):
+            assert pot.gap_force(d) == pot.p_minus * d
+        for d in (span + 1e-3, span + 0.5):
+            assert pot.gap_force(d) == pot.dphi(pot.r_minus) - pot.dphi(pot.r_minus - d)
+        assert pot.gap_force(0.0) == 0.0
+        assert pot.gap_force(span) == pytest.approx(pot.dphi(pot.r_minus), rel=1e-15)
+
+    def test_user_core_has_none(self):
+        assert Potential(lambda r: r, lambda r: r, lambda r: 1.0).gap_core is None

@@ -8,8 +8,6 @@ from scipy.integrate import quad
 
 from fput_fronts.errors import ConfigError, PoleProximityError, PoleSearchError
 from fput_fronts.spectral import (
-    PoleData,
-    SymbolFamily,
     denominator_D,
     find_pole,
     kernel_physical,
@@ -285,18 +283,3 @@ class TestSymbolBounds:
             verify_symbol_bounds(eta_plus=1.2, p_plus=0.0)
         with pytest.raises(ConfigError):
             verify_symbol_bounds(eta_minus=1.2, p_minus=2.0)
-
-
-class TestSymbolFamily:
-    def test_wraps_functions(self):
-        fam = SymbolFamily(eps=0.2, mu=1.5)
-        k = np.linspace(-3, 3, 7)
-        assert np.array_equal(fam.a_hat(k), symbol_a_mu(0.2, 1.5, k))
-        assert np.array_equal(fam.tent(k), tent_symbol(0.2, k))
-        assert isinstance(fam.pole, PoleData)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigError):
-            SymbolFamily(eps=-0.1)
-        with pytest.raises(ConfigError):
-            SymbolFamily(eps=0.2, mu=1.0)
