@@ -181,9 +181,16 @@ def take_epsilon_list(cfg: dict) -> list[float]:
     eps_list = _number_list(cfg, "epsilon_list")
     if not eps_list:
         raise ConfigError("epsilon_list must be a non-empty list")
+    tagged = {}
     for e in eps_list:
         if not e > 0:
             raise ConfigError(f"epsilon_list entries must be positive, got {e}")
+        tag = _eps_tag(e)
+        if tag in tagged:
+            raise ConfigError(
+                f"epsilon_list entries {tagged[tag]!r} and {e!r} share the file tag eps{tag}"
+            )
+        tagged[tag] = e
     return eps_list
 
 

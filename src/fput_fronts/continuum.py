@@ -35,7 +35,7 @@ from scipy.integrate import quad
 from scipy.integrate._ivp import dop853_coefficients as _tableau
 
 from .errors import ConfigError, DomainTooSmallError
-from .grids import GridProfile, UniformGrid, grid_for
+from .grids import GridProfile, UniformGrid, grid_for, max_spacing
 from .potentials import Potential
 
 SETTLE_TOL = 1e-8
@@ -53,6 +53,13 @@ _A = [tuple(map(float, _tableau.A[s, :s])) for s in range(1, _N_STAGES)]
 _B = tuple(map(float, _tableau.B))
 _E3 = tuple(map(float, _tableau.E3))
 _E5 = tuple(map(float, _tableau.E5))
+
+# Segment polynomials have degree 7.  _TAYLOR_1 @ c re-expands sum c_k u^k
+# about u = 1; the unit tent's even moments are
+# integral of T(y) y^n dy / n! = _TENT_MOMENTS[n] * eps^n.
+_POWERS = np.arange(8)
+_TAYLOR_1 = np.array([[math.comb(k, j) for k in _POWERS] for j in _POWERS], dtype=float)
+_TENT_MOMENTS = {n: 2.0 / ((n + 1) * (n + 2) * math.factorial(n)) for n in (2, 4, 6)}
 
 
 def _gap_rhs(potential: Potential):
@@ -142,6 +149,21 @@ class _DenseTable:
             y *= x if i % 2 == 0 else one_minus_x
         y += self.y_old.take(seg, out=buf, mode="clip")
         return y
+
+    def ascending_monomials(self) -> np.ndarray:
+        """Each segment's polynomial in u = (t - left knot) / width, shape (8, n).
+
+        Row k holds the coefficient of u^k; columns follow ``knots``.
+        """
+        c = np.zeros((8, self.h.size))
+        for i, row in enumerate(self.horner):  # the Horner order of __call__
+            c[0] += row
+            shifted = np.vstack([np.zeros(c.shape[1]), c[:-1]])  # times x
+            c = shifted if i % 2 == 0 else c - shifted
+        c[0] += self.y_old
+        if self.side == "right":  # descending steps: x = (t - t_old) / h = 1 - u
+            c = (_TAYLOR_1 @ c) * ((-1.0) ** _POWERS)[:, None]
+        return c
 
 
 def _initial_step(fun, y0: float, f0: float, direction: float, interval: float) -> float:
@@ -340,6 +362,76 @@ class ContinuumSolution:
     def profile(self) -> GridProfile:
         return GridProfile(self.grid, self.values)
 
+    def tent_defect(self, eps: float, grid: UniformGrid | None = None) -> np.ndarray:
+        """R0 - Lambda_eps * R0 on a grid inside [-L, L], exact on the segments.
+
+        Lambda_eps averages against the unit-mass tent of half-width eps.  On
+        a window inside one segment polynomial p (degree 7) the defect is
+        -sum_{n = 2, 4, 6} m_n eps^n p^(n)(x) with m_n = 2/((n+1)(n+2) n!).
+        Each knot kappa within eps of x adds the tent weight integrated
+        against the jump p_right - p_left = sum_j d_j (t - kappa)^j beyond
+        kappa: sum_j d_j b^(j+2) / (eps^2 (j+1)(j+2)) with b = eps - |x - kappa|,
+        term j times -(-1)^j when x's own segment lies right of kappa.  The
+        ends -L and L are knots whose jumps hold the exponential tails, whose
+        part has the closed form tail(+-L) (expm1(-m b) + m b) / (m eps)^2.
+        The dense output is C^1, so the jumps are small and nothing cancels.
+        """
+        if grid is None:
+            grid = self.grid
+        if grid.L > self.L:
+            raise ConfigError(f"grid half-length {grid.L} exceeds the continuum's {self.L}")
+        x = grid.x
+        if eps == 0.0:
+            return np.zeros(grid.N)
+        gap, right = self._gap_table, self._right_table
+        knots = np.concatenate([gap.knots, right.knots[1:]])  # ascending, -L .. L
+        width = np.diff(knots)
+        c = np.hstack([-gap.ascending_monomials(), right.ascending_monomials()])
+        c[0, : gap.h.size] += 1.0  # the profile is 1 - Q left of 0
+
+        # own segment: a knot belongs to the segment on its right
+        seg = np.minimum(np.searchsorted(knots, x, side="right") - 1, width.size - 1)
+        g = np.zeros((6, width.size))  # sum_n m_n eps^n p^(n) in powers of u
+        for n, m in _TENT_MOMENTS.items():
+            falling = [math.perm(i + n, n) for i in range(8 - n)]
+            g[: 8 - n] += (m * (eps / width) ** n) * (np.array(falling)[:, None] * c[n:])
+        u = (x - knots[seg]) / width[seg]
+        own = np.zeros(grid.N)
+        for row in g[::-1]:
+            own = own * u + row[seg]
+
+        # jumps at every knot in powers of t - kappa; the tails' polynomial
+        # parts are 1 on the left and 0 on the right
+        scale = width[None, :] ** _POWERS[:, None]
+        left = np.zeros((8, knots.size))
+        left[0, 0] = 1.0
+        left[:, 1:] = (_TAYLOR_1 @ c) / scale
+        d = -left
+        d[:, :-1] += c / scale
+        # weight of term j: d_j b^(j+2) / (eps^2 (j+1)(j+2))
+        d /= (eps * eps * (_POWERS + 1) * (_POWERS + 2))[:, None]
+
+        lo = np.searchsorted(x, knots - eps, side="right")
+        hi = np.searchsorted(x, knots + eps, side="left")
+        count = hi - lo
+        knot = np.repeat(np.arange(knots.size), count)
+        point = np.arange(knot.size) - np.repeat(np.cumsum(count) - count - lo, count)
+        # v = b where x's own segment lies left of kappa, -b where it lies right
+        right_of = seg[point] >= knot
+        v = eps - np.abs(x[point] - knots[knot])
+        v[right_of] *= -1.0
+        jump = np.zeros(knot.size)
+        for row in d[::-1]:
+            jump = jump * v + row[knot]
+        jump *= v * np.abs(v)  # b^2 times the sign of v
+        defect = -own - np.bincount(point, weights=jump, minlength=grid.N)
+
+        ends = ((0, self._qL, self.m_minus, 1.0), (-1, self._rL, self.m_plus, -1.0))
+        for end, tail, m, sign in ends:
+            b = eps - np.abs(x[lo[end] : hi[end]] - knots[end])
+            defect[lo[end] : hi[end]] += sign * tail * (np.expm1(-m * b) + m * b) / (m * eps) ** 2
+        return defect
+
     def residual(self) -> float:
         """Sup over grid points of |R0' + R0 - dphi(R0)|.
 
@@ -374,7 +466,7 @@ def solve_R0(
         if L is None:
             L = suggest_half_length(potential)
         if N is None:
-            grid = grid_for(L, 0.05)
+            grid = grid_for(L, max_spacing(0.0))
         else:
             grid = UniformGrid(L, N)
     L = grid.L

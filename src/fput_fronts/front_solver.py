@@ -23,6 +23,11 @@ mollified step (Gaussian width delta = 6h).  The remainder g_delta decays
 on both sides and convolves spectrally; the step part has the closed-form
 symbol -b_hat(k) m_hat(k) / (2 pi i k) with b_hat(0)' = 0 making the k = 0
 limit zero.  The split is exact; only periodization error remains.
+
+The verification residual of the tent-averaged equation needs the defect
+R0 - Lambda_eps * R0 of the continuum profile; it is integrated exactly
+against the continuum's segment polynomials and tails
+(``ContinuumSolution.tent_defect``), independent of the Fourier path.
 """
 
 from __future__ import annotations
@@ -45,36 +50,27 @@ from .grids import (
     UniformGrid,
     grid_for,
     interpolate_local,
+    max_spacing,
     periodic_shift,
+    require_bandwidth,
     spectral_derivative,
 )
 from .potentials import Potential
 from .spectral import find_pole, symbol_a, symbol_a0, tent_symbol
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def solver_grid(potential: Potential, eps: float) -> UniformGrid:
     """Default grid: tails settled far below tolerance, tent scale resolved.
 
     Half-length max(40, 20/min of the pole tail rates); spacing at most
-    min(0.05, eps/16) so the Nyquist frequency reaches 8/eps.
+    ``max_spacing(eps)``.
     """
     if eps == 0.0:
-        return grid_for(suggest_half_length(potential), 0.05)
+        return grid_for(suggest_half_length(potential), max_spacing(eps))
     rate_plus = find_pole(eps, potential.p_plus).mu_rate
     rate_minus = find_pole(eps, potential.p_minus).mu_rate
     L = max(40.0, 20.0 / min(rate_minus, rate_plus, 1.0))
-    return grid_for(L, min(0.05, eps / 16.0))
-
-
-def _require_bandwidth(grid: UniformGrid, eps: float):
-    if grid.h > 0.05 + 1e-12:
-        raise ConfigError(f"grid spacing {grid.h:.4g} exceeds 0.05")
-    if eps > 0 and 1.0 / (2.0 * grid.h) < 8.0 / eps - 1e-12:
-        raise ConfigError(
-            f"grid Nyquist {1/(2*grid.h):.4g} below 8/eps = {8/eps:.4g}"
-        )
+    return grid_for(L, max_spacing(eps))
 
 
 def background_term(
@@ -89,7 +85,7 @@ def background_term(
         grid = continuum.grid
     if eps == 0.0:
         return GridProfile(grid, np.zeros(grid.N))
-    _require_bandwidth(grid, eps)
+    require_bandwidth(grid, eps)
     x = grid.x
     R0 = continuum(x) if grid is not continuum.grid else continuum.values
     delta = 6.0 * grid.h
@@ -178,41 +174,23 @@ class FrontSolution:
 
         Evaluates Lambda * R' + R - Lambda * dphi(R) without ever forming
         the non-decaying dphi(R): the continuum ODE reduces it to
-        W + Lambda * W' + (R0 - Lambda * R0) - Lambda * (dphi(R) - dphi(R0)),
-        and the middle bracket is computed by direct Gauss-Legendre
-        quadrature of the tent average of the dense continuum profile.
+        W + Lambda * W' + (R0 - Lambda * R0) - Lambda * (dphi(R) - dphi(R0)).
+        The two Lambda terms are one Fourier multiplier; the middle bracket
+        is integrated exactly against the continuum's segment polynomials
+        (``ContinuumSolution.tent_defect``).
         """
         if self._tent_residual is None:
             self._tent_residual = _tent_residual(self)
         return self._tent_residual
 
 
-def _tent_average_defect(continuum: ContinuumSolution, grid: UniformGrid, eps: float):
-    """R0 - Lambda_eps * R0 by quadrature against the dense profile."""
-    if eps == 0.0:
-        return np.zeros(grid.N)
-    y = 0.5 * eps * (_GL_NODES + 1.0)  # nodes on (0, eps)
-    w = 0.5 * eps * _GL_WEIGHTS * (1.0 - y / eps) / eps  # tent weight, one side
-    x = grid.x
-    # node-major rows x -/+ y_m are each sorted, which the segment search favours
-    vals_m = continuum((x[None, :] - y[:, None]).ravel()).reshape(y.size, grid.N)
-    vals_p = continuum((x[None, :] + y[:, None]).ravel()).reshape(y.size, grid.N)
-    R0 = continuum.values if grid is continuum.grid else continuum(x)
-    # a C-contiguous (N, 24) operand fixes the BLAS summation order of the product
-    return np.ascontiguousarray((2.0 * R0[None, :] - vals_m - vals_p).T) @ w
-
-
 def _tent_residual(sol: FrontSolution) -> float:
     grid = sol.grid
-    tent_hat = tent_symbol(sol.eps, grid.k) if sol.eps > 0 else np.ones(grid.k.size)
-    Wp = spectral_derivative(sol.W, grid)
+    W_hat = np.fft.rfft(sol.W)
     dnl = sol.potential.dphi(sol.R) - sol.potential.dphi(sol.continuum.values)
-    res = (
-        sol.W
-        + _convolve(Wp, grid, tent_hat)
-        + _tent_average_defect(sol.continuum, grid, sol.eps)
-        - _convolve(dnl, grid, tent_hat)
-    )
+    # Lambda * (W' - dnl) as one Fourier multiplier
+    smoothed_hat = tent_symbol(sol.eps, grid.k) * (2j * np.pi * grid.k * W_hat - np.fft.rfft(dnl))
+    res = sol.W + np.fft.irfft(smoothed_hat, n=grid.N) + sol.continuum.tent_defect(sol.eps, grid)
     return float(np.max(np.abs(res)))
 
 
@@ -280,13 +258,9 @@ def solve_front(
         else:
             if L is None:
                 L = suggest_half_length(potential)
-            grid = (
-                UniformGrid(L, N)
-                if N is not None
-                else grid_for(L, min(0.05, eps / 16.0) if eps > 0 else 0.05)
-            )
+            grid = UniformGrid(L, N) if N is not None else grid_for(L, max_spacing(eps))
     if eps > 0:
-        _require_bandwidth(grid, eps)
+        require_bandwidth(grid, eps)
     if continuum is None or continuum.grid is not grid:
         continuum = solve_R0(potential, grid=grid)
 
@@ -430,9 +404,8 @@ def continuation_sweep(
     if not eps_list or eps_list[0] <= 0:
         raise ConfigError("continuation needs positive eps values")
     if grid is None:
-        finest = min(eps_list)
         L = max(solver_grid(potential, e).L for e in eps_list)
-        grid = grid_for(L, min(0.05, finest / 16.0))
+        grid = grid_for(L, max_spacing(eps_list[0]))
     continuum = solve_R0(potential, grid=grid)
     out: list[FrontSolution] = []
     W = None

@@ -62,6 +62,19 @@ def grid_for(L: float, h_max: float) -> UniformGrid:
     return UniformGrid(L, n)
 
 
+def max_spacing(eps: float) -> float:
+    """Largest grid spacing at tent half-width eps: 0.05, and eps/16 (Nyquist 8/eps)."""
+    return min(0.05, eps / 16.0) if eps > 0 else 0.05
+
+
+def require_bandwidth(grid: UniformGrid, eps: float) -> None:
+    """Raise ``ConfigError`` if the grid spacing exceeds ``max_spacing(eps)``."""
+    if grid.h > max_spacing(eps) * (1.0 + 1e-12):
+        raise ConfigError(
+            f"grid spacing {grid.h:.4g} exceeds {max_spacing(eps):.4g} at eps {eps:g}"
+        )
+
+
 @dataclass
 class GridProfile:
     """Sampled profile: values[j] at x_j = -L + j*(2L/N)."""

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError, PoleProximityError, PoleSearchError
-from .grids import UniformGrid, grid_for
+from .grids import UniformGrid, grid_for, max_spacing, require_bandwidth
 
 EPS0_DEFAULT = 0.5
 POLE_BALL = 0.9 * np.pi
@@ -237,17 +237,12 @@ class KernelSamples:
 def kernel_physical(eps: float, L: float = 40.0, N: int | None = None) -> KernelSamples:
     """Sample the kernels on a grid resolving the tent scale.
 
-    Requires the grid Nyquist frequency to reach 8/eps, i.e. h <= eps/16.
+    Requires spacing at most ``max_spacing(eps)``, so the Nyquist frequency
+    reaches 8/eps.
     """
     _check_eps_mu(eps, 0.0)
-    if N is None:
-        grid = grid_for(L, eps / 16.0)
-    else:
-        grid = UniformGrid(L, N)
-    if 1.0 / (2.0 * grid.h) < 8.0 / eps - 1e-12:
-        raise ConfigError(
-            f"kernel grid too coarse: Nyquist {1/(2*grid.h):.3g} < 8/eps = {8/eps:.3g}"
-        )
+    grid = grid_for(L, max_spacing(eps)) if N is None else UniformGrid(L, N)
+    require_bandwidth(grid, eps)
     kf = grid.k_full
     a_eps = np.fft.fftshift(np.fft.ifft(symbol_a(eps, kf))).real / grid.h
     a0 = np.fft.fftshift(np.fft.ifft(symbol_a0(kf))).real / grid.h
@@ -339,6 +334,8 @@ def verify_symbol_bounds(
             f"eta_minus={eta_minus} not admissible for p_minus={p_minus}"
         )
     eps_list = tuple(sorted(eps_list, reverse=True))
+    if len(set(eps_list)) < 2:
+        raise ConfigError(f"fitting orders needs two distinct eps, got {list(eps_list)}")
     eta_up = 0.5 * (eta_plus + (1.0 - p_plus))
     eta_dn = 0.5 * (eta_minus + (p_minus - 1.0))
     offsets = np.linspace(-eta_dn, eta_up, n_lines) / (2.0 * np.pi)

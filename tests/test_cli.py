@@ -132,6 +132,20 @@ class TestFrontSweep:
         assert (out / "front_eps0p2.csv").exists()
 
 
+    def test_colliding_file_tags_rejected(self, runner, tmp_path):
+        """Two epsilons that print alike would overwrite one profile file."""
+        cfg = write_cfg(
+            tmp_path,
+            {"potential": {"kind": "quadratic"}, "epsilon_list": [0.1, 0.1000001]},
+        )
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["front", "sweep", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "0.1 and 0.1000001" in lines[0]
+        assert not out.exists()
+
     def test_pinned_grid_is_honoured(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -362,6 +376,7 @@ class TestNumberFields:
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "s": "x"}),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_minus": None}),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": "inf"}),
+            (["symbol-check"], {"epsilon_list": [0.1, 0.1]}),
             (["ode"], {"potential": QUAD, "grid": {"L": "a", "N": 4096}}),
             (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40, "N": "b"}}),
             (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1], "grid": {"L": 40, "N": 4096.5}}),
@@ -379,6 +394,7 @@ class TestNumberFields:
             "symbol_s",
             "symbol_eta_minus",
             "symbol_eta_plus_inf",
+            "symbol_repeated_eps",
             "ode_grid_L",
             "solve_grid_N",
             "sweep_grid_N_fraction",

@@ -14,11 +14,9 @@ from fput_fronts import (
     solve_R0,
     solve_front,
 )
+from fput_fronts.continuum import ContinuumSolution, _DenseTable
 from fput_fronts.front_solver import (
-    _GL_NODES,
-    _GL_WEIGHTS,
     _recenter,
-    _tent_average_defect,
     background_term,
     continuation_sweep,
     derivative_consistency,
@@ -237,19 +235,161 @@ class TestFailurePaths:
             solve_front(quad, -0.1)
 
 
+_GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _gauss_tent_defect(values, x, eps, evaluate):
+    """R0 - Lambda_eps * R0 by 24-node Gauss-Legendre on each side of each x.
+
+    ``evaluate`` maps flat points to profile values; (N, 24) point-major
+    rows, so each point's sum runs in node order.
+    """
+    y = 0.5 * eps * (_GL24_NODES + 1.0)  # nodes on (0, eps)
+    w = 0.5 * eps * _GL24_WEIGHTS * (1.0 - y / eps) / eps  # tent weight, one side
+    shape = (x.size, y.size)
+    vals_m = evaluate((x[:, None] - y[None, :]).ravel()).reshape(shape)
+    vals_p = evaluate((x[:, None] + y[None, :]).ravel()).reshape(shape)
+    return (2.0 * values[:, None] - vals_m - vals_p) @ w
+
+
+def _horner_terms():
+    """Monomial coefficients in x of the terms F[6] .. F[0], y_old, as columns.
+
+    F[6 - i] is added at step i of the Horner loop and then meets the
+    factors x (even steps) and 1 - x (odd steps) of steps i .. 6.
+    """
+    P = np.polynomial.Polynomial
+    cols = []
+    for i in range(7):
+        f = P([1.0])
+        for step in range(i, 7):
+            f = f * (P([0.0, 1.0]) if step % 2 == 0 else P([1.0, -1.0]))
+        cols.append(np.pad(f.coef, (0, 8 - f.coef.size)))
+    cols.append(np.eye(8)[0])
+    return np.array(cols).T
+
+
+def _table(knots, pieces, descending):
+    """A dense table whose segment s evaluates the polynomial ``pieces[s](t)``.
+
+    ``knots`` ascend; a descending table takes its steps from the right
+    end of each segment, as the gap branch does.
+    """
+    table = _DenseTable.__new__(_DenseTable)
+    knots = np.asarray(knots, dtype=float)
+    left, right = knots[:-1], knots[1:]
+    t_old, h = (right, left - right) if descending else (left, right - left)
+    terms = [
+        np.linalg.solve(_horner_terms(), np.pad(c, (0, 8 - c.size)))
+        for c in (p(np.polynomial.Polynomial([a, b])).coef for p, a, b in zip(pieces, t_old, h))
+    ]
+    table.side = "right" if descending else "left"
+    table.knots, table.t_old, table.h = knots, t_old, h
+    table.horner = np.array([t[:7] for t in terms]).T
+    table.y_old = np.array([t[7] for t in terms])
+    table.nfev = 0
+    return table
+
+
+def _synthetic_continuum(potential, knots, pieces, grid):
+    """A continuum whose profile is ``pieces[s]`` on [knots[s], knots[s+1]].
+
+    The knots run from -L to L through 0; the gap table holds 1 - profile.
+    """
+    zero = int(np.flatnonzero(knots == 0.0)[0])
+    gap = _table(knots[: zero + 1], [1.0 - p for p in pieces[:zero]], descending=True)
+    right = _table(knots[zero:], pieces[zero:], descending=False)
+    return ContinuumSolution(potential, grid, gap, right)
+
+
+def _uneven_knots(rng, L):
+    """Knots on [-L, L] through 0, mixing spacings from eps/6 to 8 eps at eps 0.1."""
+    widths = rng.choice([0.017, 0.023, 0.031, 0.3, 0.8], size=200)
+    half = np.cumsum(widths)
+    half = np.concatenate([[0.0], half[half < L - 0.05], [L]])
+    return np.concatenate([-half[:0:-1], half])
+
+
+def _split_tent_defect(cont, x, eps):
+    """R0 - Lambda_eps * R0 with every window split at the knots and at +-L.
+
+    24-node Gauss-Legendre on each piece: exact on the segment polynomials.
+    """
+    knots = np.concatenate([cont._gap_table.knots, cont._right_table.knots[1:]])
+    y, w = _GL24_NODES, _GL24_WEIGHTS
+    out = np.empty(x.size)
+    for i, xi in enumerate(x):
+        inner = knots[(knots > xi - eps) & (knots < xi + eps)]
+        cuts = np.unique(np.concatenate([[xi - eps, xi, xi + eps], inner]))
+        a, b = cuts[:-1, None], cuts[1:, None]
+        t = 0.5 * (b - a) * (y[None, :] + 1.0) + a
+        weight = 0.5 * (b - a) * w[None, :] * (1.0 - np.abs(t - xi) / eps) / eps
+        out[i] = cont(xi) - np.sum(weight * cont(t))
+    return out
+
+
 class TestTentAverageDefect:
     def test_matches_point_major_scipy_reference(self, quad_sol, hertz_sol, dense_reference):
-        """Bitwise against the (N, 24) point-major quadrature on scipy's output."""
+        """Within 1e-14 of 24-node quadrature on scipy's dense output."""
         for sol in (quad_sol, hertz_sol):
             cont, grid, eps = sol.continuum, sol.grid, sol.eps
-            y = 0.5 * eps * (_GL_NODES + 1.0)
-            w = 0.5 * eps * _GL_WEIGHTS * (1.0 - y / eps) / eps
-            x = grid.x
-            vals_m = dense_reference(cont, (x[:, None] - y[None, :]).ravel())
-            vals_p = dense_reference(cont, (x[:, None] + y[None, :]).ravel())
-            shape = (grid.N, y.size)
-            expected = (
-                2.0 * cont.values[:, None] - vals_m.reshape(shape) - vals_p.reshape(shape)
-            ) @ w
-            got = _tent_average_defect(cont, grid, eps)
-            assert got.tobytes() == expected.tobytes()
+            expected = _gauss_tent_defect(
+                cont.values, grid.x, eps, lambda t: dense_reference(cont, t)
+            )
+            got = cont.tent_defect(eps, grid)
+            assert np.max(np.abs(got - expected)) <= 1e-14
+
+    def test_hertz_end_windows(self, hertz_sol):
+        """Windows reaching past -L or L integrate the exponential tails."""
+        cont, grid, eps = hertz_sol.continuum, hertz_sol.grid, hertz_sol.eps
+        ends = np.abs(grid.x) > grid.L - eps
+        expected = _gauss_tent_defect(cont.values[ends], grid.x[ends], eps, cont)
+        assert np.max(np.abs(expected)) >= 1e-13  # the ends carry a defect
+        got = cont.tent_defect(eps, grid)[ends]
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_other_grids(self, quad_sol):
+        cont, eps = quad_sol.continuum, quad_sol.eps
+        assert np.all(cont.tent_defect(0.0) == 0.0)
+        for grid in (UniformGrid(cont.L, 4096), UniformGrid(0.5 * cont.L, 2048)):
+            expected = _gauss_tent_defect(cont(grid.x), grid.x, eps, cont)
+            got = cont.tent_defect(eps, grid)
+            assert np.max(np.abs(got - expected)) <= 1e-14
+        with pytest.raises(ConfigError):
+            cont.tent_defect(eps, UniformGrid(2.0 * cont.L, 4096))
+
+    def test_one_polynomial_gives_the_moment_sum(self, quad):
+        """Segments cut from one degree-7 polynomial: -sum_n m_n eps^n P^(n)."""
+        rng = np.random.default_rng(7)
+        L, eps = 4.0, 0.1
+        knots = _uneven_knots(rng, L)
+        P = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 8) / L ** np.arange(8))
+        grid = UniformGrid(L, 256)
+        cont = _synthetic_continuum(quad, knots, [P] * (knots.size - 1), grid)
+        inside = np.abs(grid.x) <= L - eps
+        x = grid.x[inside]
+        crossed = np.abs(x[:, None] - knots[None, :]) < eps
+        assert crossed.sum(axis=1).max() >= 4
+        expected = -(
+            eps**2 / 12 * P.deriv(2)(x)
+            + eps**4 / 360 * P.deriv(4)(x)
+            + eps**6 / 20160 * P.deriv(6)(x)
+        )
+        got = cont.tent_defect(eps)[inside]
+        assert np.max(np.abs(got - expected)) <= 2e-15
+
+    def test_piecewise_polynomial_with_jumps(self, quad):
+        """Unrelated polynomials per segment: every knot and both tails count."""
+        rng = np.random.default_rng(11)
+        L, eps = 4.0, 0.1
+        knots = _uneven_knots(rng, L)
+        base = np.polynomial.Polynomial([0.5, -0.1])
+        pieces = [
+            base + np.polynomial.Polynomial(rng.uniform(-1e-2, 1e-2, 8) / L ** np.arange(8))
+            for _ in range(knots.size - 1)
+        ]
+        grid = UniformGrid(L, 256)
+        cont = _synthetic_continuum(quad, knots, pieces, grid)
+        expected = _split_tent_defect(cont, grid.x, eps)
+        got = cont.tent_defect(eps)
+        assert np.max(np.abs(got - expected)) <= 1e-14

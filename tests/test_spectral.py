@@ -278,6 +278,10 @@ class TestSymbolBounds:
         assert 0.9 <= rep.order_diff <= 1.1
         assert 0.4 <= rep.order_weighted <= 0.6
 
+    def test_needs_two_distinct_eps(self):
+        with pytest.raises(ConfigError):
+            verify_symbol_bounds(eps_list=(0.1, 0.1))
+
     def test_strip_admissibility(self):
         with pytest.raises(ConfigError):
             verify_symbol_bounds(eta_plus=1.2, p_plus=0.0)
