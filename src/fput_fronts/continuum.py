@@ -37,6 +37,7 @@ from scipy.integrate._ivp import dop853_coefficients as _tableau
 from .errors import ConfigError, DomainTooSmallError
 from .grids import GridProfile, UniformGrid, grid_for, max_spacing
 from .potentials import Potential
+from .spectral import find_pole
 
 SETTLE_TOL = 1e-8
 _CHUNK = 16384  # points per evaluation pass
@@ -97,10 +98,17 @@ def decay_rates(potential: Potential) -> tuple[float, float]:
     return m_minus, m_plus
 
 
-def suggest_half_length(potential: Potential) -> float:
-    """Half-length such that both tails settle far below working precision."""
-    m_minus, m_plus = decay_rates(potential)
-    return max(40.0, 20.0 / min(m_minus, m_plus, 1.0))
+def suggest_half_length(potential: Potential, eps: float = 0.0) -> float:
+    """Half-length such that both tails settle far below working precision.
+
+    max(40, 20/min rate), with the continuum's tail rates at eps = 0 and the
+    kernel pole rates at eps > 0.
+    """
+    if eps == 0.0:
+        rates = decay_rates(potential)
+    else:
+        rates = [find_pole(eps, p).mu_rate for p in (potential.p_minus, potential.p_plus)]
+    return max(40.0, 20.0 / min(*rates, 1.0))
 
 
 class _DenseTable:

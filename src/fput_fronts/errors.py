@@ -11,7 +11,15 @@ class ConfigError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """A numerical routine failed to meet its contract."""
+    """A numerical routine failed to meet its contract.
+
+    ``diagnostics`` holds what the routine recorded up to the failure
+    (empty when it records nothing).
+    """
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class DomainTooSmallError(NumericsError):
@@ -34,15 +42,11 @@ class PoleProximityError(NumericsError):
 
 
 class NewtonDivergenceError(NumericsError):
-    """Newton residual grew over several consecutive steps."""
+    """Newton iteration failed to converge; diagnostics hold its step records."""
 
 
 class KrylovStagnationError(NumericsError):
-    """Inner linear solve stagnated; carries conditioning diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """Inner linear solve stagnated; diagnostics hold its conditioning."""
 
 
 class InsufficientDataError(NumericsError):

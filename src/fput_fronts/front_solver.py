@@ -8,14 +8,22 @@ R0 = a0 * dphi(R0), the correction W solves
 
 where the background term F1 = (a0 - a_eps) * dphi(R0) is a fixed, O(eps^2)
 forcing (the tent symbol is even in eps).  Everything lives on a periodic
-grid; convolutions are Fourier multipliers.  The linearization I - a_eps * (d2phi(R) .) is singular at a
-solution (translation mode R'), so the Newton steps are computed with
-LSMR: its minimum-norm least-squares iterate suppresses the null
-direction automatically (the remaining spectrum is clustered near 1, so
-a dozen inner iterations suffice), and every Newton step is re-centered
-to keep R(0) = 1/2.  Deflating along the *approximate* slope direction
-instead stalls: the guess is a few 1e-3 away from the true null vector
-and the misalignment feeds back linearly.
+grid; convolutions are Fourier multipliers.
+
+The linearization J = I - a_eps * (P .), P = d2phi(R), is singular at a
+solution (translation mode R').  Its continuum limit I - a0 * (P .) =
+(1 + d/dx)^{-1} (d/dx + 1 - P) is a first-order ODE operator, and J
+differs from it by O(eps^2).  Each Newton step is right-preconditioned
+with an O(N) inverse M^{-1} of that operator: LSMR (Fong & Saunders, SIAM
+J. Sci. Comput. 33 (2011)) solves min |J M^{-1} y + F| and the step is
+dW = M^{-1} y.  The inverse is pinned, z(x_c) = 0 at the grid point x_c of
+the requested center, so its range leaves out the translation mode and
+carries the phase condition (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3
+(2004)) without a border unknown or a second solver.  J M^{-1} =
+I + (a0 - a_eps) * P M^{-1} is then close to the identity, and a handful of
+inner iterations suffice.  Each step is still re-centered so that R crosses 1/2 at the
+center; at a grid-point center the pin already holds R(x_c) = 1/2 and the
+shift found is 0.
 
 The background term needs care: dphi(R0) does not decay (it tends to 1 on
 the left), so it is split as dphi(R0) = s_delta + g_delta with s_delta a
@@ -56,21 +64,16 @@ from .grids import (
     spectral_derivative,
 )
 from .potentials import Potential
-from .spectral import find_pole, symbol_a, symbol_a0, tent_symbol
+from .spectral import symbol_a, symbol_a0, tent_symbol
 
 
 def solver_grid(potential: Potential, eps: float) -> UniformGrid:
     """Default grid: tails settled far below tolerance, tent scale resolved.
 
-    Half-length max(40, 20/min of the pole tail rates); spacing at most
+    Half-length ``suggest_half_length(potential, eps)``; spacing at most
     ``max_spacing(eps)``.
     """
-    if eps == 0.0:
-        return grid_for(suggest_half_length(potential), max_spacing(eps))
-    rate_plus = find_pole(eps, potential.p_plus).mu_rate
-    rate_minus = find_pole(eps, potential.p_minus).mu_rate
-    L = max(40.0, 20.0 / min(rate_minus, rate_plus, 1.0))
-    return grid_for(L, max_spacing(eps))
+    return grid_for(suggest_half_length(potential, eps), max_spacing(eps))
 
 
 def background_term(
@@ -194,6 +197,115 @@ def _tent_residual(sol: FrontSolution) -> float:
     return float(np.max(np.abs(res)))
 
 
+# Largest e-fold range of the integrating factor within one block of
+# ``_OutwardSolve``: e^709 overflows, and one grid step must fit in the rest.
+_BLOCK_EFOLDS = 600.0
+
+
+class _OutwardSolve:
+    """One side of the pinned continuum inverse, stepped outward from the pin.
+
+    On the side ``sign`` (+1 right, -1 left, in the outward coordinate
+    s = sign * (x - x_c)) the correction obeys w_s + sign * (1 - P) w =
+    sign * P r with w(0) = -r(x_c).  With G the trapezoid integral of
+    sign * (1 - P) from the pin, the trapezoid solution is
+
+        z_n = r_n + w_n = q_n r_n + e^{-G_n} (v_0 + sum_{0<i<=n} h e^{G_i} sign P_i r_i),
+
+    q = 1 - sign * h/2 * P and v_0 = -q_0 r(x_c): one partial sum per side,
+    taken outward from the pin, so it is dominated by its newest terms and
+    the e^{+-G} weights never cancel.  A new block, with G re-based to 0,
+    starts wherever G has moved by more than ``_BLOCK_EFOLDS`` from the
+    start of the current one, so the weights stay finite on any domain (an
+    ordinary front needs one block).  ``adjoint`` is the exact transpose.
+    """
+
+    def __init__(self, P: np.ndarray, h: float, sign: float):
+        a = sign * (1.0 - P)
+        G = np.concatenate(([0.0], np.cumsum(0.5 * h * (a[:-1] + a[1:]))))
+        starts = [0]
+        while True:
+            over = np.flatnonzero(np.abs(G[starts[-1] :] - G[starts[-1]]) > _BLOCK_EFOLDS)
+            if over.size == 0:
+                break
+            starts.append(starts[-1] + int(over[0]))
+        self.q = 1.0 - sign * 0.5 * h * P
+        # per block [s, e]: up = sign * h * e^{G - G_s} * P, down = e^{-(G - G_s)}
+        self.blocks = []
+        for s, e in zip(starts, starts[1:] + [G.size - 1]):
+            if e > s:
+                Gb = G[s : e + 1] - G[s]
+                self.blocks.append((s, e, sign * h * np.exp(Gb) * P[s : e + 1], np.exp(-Gb)))
+
+    def solve(self, r: np.ndarray, z: np.ndarray) -> None:
+        """Write z_n for n >= 1 (and q_0 r_0 at the pin) into ``z``."""
+        np.multiply(self.q, r, out=z)
+        v = -self.q[0] * r[0]
+        for s, e, up, down in self.blocks:
+            t = up * r[s : e + 1]
+            t[0] = v
+            np.cumsum(t, out=t)
+            t *= down
+            z[s + 1 : e + 1] += t[1:]
+            v = t[-1]
+
+    def adjoint(self, y: np.ndarray, rbar: np.ndarray) -> float:
+        """Write the transpose applied to y (pin entry ignored) into ``rbar``.
+
+        Returns the share of r(x_c), the pin value this side starts from.
+        """
+        np.multiply(self.q, y, out=rbar)
+        carry = 0.0
+        for s, e, up, down in reversed(self.blocks):
+            u = down * y[s : e + 1]
+            u[0] = 0.0
+            u[-1] += down[-1] * carry
+            back = u[::-1]  # partial sums from the outer end inward
+            np.cumsum(back, out=back)
+            carry = u[0]
+            u *= up
+            rbar[s + 1 : e + 1] += u[1:]
+        return -self.q[0] * carry
+
+
+class _ContinuumInverse:
+    """Pinned O(N) inverse of the continuum linearization I - a0 * (P .).
+
+    ``solve(r)`` returns z with (I - a0 * P) z = r up to O(h^2) and
+    z[c] = 0.  Since a0 = (1 + d/dx)^{-1}, the equation is the first-order
+    ODE z' + (1 - P) z = r' + r; with z = r + w it reads
+    w' + (1 - P) w = P r, w(x_c) = -r(x_c), and takes no derivative of r.
+    Its homogeneous solution is the translation mode, which decays away
+    from x_c on both sides (1 - P > 0 on the right, < 0 on the left), so w
+    is integrated outward from x_c on each side.  The pin z[c] = 0 is the
+    phase condition: the range of the inverse leaves out the translation
+    mode.  ``adjoint`` is the exact transpose of ``solve``.
+    """
+
+    def __init__(self, P: np.ndarray, h: float, c: int):
+        self.c = c
+        self.sides = (_OutwardSolve(P[c:], h, 1.0), _OutwardSolve(P[c::-1], h, -1.0))
+
+    def _outward(self, a: np.ndarray):
+        """Views of ``a`` from the pin outward: rightward, then leftward."""
+        return a[self.c :], a[self.c :: -1]
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        z = np.empty_like(r)
+        for side, r_side, z_side in zip(self.sides, self._outward(r), self._outward(z)):
+            side.solve(r_side, z_side)
+        z[self.c] = 0.0
+        return z
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        rbar = np.empty_like(y)
+        rbar[self.c] = sum(
+            side.adjoint(y_side, rbar_side)
+            for side, y_side, rbar_side in zip(self.sides, self._outward(y), self._outward(rbar))
+        )
+        return rbar
+
+
 def _level(xq, continuum: ContinuumSolution, W: np.ndarray, grid: UniformGrid):
     """R(xq) - 1/2 for the profile R = continuum + W."""
     return continuum(xq) + interpolate_local(W, grid, xq) - 0.5
@@ -248,20 +360,21 @@ def solve_front(
     ``eps = 0`` returns the continuum profile exactly (W = 0).  Warm starts
     pass ``initial`` (a W profile on the same grid).  Convergence when the
     sup residual falls below ``newton_tol`` or the step below ``step_tol``;
-    five consecutive non-improving steps raise ``NewtonDivergenceError``.
+    five consecutive non-improving steps raise ``NewtonDivergenceError``,
+    whose diagnostics hold one record per Newton step (sup residual after
+    the step, damping factor, LSMR stop code and iterations).  A
+    ``continuum`` is reused only if it was solved for this potential on this
+    grid; otherwise R0 is solved afresh.
     """
     if eps < 0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
     if grid is None:
-        if L is None and N is None:
-            grid = solver_grid(potential, eps)
-        else:
-            if L is None:
-                L = suggest_half_length(potential)
-            grid = UniformGrid(L, N) if N is not None else grid_for(L, max_spacing(eps))
+        if L is None:
+            L = suggest_half_length(potential, eps)
+        grid = UniformGrid(L, N) if N is not None else grid_for(L, max_spacing(eps))
     if eps > 0:
         require_bandwidth(grid, eps)
-    if continuum is None or continuum.grid is not grid:
+    if continuum is None or continuum.grid is not grid or continuum.potential is not potential:
         continuum = solve_R0(potential, grid=grid)
 
     if eps == 0.0:
@@ -281,6 +394,7 @@ def solve_front(
 
     F1 = background_term(eps, continuum, grid).values
     a_hat = symbol_a(eps, grid.k)
+    a_adj = np.conj(a_hat)
     pot = potential
     R0 = continuum.values
 
@@ -300,30 +414,33 @@ def solve_front(
     def residual(Wv):
         return fixed_point_residual(eps, continuum, Wv, grid, F1, a_hat)
 
+    # the grid point of the center: every Newton step dW vanishes there
+    pin = int(np.clip(np.rint((center + grid.L) / grid.h), 0, grid.N - 1))
     F = residual(W)
     res_norm = float(np.max(np.abs(F)))
     bad_streak = 0
-    total_krylov = 0
+    steps: list[dict] = []
     iteration = 0
     converged = res_norm <= newton_tol
     for iteration in range(1, max_newton + 1):
         if converged:
             break
-        R = R0 + W
-        P = pot.d2phi(R)
+        P = pot.d2phi(R0 + W)
+        M = _ContinuumInverse(P, grid.h, pin)
 
-        def matvec(v):
-            return v - _convolve(P * v, grid, a_hat)
+        def matvec(y):
+            z = M.solve(y)
+            return z - _convolve(P * z, grid, a_hat)
 
         def rmatvec(v):
-            return v - P * _convolve(v, grid, np.conj(a_hat))
+            return M.adjoint(v - P * _convolve(v, grid, a_adj))
 
         op = LinearOperator(
             (grid.N, grid.N), matvec=matvec, rmatvec=rmatvec, dtype=float
         )
         out = lsmr(op, -F, atol=krylov_tol, btol=krylov_tol, maxiter=krylov_maxiter)
-        dW, istop, itn, normr, normar, norma, conda, _ = out
-        total_krylov += int(itn)
+        y, istop, itn, normr, normar, norma, conda, _ = out
+        dW = M.solve(y)
         if istop == 7:
             raise KrylovStagnationError(
                 f"inner least-squares solve hit {krylov_maxiter} iterations "
@@ -354,14 +471,16 @@ def solve_front(
         else:
             W = W + step * dW  # smallest damped step; counts toward divergence
             bad_streak += 1
-            if bad_streak >= 5:
-                raise NewtonDivergenceError(
-                    f"residual grew over {bad_streak} consecutive steps at "
-                    f"eps={eps}; start a continuation_sweep from smaller eps"
-                )
         W, _ = _recenter(W, continuum, grid, center)
         F = residual(W)
         res_norm = float(np.max(np.abs(F)))
+        steps.append({"residual": res_norm, "damping": step, "istop": int(istop), "itn": int(itn)})
+        if bad_streak >= 5:
+            raise NewtonDivergenceError(
+                f"residual grew over {bad_streak} consecutive steps at "
+                f"eps={eps}; start a continuation_sweep from smaller eps",
+                diagnostics={"steps": steps},
+            )
         if res_norm <= newton_tol or float(np.max(np.abs(step * dW))) <= step_tol:
             converged = True
             break
@@ -369,7 +488,8 @@ def solve_front(
     if not converged:
         raise NewtonDivergenceError(
             f"no convergence in {max_newton} Newton steps at eps={eps} "
-            f"(residual {res_norm:.2e}); start a continuation_sweep from smaller eps"
+            f"(residual {res_norm:.2e}); start a continuation_sweep from smaller eps",
+            diagnostics={"steps": steps},
         )
 
     R = R0 + W
@@ -384,7 +504,7 @@ def solve_front(
         S=S,
         residual_fp=res_norm,
         iterations=iteration,
-        krylov_iterations=total_krylov,
+        krylov_iterations=sum(rec["itn"] for rec in steps),
         warm_started=initial is not None,
     )
 
@@ -404,7 +524,7 @@ def continuation_sweep(
     if not eps_list or eps_list[0] <= 0:
         raise ConfigError("continuation needs positive eps values")
     if grid is None:
-        L = max(solver_grid(potential, e).L for e in eps_list)
+        L = max(suggest_half_length(potential, e) for e in eps_list)
         grid = grid_for(L, max_spacing(eps_list[0]))
     continuum = solve_R0(potential, grid=grid)
     out: list[FrontSolution] = []

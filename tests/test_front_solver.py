@@ -16,6 +16,8 @@ from fput_fronts import (
 )
 from fput_fronts.continuum import ContinuumSolution, _DenseTable
 from fput_fronts.front_solver import (
+    _ContinuumInverse,
+    _level,
     _recenter,
     background_term,
     continuation_sweep,
@@ -24,7 +26,7 @@ from fput_fronts.front_solver import (
     solver_grid,
 )
 from fput_fronts.grids import UniformGrid
-from fput_fronts.spectral import kernel_physical, symbol_a
+from fput_fronts.spectral import kernel_physical, symbol_a, symbol_a0
 
 
 @pytest.fixture(scope="module")
@@ -230,9 +232,135 @@ class TestFailurePaths:
         with pytest.raises(NewtonDivergenceError):
             solve_front(quad, 0.1, grid=g, max_newton=0)
 
+    def test_divergence_carries_step_records(self, quad, quad_sol):
+        # quad at eps 0.1 needs two Newton steps
+        assert quad_sol.iterations == 2
+        with pytest.raises(NewtonDivergenceError) as info:
+            solve_front(quad, 0.1, max_newton=1)
+        (record,) = info.value.diagnostics["steps"]
+        assert set(record) == {"residual", "damping", "istop", "itn"}
+        assert 1e-10 < record["residual"] < 1e-3
+        assert record["damping"] == 1.0
+        assert record["istop"] in (1, 2, 3)
+        assert record["itn"] > 0
+
     def test_negative_eps_rejected(self, quad):
         with pytest.raises(ConfigError):
             solve_front(quad, -0.1)
+
+    def test_continuum_of_another_potential_is_not_reused(self, quad, hertz, quad_sol):
+        g = solver_grid(quad, 0.1)
+        sol = solve_front(quad, 0.1, grid=g, continuum=solve_R0(hertz, grid=g))
+        assert sol.continuum.potential is quad
+        assert np.max(np.abs(sol.R - quad_sol.R)) <= 1e-12
+        assert sol.residual_tent() <= 1e-7
+
+
+def _outward_loop(P, h, r, c):
+    """The pinned continuum inverse by a scalar trapezoid recurrence.
+
+    On each side of the pin, w' + (1 - P) w = P r (in x_c - x on the left)
+    is stepped outward from w(x_c) = -r(x_c) with the exact integrating
+    factor of the trapezoid sum of 1 - P; z = r + w and z[c] = 0.
+    """
+    z = r.copy()
+    f = P * r
+    for sign, idx in ((1.0, range(c, r.size)), (-1.0, range(c, -1, -1))):
+        idx = list(idx)
+        w = -r[c]
+        for i0, i1 in zip(idx, idx[1:]):
+            decay = np.exp(-0.5 * h * sign * ((1.0 - P[i0]) + (1.0 - P[i1])))
+            w = decay * (w + 0.5 * h * sign * f[i0]) + 0.5 * h * sign * f[i1]
+            z[i1] += w
+    z[c] = 0.0
+    return z
+
+
+def _logistic_curvature(grid):
+    # d2phi(R0) for dphi(R) = R^2: twice the logistic front
+    return 2.0 / (1.0 + np.exp(grid.x))
+
+
+class TestContinuumInverse:
+    """The Newton preconditioner: pinned inverse of I - a0 * (P .)."""
+
+    GRID = UniformGrid(40.0, 2048)
+    PINS = (0, 123, 1024, 2047)
+
+    @pytest.mark.parametrize("c", PINS)
+    def test_matches_outward_loop(self, c):
+        g = self.GRID
+        P = _logistic_curvature(g)
+        r = np.random.default_rng(c).standard_normal(g.N)
+        z = _ContinuumInverse(P, g.h, c).solve(r)
+        ref = _outward_loop(P, g.h, r, c)
+        assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("c", PINS)
+    def test_pin_is_exact(self, c):
+        g = self.GRID
+        r = np.random.default_rng(c).standard_normal(g.N)
+        assert _ContinuumInverse(_logistic_curvature(g), g.h, c).solve(r)[c] == 0.0
+
+    @pytest.mark.parametrize("c", PINS)
+    def test_adjoint_dot_product(self, c):
+        g = self.GRID
+        M = _ContinuumInverse(_logistic_curvature(g), g.h, c)
+        rng = np.random.default_rng(c)
+        r, y = rng.standard_normal(g.N), rng.standard_normal(g.N)
+        z = M.solve(r)
+        gap = abs(z @ y - r @ M.adjoint(y))
+        assert gap <= 1e-14 * np.linalg.norm(z) * np.linalg.norm(y)
+
+    def test_inverts_continuum_operator_to_second_order(self):
+        errs = []
+        for N in (1024, 2048, 4096):
+            g = UniformGrid(40.0, N)
+            P = _logistic_curvature(g)
+            r = np.exp(-((g.x - 1.0) ** 2))
+            z = _ContinuumInverse(P, g.h, N // 2).solve(r)
+            back = z - np.fft.irfft(symbol_a0(g.k) * np.fft.rfft(P * z), n=N)
+            errs.append(float(np.max(np.abs(back - r))))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((orders > 1.9) & (orders < 2.1))
+        assert errs[-1] <= 1e-4
+
+    def test_finite_beyond_the_exponent_range(self):
+        # integrating-factor exponent rises by about 0.9 * 1000 > 709 each way
+        g = UniformGrid(1000.0, 2**15)
+        P = 1.0 - 0.9 * np.tanh(g.x / 3.0)
+        c = g.N // 2
+        exponent = np.cumsum(0.5 * g.h * ((1.0 - P[c:-1]) + (1.0 - P[c + 1 :])))
+        assert exponent[-1] > 709.0
+        M = _ContinuumInverse(P, g.h, c)
+        rng = np.random.default_rng(7)
+        r, y = rng.standard_normal(g.N), rng.standard_normal(g.N)
+        z, zt = M.solve(r), M.adjoint(y)
+        assert np.all(np.isfinite(z)) and np.all(np.isfinite(zt))
+        ref = _outward_loop(P, g.h, r, c)
+        assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(z @ y - r @ zt) <= 1e-14 * np.linalg.norm(z) * np.linalg.norm(y)
+
+    def test_pinned_solve_needs_no_recentering(self, quad_sol):
+        sol = quad_sol
+        c = sol.grid.N // 2
+        assert sol.R[c] == 0.5
+        assert _recenter(sol.W, sol.continuum, sol.grid, 0.0)[1] == 0.0
+
+    def test_off_grid_center(self, quad, quad_sol):
+        g = quad_sol.grid
+        center = 0.3 + 0.37 * g.h
+        sol = solve_front(quad, 0.1, grid=g, center=center)
+        assert abs(_level(center, sol.continuum, sol.W, g)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.02])
+    @pytest.mark.parametrize("which", ["quad", "hertz"])
+    def test_front_cold_krylov_budget(self, which, eps, quad, hertz, quad_sol, hertz_sol):
+        if eps == 0.1:
+            sol = quad_sol if which == "quad" else hertz_sol
+        else:
+            sol = solve_front(quad if which == "quad" else hertz, eps)
+        assert sol.krylov_iterations <= 20
 
 
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
