@@ -1,7 +1,8 @@
 """Command line driver: JSON config in, CSV profiles and JSON reports out.
 
 Every subcommand reads one JSON config (--config), validates it completely
-before any numerics run, and writes its outputs under --out.  Floats in
+before any numerics run (a field it does not read is an error), and writes
+its outputs under --out.  Floats in
 CSV files use a fixed %.17e format and JSON objects are serialized with
 sorted keys, so identical configs give bitwise-identical files.
 
@@ -39,22 +40,30 @@ from .potentials import (
 )
 from .spectral import EPS0_DEFAULT, find_pole, verify_symbol_bounds
 
+# The top-level fields each subcommand reads.  Where one epsilon form is
+# read, both are listed, so the other form gets its own message.
+_EPSILON = {"epsilon", "epsilon_list"}
 CONFIG_KEYS = {
-    "potential",
-    "epsilon",
-    "epsilon_list",
-    "grid",
-    "lattice",
-    "perturb",
-    "p",
-    "p_list",
-    "s",
-    "eta_minus",
-    "eta_plus",
+    "ode": {"potential", "grid"},
+    "front solve": {"potential", "grid", *_EPSILON},
+    "front sweep": {"potential", "grid", *_EPSILON},
+    "poles": {"p", "p_list", *_EPSILON},
+    "symbol-check": {"s", "eta_minus", "eta_plus", *_EPSILON},
+    "lattice run": {"potential", "grid", "lattice", "perturb"},
+    "report": {"potential", "grid", *_EPSILON},
+}
+
+# The fields of each potential kind.
+POTENTIAL_KEYS = {
+    "quadratic": {"kind"},
+    "linear": {"kind"},
+    "hertz": {"kind", "alpha", "r_minus"},
+    "polynomial": {"kind", "coeffs", "r_plus", "r_minus"},
 }
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, command: str) -> dict:
+    """The JSON object in ``path``; fields that ``command`` does not read raise."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -64,7 +73,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    unknown = sorted(set(cfg) - CONFIG_KEYS[command])
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     return cfg
@@ -77,6 +86,11 @@ def build_potential(cfg: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("potential must be an object with a 'kind' field")
     kind = spec["kind"]
+    if kind not in POTENTIAL_KEYS:
+        raise ConfigError(f"unknown potential kind: {kind!r}")
+    unknown = sorted(set(spec) - POTENTIAL_KEYS[kind])
+    if unknown:
+        raise ConfigError(f"unknown fields for potential kind {kind!r}: {', '.join(unknown)}")
     if kind == "quadratic":
         return quadratic_force_potential()
     if kind == "linear":
@@ -93,7 +107,6 @@ def build_potential(cfg: dict):
             r_plus=_number(spec, "r_plus", 0.0),
             r_minus=_number(spec, "r_minus", 1.0),
         )
-    raise ConfigError(f"unknown potential kind: {kind!r}")
 
 
 def _require_normalized(potential) -> None:
@@ -283,7 +296,7 @@ def main():
 @guarded
 def ode(config_path, out):
     """Solve the continuum front R' + R = dphi(R) and write its profile."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, "ode")
     potential = build_potential(cfg)
     _require_normalized(potential)
     grid = take_grid(cfg)
@@ -335,7 +348,7 @@ def front():
 @guarded
 def front_solve(config_path, out):
     """Solve one front profile and write CSV + JSON."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, "front solve")
     potential = build_potential(cfg)
     _require_normalized(potential)
     eps = take_epsilon(cfg)
@@ -359,7 +372,7 @@ def front_solve(config_path, out):
 @guarded
 def front_sweep(config_path, out):
     """Solve a list of epsilons with warm starts; one CSV per epsilon."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, "front sweep")
     potential = build_potential(cfg)
     _require_normalized(potential)
     eps_list = take_epsilon_list(cfg)
@@ -381,7 +394,7 @@ def front_sweep(config_path, out):
 @guarded
 def poles(config_path, out):
     """Locate symbol denominator roots and report exponential tail rates."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, "poles")
     if "p" in cfg and "p_list" in cfg:
         raise ConfigError("give exactly one of p / p_list")
     if "p" in cfg:
@@ -419,7 +432,7 @@ def poles(config_path, out):
 @guarded
 def symbol_check(config_path, out):
     """Fit the epsilon-order of the kernel symbol differences on a strip."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, "symbol-check")
     eps_list = take_epsilon_list(cfg)
     if len(eps_list) < 2:
         raise ConfigError("symbol-check needs at least two epsilons to fit orders")
@@ -473,7 +486,7 @@ def lattice():
 @guarded
 def lattice_run(config_path, out, seed):
     """Integrate the chain, track the half-level crossing, fit the speed."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, "lattice run")
     potential = build_potential(cfg)
     lat = _validate_lattice_cfg(cfg)
     if lat["source"] == "front":
@@ -495,7 +508,9 @@ def lattice_run(config_path, out, seed):
         sol = solve_front(potential, eps, grid=grid)
         state = init_chain(lat["M"], sol, eps)
     else:
-        state = init_chain(lat["M"], "step", eps)
+        state = init_chain(
+            lat["M"], "step", eps, r_minus=potential.r_minus, r_plus=potential.r_plus
+        )
     if perturb is not None:
         rng = np.random.default_rng(seed)
         state.r = state.r + amp * rng.uniform(-1.0, 1.0, state.M)
@@ -525,7 +540,7 @@ def lattice_run(config_path, out, seed):
 @guarded
 def report(config_path, out):
     """Solve one front and write the consolidated pass/fail check list."""
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, "report")
     potential = build_potential(cfg)
     _require_normalized(potential)
     eps = take_epsilon(cfg)

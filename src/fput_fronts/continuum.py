@@ -455,28 +455,20 @@ class ContinuumSolution:
         return float(np.max(np.abs(num + self.values - self.potential.dphi(self.values))))
 
 
-def solve_R0(
-    potential: Potential,
-    L: float | None = None,
-    N: int | None = None,
-    grid: UniformGrid | None = None,
-) -> ContinuumSolution:
+def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> ContinuumSolution:
     """Integrate the continuum front outward from R0(0) = 1/2.
 
-    The potential must be normalized.  Raises ``DomainTooSmallError`` with a
-    suggested half-length if either tail has not settled to within 1e-8 at
-    the window ends.
+    The potential must be normalized.  The grid defaults to half-length
+    ``suggest_half_length(potential)`` and spacing at most
+    ``max_spacing(0)``.  Raises ``DomainTooSmallError`` with a suggested
+    half-length if either tail has not settled to within 1e-8 at the window
+    ends.
     """
     if not potential.is_normalized:
         raise ConfigError("continuum front solve requires a normalized potential")
     m_minus, m_plus = decay_rates(potential)
     if grid is None:
-        if L is None:
-            L = suggest_half_length(potential)
-        if N is None:
-            grid = grid_for(L, max_spacing(0.0))
-        else:
-            grid = UniformGrid(L, N)
+        grid = grid_for(suggest_half_length(potential), max_spacing(0.0))
     L = grid.L
 
     dphi = potential.dphi

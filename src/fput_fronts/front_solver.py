@@ -16,14 +16,14 @@ solution (translation mode R').  Its continuum limit I - a0 * (P .) =
 differs from it by O(eps^2).  Each Newton step is right-preconditioned
 with an O(N) inverse M^{-1} of that operator: LSMR (Fong & Saunders, SIAM
 J. Sci. Comput. 33 (2011)) solves min |J M^{-1} y + F| and the step is
-dW = M^{-1} y.  The inverse is pinned, z(x_c) = 0 at the grid point x_c of
-the requested center, so its range leaves out the translation mode and
+dW = M^{-1} y.  The inverse is pinned, z(x_c) = 0 at the center grid point
+x_c = 0 (index N // 2), so its range leaves out the translation mode and
 carries the phase condition (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3
 (2004)) without a border unknown or a second solver.  J M^{-1} =
 I + (a0 - a_eps) * P M^{-1} is then close to the identity, and a handful of
-inner iterations suffice.  Each step is still re-centered so that R crosses 1/2 at the
-center; at a grid-point center the pin already holds R(x_c) = 1/2 and the
-shift found is 0.
+inner iterations suffice.  Since R0(0) = 1/2 and no step moves W at x_c,
+every iterate crosses 1/2 at x = 0 exactly: the pin is the solver's only
+phase rule.  A warm start is re-centered once, before the first step.
 
 The background term needs care: dphi(R0) does not decay (it tends to 1 on
 the left), so it is split as dphi(R0) = s_delta + g_delta with s_delta a
@@ -66,6 +66,15 @@ from .grids import (
 from .potentials import Potential
 from .spectral import symbol_a, symbol_a0, tent_symbol
 
+# Newton stops once the sup residual falls below NEWTON_TOL or the sup step
+# below STEP_TOL, and gives up after MAX_NEWTON steps; each step's LSMR
+# solve runs to KRYLOV_TOL (relative) within KRYLOV_MAXITER iterations.
+NEWTON_TOL = 1e-10
+STEP_TOL = 1e-12
+KRYLOV_TOL = 1e-13
+KRYLOV_MAXITER = 400
+MAX_NEWTON = 30
+
 
 def solver_grid(potential: Potential, eps: float) -> UniformGrid:
     """Default grid: tails settled far below tolerance, tent scale resolved.
@@ -76,24 +85,20 @@ def solver_grid(potential: Potential, eps: float) -> UniformGrid:
     return grid_for(suggest_half_length(potential, eps), max_spacing(eps))
 
 
-def background_term(
-    eps: float, continuum: ContinuumSolution, grid: UniformGrid | None = None
-) -> GridProfile:
-    """The forcing F1 = (a0 - a_eps) * dphi(R0) on the grid.
+def background_term(eps: float, continuum: ContinuumSolution) -> GridProfile:
+    """The forcing F1 = (a0 - a_eps) * dphi(R0) on the continuum's grid.
 
     Vanishes identically at eps = 0 and decays at both ends; raises if the
     computed end values exceed 1e-4 (domain or bandwidth problem).
     """
-    if grid is None:
-        grid = continuum.grid
+    grid = continuum.grid
     if eps == 0.0:
         return GridProfile(grid, np.zeros(grid.N))
     require_bandwidth(grid, eps)
     x = grid.x
-    R0 = continuum(x) if grid is not continuum.grid else continuum.values
     delta = 6.0 * grid.h
     s_delta = 0.5 * erfc(x / (delta * np.sqrt(2.0)))
-    g_delta = continuum.potential.dphi(R0) - s_delta
+    g_delta = continuum.potential.dphi(continuum.values) - s_delta
 
     k = grid.k
     bhat = symbol_a0(k) - symbol_a(eps, k)
@@ -117,20 +122,16 @@ def _convolve(values: np.ndarray, grid: UniformGrid, symbol_vals: np.ndarray) ->
 
 
 def fixed_point_residual(
-    eps: float,
-    continuum: ContinuumSolution,
-    W: np.ndarray,
-    grid: UniformGrid,
-    F1: np.ndarray,
-    a_hat: np.ndarray | None = None,
+    continuum: ContinuumSolution, W: np.ndarray, F1: np.ndarray, a_hat: np.ndarray
 ) -> np.ndarray:
-    """F(W) = W + F1 - a_eps * (dphi(R0 + W) - dphi(R0))."""
-    if a_hat is None:
-        a_hat = symbol_a(eps, grid.k) if eps > 0 else symbol_a0(grid.k)
+    """F(W) = W + F1 - a_eps * (dphi(R0 + W) - dphi(R0)) on the continuum's grid.
+
+    ``a_hat`` is the symbol of a_eps on the grid's rfft frequencies.
+    """
     pot = continuum.potential
     R0 = continuum.values
     nl = pot.dphi(R0 + W) - pot.dphi(R0)
-    return W + F1 - _convolve(nl, grid, a_hat)
+    return W + F1 - _convolve(nl, continuum.grid, a_hat)
 
 
 @dataclass
@@ -306,125 +307,107 @@ class _ContinuumInverse:
         return rbar
 
 
-def _level(xq, continuum: ContinuumSolution, W: np.ndarray, grid: UniformGrid):
+def _level(xq, continuum: ContinuumSolution, W: np.ndarray):
     """R(xq) - 1/2 for the profile R = continuum + W."""
-    return continuum(xq) + interpolate_local(W, grid, xq) - 0.5
+    return continuum(xq) + interpolate_local(W, continuum.grid, xq) - 0.5
 
 
-def _recenter(
-    W: np.ndarray, continuum: ContinuumSolution, grid: UniformGrid, center: float
-) -> tuple[np.ndarray, float]:
-    """Shift the profile so R crosses 1/2 at ``center``; returns (W, shift)."""
+def _recenter(W: np.ndarray, continuum: ContinuumSolution) -> tuple[np.ndarray, float]:
+    """Shift the profile so R crosses 1/2 at x = 0; returns (W, shift)."""
     from scipy.optimize import brentq
 
-    R = continuum.values + W
-    x = grid.x
-    window = np.abs(x - center) <= 6.0
-    idx = np.where(window)[0]
-    vals = R[idx] - 0.5
-    crossings = np.where(vals[:-1] * vals[1:] <= 0.0)[0]
+    x = continuum.grid.x
+    vals = continuum.values + W - 0.5
+    crossings = np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)
     if crossings.size == 0:
-        return W, 0.0  # wild iterate; skip re-centering this round
-    j = crossings[np.argmin(np.abs(x[idx[crossings]] - center))]
-    j0 = idx[j]
+        return W, 0.0  # no crossing to lock on
+    j0 = crossings[np.argmin(np.abs(x[crossings]))]
 
     # passed as args, not captured: brentq wraps the function in a
     # self-referencing closure, which would keep the continuum and W alive
     # until the cyclic garbage collector next runs
-    x_star = brentq(_level, x[j0], x[j0 + 1], args=(continuum, W, grid), xtol=1e-14)
-    shift = x_star - center
+    shift = brentq(_level, x[j0], x[j0 + 1], args=(continuum, W), xtol=1e-14)
     if shift == 0.0:
         return W, 0.0
-    W_shifted = periodic_shift(W, grid, shift)
-    W_new = W_shifted + (continuum(x + shift) - continuum.values)
-    return W_new, shift
+    W_shifted = periodic_shift(W, continuum.grid, shift)
+    return W_shifted + (continuum(x + shift) - continuum.values), shift
 
 
 def solve_front(
     potential: Potential,
     eps: float,
     grid: UniformGrid | None = None,
-    L: float | None = None,
-    N: int | None = None,
     initial: np.ndarray | None = None,
     continuum: ContinuumSolution | None = None,
-    center: float = 0.0,
-    newton_tol: float = 1e-10,
-    step_tol: float = 1e-12,
-    krylov_tol: float = 1e-13,
-    krylov_maxiter: int = 400,
-    max_newton: int = 30,
 ) -> FrontSolution:
     """Newton-Krylov solve of the front fixed point at a given eps.
 
-    ``eps = 0`` returns the continuum profile exactly (W = 0).  Warm starts
-    pass ``initial`` (a W profile on the same grid).  Convergence when the
-    sup residual falls below ``newton_tol`` or the step below ``step_tol``;
-    five consecutive non-improving steps raise ``NewtonDivergenceError``,
-    whose diagnostics hold one record per Newton step (sup residual after
-    the step, damping factor, LSMR stop code and iterations).  A
-    ``continuum`` is reused only if it was solved for this potential on this
-    grid; otherwise R0 is solved afresh.
+    The grid defaults to ``solver_grid(potential, eps)``.  ``eps = 0``
+    returns the continuum profile exactly (W = 0).  Warm starts pass
+    ``initial`` (a W profile on the same grid), which is re-centered once
+    so that R crosses 1/2 at x = 0; every Newton step then keeps R(0) = 1/2
+    (the pinned preconditioner).  Convergence when the sup residual falls
+    below ``NEWTON_TOL`` or the step below ``STEP_TOL``; five consecutive
+    non-improving steps, or ``MAX_NEWTON`` steps, raise
+    ``NewtonDivergenceError``, whose diagnostics hold one record per Newton
+    step (sup residual after the step, damping factor, LSMR stop code and
+    iterations).  A ``continuum`` is reused only if it was solved for this
+    potential on this grid; otherwise R0 is solved afresh.
     """
     if eps < 0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
     if grid is None:
-        if L is None:
-            L = suggest_half_length(potential, eps)
-        grid = UniformGrid(L, N) if N is not None else grid_for(L, max_spacing(eps))
+        grid = solver_grid(potential, eps)
     if eps > 0:
         require_bandwidth(grid, eps)
     if continuum is None or continuum.grid is not grid or continuum.potential is not potential:
         continuum = solve_R0(potential, grid=grid)
 
     if eps == 0.0:
-        W = np.zeros(grid.N)
-        S = continuum.slope_profile()
         return FrontSolution(
             potential=potential,
             eps=0.0,
             grid=grid,
             continuum=continuum,
             R=continuum.values.copy(),
-            W=W,
-            S=np.asarray(S),
+            W=np.zeros(grid.N),
+            S=np.asarray(continuum.slope_profile()),
             residual_fp=0.0,
             iterations=0,
         )
 
-    F1 = background_term(eps, continuum, grid).values
+    F1 = background_term(eps, continuum).values
     a_hat = symbol_a(eps, grid.k)
     a_adj = np.conj(a_hat)
     pot = potential
     R0 = continuum.values
 
     if initial is None:
-        # start from the continuum profile holding the phase at the requested
-        # center, so the local re-centering always has a crossing to lock on
-        W = (
-            np.zeros(grid.N)
-            if center == 0.0
-            else np.asarray(continuum(grid.x - center)) - continuum.values
-        )
+        W = np.zeros(grid.N)
     else:
         W = np.array(initial, dtype=float)
-    if W.shape != (grid.N,):
-        raise ConfigError("warm-start profile does not match the grid")
+        if W.shape != (grid.N,):
+            raise ConfigError("warm-start profile does not match the grid")
+        W, _ = _recenter(W, continuum)
 
     def residual(Wv):
-        return fixed_point_residual(eps, continuum, Wv, grid, F1, a_hat)
+        return fixed_point_residual(continuum, Wv, F1, a_hat)
 
-    # the grid point of the center: every Newton step dW vanishes there
-    pin = int(np.clip(np.rint((center + grid.L) / grid.h), 0, grid.N - 1))
+    # the center's grid point x = 0: every Newton step dW vanishes there
+    pin = grid.N // 2
     F = residual(W)
     res_norm = float(np.max(np.abs(F)))
     bad_streak = 0
     steps: list[dict] = []
     iteration = 0
-    converged = res_norm <= newton_tol
-    for iteration in range(1, max_newton + 1):
-        if converged:
-            break
+    while res_norm > NEWTON_TOL:
+        if iteration == MAX_NEWTON:
+            raise NewtonDivergenceError(
+                f"no convergence in {MAX_NEWTON} Newton steps at eps={eps} "
+                f"(residual {res_norm:.2e}); start a continuation_sweep from smaller eps",
+                diagnostics={"steps": steps},
+            )
+        iteration += 1
         P = pot.d2phi(R0 + W)
         M = _ContinuumInverse(P, grid.h, pin)
 
@@ -438,12 +421,12 @@ def solve_front(
         op = LinearOperator(
             (grid.N, grid.N), matvec=matvec, rmatvec=rmatvec, dtype=float
         )
-        out = lsmr(op, -F, atol=krylov_tol, btol=krylov_tol, maxiter=krylov_maxiter)
+        out = lsmr(op, -F, atol=KRYLOV_TOL, btol=KRYLOV_TOL, maxiter=KRYLOV_MAXITER)
         y, istop, itn, normr, normar, norma, conda, _ = out
         dW = M.solve(y)
         if istop == 7:
             raise KrylovStagnationError(
-                f"inner least-squares solve hit {krylov_maxiter} iterations "
+                f"inner least-squares solve hit {KRYLOV_MAXITER} iterations "
                 f"at eps={eps}",
                 diagnostics={
                     "residual_norm": float(normr),
@@ -456,24 +439,20 @@ def solve_front(
             )
 
         step = 1.0
-        accepted = False
         for _ in range(9):
             W_try = W + step * dW
             F_try = residual(W_try)
             norm_try = float(np.max(np.abs(F_try)))
             if norm_try < res_norm:
-                accepted = True
+                W, F, res_norm = W_try, F_try, norm_try
+                bad_streak = 0
                 break
             step *= 0.5
-        if accepted:
-            W = W_try
-            bad_streak = 0
         else:
             W = W + step * dW  # smallest damped step; counts toward divergence
+            F = residual(W)
+            res_norm = float(np.max(np.abs(F)))
             bad_streak += 1
-        W, _ = _recenter(W, continuum, grid, center)
-        F = residual(W)
-        res_norm = float(np.max(np.abs(F)))
         steps.append({"residual": res_norm, "damping": step, "istop": int(istop), "itn": int(itn)})
         if bad_streak >= 5:
             raise NewtonDivergenceError(
@@ -481,16 +460,8 @@ def solve_front(
                 f"eps={eps}; start a continuation_sweep from smaller eps",
                 diagnostics={"steps": steps},
             )
-        if res_norm <= newton_tol or float(np.max(np.abs(step * dW))) <= step_tol:
-            converged = True
+        if float(np.max(np.abs(step * dW))) <= STEP_TOL:
             break
-
-    if not converged:
-        raise NewtonDivergenceError(
-            f"no convergence in {max_newton} Newton steps at eps={eps} "
-            f"(residual {res_norm:.2e}); start a continuation_sweep from smaller eps",
-            diagnostics={"steps": steps},
-        )
 
     R = R0 + W
     S = -(pot.dphi(R0) - R0 + spectral_derivative(W, grid))
@@ -510,10 +481,7 @@ def solve_front(
 
 
 def continuation_sweep(
-    potential: Potential,
-    eps_list,
-    grid: UniformGrid | None = None,
-    **solve_kwargs,
+    potential: Potential, eps_list, grid: UniformGrid | None = None
 ) -> list[FrontSolution]:
     """Solve a family of fronts in ascending eps with warm starts.
 
@@ -530,9 +498,7 @@ def continuation_sweep(
     out: list[FrontSolution] = []
     W = None
     for e in eps_list:
-        sol = solve_front(
-            potential, e, grid=grid, initial=W, continuum=continuum, **solve_kwargs
-        )
+        sol = solve_front(potential, e, grid=grid, initial=W, continuum=continuum)
         out.append(sol)
         W = sol.W
     return out

@@ -39,7 +39,7 @@ class TestOde:
         assert float(mid[0][1]) == 0.5
 
     def test_missing_potential_names_field(self, runner, tmp_path):
-        cfg = write_cfg(tmp_path, {"epsilon": 0.1})
+        cfg = write_cfg(tmp_path, {"grid": "auto"})
         res = runner.invoke(main, ["ode", "--config", cfg, "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert "potential" in res.output
@@ -210,6 +210,24 @@ class TestLatticeRun:
         header, rows = read_csv_rows(out / "lattice_snapshots.csv")
         assert header == ["t", "n", "r"]
         assert len(rows) % 800 == 0
+
+    def test_step_source_starts_at_the_far_fields(self, runner, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "potential": {"kind": "hertz", "r_minus": 2.0},
+                "lattice": {"M": 400, "T": 5.0, "gamma": 10.0, "source": "step"},
+            },
+        )
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["lattice", "run", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0
+        _, rows = read_csv_rows(out / "lattice_snapshots.csv")
+        first = np.array([float(r[2]) for r in rows[:400]])
+        assert np.all(first[:199] == 2.0) and np.all(first[199:] == 0.0)
+        last = np.array([float(r[2]) for r in rows[-400:]])
+        assert last[0] == 2.0 and abs(last[-1]) <= 1e-12
+        assert np.all(np.diff(last) <= 0.0)
 
     def test_too_short_run_is_numerical_failure(self, runner, tmp_path):
         cfg = write_cfg(
@@ -415,6 +433,67 @@ class TestNumberFields:
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
         assert not out.exists()
+
+
+class TestConfigFields:
+    """A field the command or the potential kind does not read exits 2."""
+
+    QUAD = {"kind": "quadratic"}
+    LATTICE = {"M": 400, "T": 5.0, "gamma": 10.0}
+
+    @pytest.mark.parametrize(
+        "command, cfg, field",
+        [
+            (["ode"], {"potential": {"kind": "hertz", "alpah": 2.5}}, "alpah"),
+            (["front", "solve"], {"potential": {"kind": "quadratic", "alpha": 2.0}, "epsilon": 0.1}, "alpha"),
+            (["ode"], {"potential": {"kind": "linear", "r_minus": 1.0}}, "r_minus"),
+            (["ode"], {"potential": {"kind": "hertz", "r_plus": 0.0}}, "r_plus"),
+            (["report"], {"potential": {"kind": "polynomial", "coeffs": [0, 0, 1], "alpha": 1.5}, "epsilon": 0.1}, "alpha"),
+            (["ode"], {"potential": QUAD, "epsilon": 0.1}, "epsilon"),
+            (["ode"], {"potential": QUAD, "lattice": LATTICE}, "lattice"),
+            (["lattice", "run"], {"potential": QUAD, "lattice": LATTICE, "epsilon": 0.1}, "epsilon"),
+            (["poles"], {"p": 0.0, "epsilon": 0.1, "grid": "auto"}, "grid"),
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "potential": QUAD}, "potential"),
+            (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1], "s": 0.5}, "s"),
+        ],
+        ids=[
+            "hertz_alpah",
+            "quadratic_alpha",
+            "linear_r_minus",
+            "hertz_r_plus",
+            "polynomial_alpha",
+            "ode_epsilon",
+            "ode_lattice",
+            "lattice_epsilon",
+            "poles_grid",
+            "symbol_potential",
+            "sweep_s",
+        ],
+    )
+    def test_unread_field_is_config_error(self, runner, tmp_path, command, cfg, field):
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main, [*command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+        )
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: unknown ")
+        assert lines[0].endswith(": " + field)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"epsilon": 0.1, "epsilon_list": [0.1]}, "give exactly one of epsilon / epsilon_list"),
+            ({"epsilon_list": [0.1]}, "this command takes a single epsilon, not epsilon_list"),
+        ],
+        ids=["both", "list_for_single"],
+    )
+    def test_epsilon_forms_keep_their_messages(self, runner, tmp_path, cfg, message):
+        cfg = write_cfg(tmp_path, {"potential": self.QUAD, **cfg})
+        res = runner.invoke(main, ["report", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output.strip() == "config error: " + message
 
 
 class TestUnnormalizedPotential:

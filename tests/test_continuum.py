@@ -8,6 +8,7 @@ from fput_fronts import (
     ConfigError,
     DomainTooSmallError,
     Potential,
+    UniformGrid,
     hertz_potential,
     linear_force_potential,
     position_of_level,
@@ -83,7 +84,7 @@ class TestContract:
 
     def test_domain_too_small_reports_suggestion(self):
         with pytest.raises(DomainTooSmallError) as exc:
-            solve_R0(quadratic_force_potential(), L=10.0)
+            solve_R0(quadratic_force_potential(), grid=UniformGrid(10.0, 512))
         assert exc.value.suggested_L > 15.0
 
     def test_rejects_unnormalized(self):

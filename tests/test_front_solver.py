@@ -14,10 +14,10 @@ from fput_fronts import (
     solve_R0,
     solve_front,
 )
+from fput_fronts import front_solver
 from fput_fronts.continuum import ContinuumSolution, _DenseTable
 from fput_fronts.front_solver import (
     _ContinuumInverse,
-    _level,
     _recenter,
     background_term,
     continuation_sweep,
@@ -25,7 +25,7 @@ from fput_fronts.front_solver import (
     fixed_point_residual,
     solver_grid,
 )
-from fput_fronts.grids import UniformGrid
+from fput_fronts.grids import UniformGrid, periodic_shift
 from fput_fronts.spectral import kernel_physical, symbol_a, symbol_a0
 
 
@@ -62,7 +62,7 @@ class TestBackgroundTerm:
         eps = 0.1
         grid = solver_grid(quad, eps)
         cont = solve_R0(quad, grid=grid)
-        F1 = background_term(eps, cont, grid).values
+        F1 = background_term(eps, cont).values
 
         ker = kernel_physical(eps, L=grid.L, N=grid.N)
         yk, ak = ker.grid.x, ker.a_eps
@@ -84,7 +84,7 @@ class TestBackgroundTerm:
         eps = 0.1
         grid = solver_grid(quad, eps)
         cont = solve_R0(quad, grid=grid)
-        F1 = background_term(eps, cont, grid).values
+        F1 = background_term(eps, cont).values
         assert np.max(np.abs(F1[:8])) <= 1e-6
         assert np.max(np.abs(F1[-8:])) <= 1e-6
 
@@ -93,7 +93,7 @@ class TestBackgroundTerm:
         cont = solve_R0(quad, grid=grid)
         eps_list = [0.2, 0.1, 0.05]
         sups = [
-            float(np.max(np.abs(background_term(e, cont, grid).values)))
+            float(np.max(np.abs(background_term(e, cont).values)))
             for e in eps_list
         ]
         slope = np.polyfit(np.log(eps_list), np.log(sups), 1)[0]
@@ -102,7 +102,7 @@ class TestBackgroundTerm:
     def test_zero_eps_is_zero(self, quad):
         grid = solver_grid(quad, 0.0)
         cont = solve_R0(quad, grid=grid)
-        F1 = background_term(0.0, cont, grid).values
+        F1 = background_term(0.0, cont).values
         assert np.all(F1 == 0.0)
 
 
@@ -176,19 +176,12 @@ class TestInvariances:
         fine = solve_front(quad, 0.1, grid=UniformGrid(g.L, 2 * g.N))
         assert np.max(np.abs(fine.R[::2] - quad_sol.R)) <= 1e-8
 
-    def test_translation_covariance(self, quad, quad_sol):
-        g = quad_sol.grid
-        shift = 307
-        moved = solve_front(quad, 0.1, grid=g, center=shift * g.h)
-        overlap = np.abs(np.roll(quad_sol.R, shift) - moved.R)[shift:]
-        assert np.max(overlap) <= 1e-8
-
     def test_fixed_point_residual_of_solution(self, quad_sol):
         sol = quad_sol
         a_hat = symbol_a(sol.eps, sol.grid.k)
         cont = sol.continuum
-        F1 = background_term(sol.eps, cont, sol.grid).values
-        F = fixed_point_residual(sol.eps, cont, sol.W, sol.grid, F1, a_hat)
+        F1 = background_term(sol.eps, cont).values
+        F = fixed_point_residual(cont, sol.W, F1, a_hat)
         assert np.max(np.abs(F)) <= 1e-9 * sol.grid.N
 
 
@@ -196,16 +189,16 @@ class TestRecenter:
     def test_leaves_no_reference_cycle(self, quad):
         """The root search frees the continuum by reference counting alone."""
         cont = solve_R0(quad)
-        W = np.zeros(cont.grid.N)
+        W = cont(cont.grid.x - 0.3) - cont.values  # R0 crossing 1/2 at x = 0.3
         ref = weakref.ref(cont)
         gc.disable()
         try:
-            _, shift = _recenter(W, cont, cont.grid, 0.3)
+            _, shift = _recenter(W, cont)
             del cont
             assert ref() is None
         finally:
             gc.enable()
-        assert shift == pytest.approx(-0.3, abs=1e-12)
+        assert shift == pytest.approx(0.3, abs=1e-12)
 
 
 class TestContinuation:
@@ -225,18 +218,31 @@ class TestContinuation:
         cold = solve_front(quad, 0.2, grid=sols[1].grid)
         assert sols[1].iterations <= cold.iterations
 
+    @pytest.mark.parametrize("shift", [0.3, 7.0])
+    def test_translated_warm_start_comes_back_on_phase(self, quad, quad_sol, shift):
+        """A translated solution is already converged, so no Newton step
+        runs; the one re-centering of the warm start restores R(0) = 1/2."""
+        g, cont = quad_sol.grid, quad_sol.continuum
+        moved = cont(g.x - shift) + periodic_shift(quad_sol.W, g, -shift) - cont.values
+        sol = solve_front(quad, 0.1, grid=g, initial=moved, continuum=cont)
+        assert sol.warm_started
+        assert abs(sol.R[g.N // 2] - 0.5) <= 1e-13
+        assert np.max(np.abs(sol.R - quad_sol.R)) <= 1e-13
+
 
 class TestFailurePaths:
-    def test_newton_budget_exhaustion(self, quad):
+    def test_newton_budget_exhaustion(self, quad, monkeypatch):
+        monkeypatch.setattr(front_solver, "MAX_NEWTON", 0)
         g = solver_grid(quad, 0.1)
         with pytest.raises(NewtonDivergenceError):
-            solve_front(quad, 0.1, grid=g, max_newton=0)
+            solve_front(quad, 0.1, grid=g)
 
-    def test_divergence_carries_step_records(self, quad, quad_sol):
+    def test_divergence_carries_step_records(self, quad, quad_sol, monkeypatch):
         # quad at eps 0.1 needs two Newton steps
         assert quad_sol.iterations == 2
+        monkeypatch.setattr(front_solver, "MAX_NEWTON", 1)
         with pytest.raises(NewtonDivergenceError) as info:
-            solve_front(quad, 0.1, max_newton=1)
+            solve_front(quad, 0.1)
         (record,) = info.value.diagnostics["steps"]
         assert set(record) == {"residual", "damping", "istop", "itn"}
         assert 1e-10 < record["residual"] < 1e-3
@@ -341,17 +347,18 @@ class TestContinuumInverse:
         assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert abs(z @ y - r @ zt) <= 1e-14 * np.linalg.norm(z) * np.linalg.norm(y)
 
-    def test_pinned_solve_needs_no_recentering(self, quad_sol):
-        sol = quad_sol
-        c = sol.grid.N // 2
-        assert sol.R[c] == 0.5
-        assert _recenter(sol.W, sol.continuum, sol.grid, 0.0)[1] == 0.0
-
-    def test_off_grid_center(self, quad, quad_sol):
-        g = quad_sol.grid
-        center = 0.3 + 0.37 * g.h
-        sol = solve_front(quad, 0.1, grid=g, center=center)
-        assert abs(_level(center, sol.continuum, sol.W, g)) <= 1e-12
+    def test_pinned_solve_needs_no_recentering(self, quad, hertz, quad_sol):
+        """The pin is the only phase rule: every solve of a cold front and
+        of both sweeps crosses 1/2 exactly at the center grid point."""
+        sweeps = continuation_sweep(quad, [0.4, 0.2, 0.1, 0.05]) + continuation_sweep(
+            hertz, [0.2, 0.1, 0.05]
+        )
+        for sol in [quad_sol, *sweeps]:
+            c = sol.grid.N // 2
+            assert sol.grid.x[c] == 0.0
+            assert sol.R[c] == 0.5
+            assert sol.W[c] == 0.0
+            assert _recenter(sol.W, sol.continuum)[1] == 0.0
 
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.02])
     @pytest.mark.parametrize("which", ["quad", "hertz"])
