@@ -18,6 +18,7 @@ term, which gives a sharp per-step check of the integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,9 +114,12 @@ def init_chain(
     raise ConfigError(f"unknown chain source {source!r}")
 
 
-def _laplacian(w: np.ndarray, left: float, right: float) -> np.ndarray:
-    out = np.empty_like(w)
-    out[1:-1] = w[:-2] - 2.0 * w[1:-1] + w[2:]
+def _laplacian(w: np.ndarray, left: float, right: float, out: np.ndarray) -> np.ndarray:
+    """Write the Dirichlet Laplacian of w into ``out`` (not w) and return it."""
+    mid = out[1:-1]
+    np.multiply(w[1:-1], 2.0, out=mid)
+    np.subtract(w[:-2], mid, out=mid)
+    np.add(mid, w[2:], out=mid)
     out[0] = left - 2.0 * w[0] + w[1]
     out[-1] = w[-2] - 2.0 * w[-1] + right
     return out
@@ -144,16 +148,29 @@ def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _advance(r, v, t, dt, potential, factor, f_left, f_right):
-    """One IMEX step on arrays from time t; f_left/f_right are the ghost forces."""
-    rhs = v + dt * _laplacian(potential.dphi(r), f_left, f_right)
-    if not np.isfinite(rhs).all():
+def _all_finite(x: np.ndarray) -> bool:
+    # a finite sum proves every entry finite: an inf or NaN entry carries
+    # into it.  A sum that is not finite comes from such an entry or from
+    # finite entries near 1e305 whose partial sums overflow, so only then
+    # is each entry checked
+    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
+
+
+def _advance(r, v, t, dt, potential, factor, f_left, f_right, work):
+    """One IMEX step on arrays from time t; f_left/f_right are the ghost forces.
+
+    ``work`` is an array of r's size that the step overwrites.
+    """
+    rhs = _laplacian(potential.dphi(r), f_left, f_right, work)
+    np.multiply(rhs, dt, out=rhs)
+    np.add(v, rhs, out=rhs)
+    if not _all_finite(rhs):
         raise NumericsError(
             f"blow-up at t = {t + dt:.4g}: max |v| = {np.max(np.abs(v)):.3g}"
         )
     v_new = solve_banded(factor, rhs)
     r_new = r + dt * v_new
-    if not np.isfinite(r_new).all():
+    if not _all_finite(r_new):
         raise NumericsError(
             f"blow-up at t = {t + dt:.4g}: max |v| = {np.max(np.abs(v_new)):.3g}"
         )
@@ -170,22 +187,29 @@ def step_imex(state: LatticeState, dt: float, potential: Potential) -> LatticeSt
         raise ConfigError("dt must be positive")
     factor = _damping_factor(state.M, dt * state.gamma)
     r, v = _advance(
-        state.r, state.v, state.t, dt, potential, factor, *_ghost_forces(state, potential)
+        state.r, state.v, state.t, dt, potential, factor,
+        *_ghost_forces(state, potential), np.empty(state.M),
     )
     return replace(state, r=r, v=v, t=state.t + dt)
 
 
 def crossing_position(r: np.ndarray, level: float = LEVEL) -> float | None:
-    """Linearly interpolated site where r crosses the level, or None."""
+    """Linearly interpolated site where r first crosses the level, or None.
+
+    The crossing is the first pair of neighbours whose left entry is not
+    below the level and whose right entry is (at 0-based j, j + 1); the
+    result is the 1-based site j + 1 plus the linear fraction beyond it.
+    """
     below = r < level
-    idx = np.where(~below[:-1] & below[1:])[0]
-    if idx.size == 0:
+    if below.size == 0:
         return None
-    j = idx[0]
-    r0, r1 = r[j], r[j + 1]
-    if r0 == r1:
-        return float(j + 1)
-    return float(j + 1 + (r0 - level) / (r0 - r1))
+    m = int(below.argmin())  # first site not below the level
+    k = m + int(below[m:].argmax())  # first site below the level after it
+    if below[m] or not below[k]:
+        return None
+    # r0 is not below the level and r1 is, so r0 - r1 > 0 unless r0 is NaN
+    r0, r1 = r[k - 1], r[k]
+    return float(k + (r0 - level) / (r0 - r1))
 
 
 @dataclass
@@ -229,9 +253,10 @@ def run(
     mono = monotone_defect(state.r)
     factor = _damping_factor(state.M, dt * state.gamma)
     f_left, f_right = _ghost_forces(state, potential)
+    work = np.empty(state.M)
     r, v, t = state.r, state.v, state.t
     for step in range(1, n_steps + 1):
-        r, v = _advance(r, v, t, dt, potential, factor, f_left, f_right)
+        r, v = _advance(r, v, t, dt, potential, factor, f_left, f_right, work)
         t = t + dt
         c = crossing_position(r, level)
         if c is not None:

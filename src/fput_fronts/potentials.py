@@ -143,20 +143,20 @@ class Potential:
         return float(core(r))
 
     def _eval_array(self, r, core, below, above):
-        # NaN is skipped by both reductions and goes to the core, as np.clip
-        # passes it through; a mask is built only for an occupied side
-        has_lo = np.fmin.reduce(r, axis=None, initial=np.inf) < self.r_plus
-        has_hi = np.fmax.reduce(r, axis=None, initial=-np.inf) > self.r_minus
-        out = np.asarray(core(np.clip(r, self.r_plus, self.r_minus)), dtype=float)
-        if has_lo or has_hi or out.shape != r.shape:
-            # a fresh full-shape copy: a core may return a scalar or a view
+        # each occupied side is selected over the whole field; a side sees r
+        # clamped to its own half-line, so the other side's strains give it
+        # only its end value and raise no warning the subset would not.  NaN
+        # is skipped by both reductions and both selects and goes to the
+        # core, as np.clip passes it through
+        a, b = self.r_plus, self.r_minus
+        out = np.asarray(core(np.clip(r, a, b)), dtype=float)
+        if np.fmin.reduce(r, axis=None, initial=np.inf) < a:
+            out = np.where(r < a, below(np.minimum(r, a)), out)
+        if np.fmax.reduce(r, axis=None, initial=-np.inf) > b:
+            out = np.where(r > b, above(np.maximum(r, b)), out)
+        if out.shape != r.shape:
+            # a core may return a scalar
             out = np.array(np.broadcast_to(out, r.shape))
-        if has_lo:
-            lo = r < self.r_plus
-            out[lo] = below(r[lo])
-        if has_hi:
-            hi = r > self.r_minus
-            out[hi] = above(r[hi])
         return out
 
     def phi(self, r):

@@ -111,12 +111,17 @@ class TestStepImex:
         state = init_chain(400, quad_sol, 0.1)
         state.r = state.r + 1e-6 * np.random.default_rng(3).uniform(-1.0, 1.0, 400)
         traj = run(state, 2.0, 0.05, quad)
-        stepped = state
+        stepped = [state]
         for _ in range(40):
-            stepped = step_imex(stepped, 0.05, quad)
-        assert traj.final_state.t == stepped.t
-        assert np.max(np.abs(traj.final_state.r - stepped.r)) <= 1e-14
-        assert np.max(np.abs(traj.final_state.v - stepped.v)) <= 1e-14
+            stepped.append(step_imex(stepped[-1], 0.05, quad))
+        final = stepped[-1]
+        assert traj.final_state.t == final.t
+        assert traj.final_state.r.tobytes() == final.r.tobytes()
+        assert traj.final_state.v.tobytes() == final.v.tobytes()
+        # every state has a crossing, so the track has one entry per state
+        track = np.array([crossing_position(s.r) for s in stepped])
+        assert traj.crossing_positions.tobytes() == track.tobytes()
+        assert traj.crossing_times.tobytes() == np.array([s.t for s in stepped]).tobytes()
 
     def test_output_every_must_be_positive(self, quad, quad_sol):
         state = init_chain(400, quad_sol, 0.1)
@@ -221,6 +226,58 @@ class TestSpeedMeasurement:
         traj = run(state, 0.2, 0.05, quad)
         with pytest.raises(InsufficientDataError):
             measure_front_speed(traj)
+
+
+def _first_crossing(r, level):
+    """Site-by-site oracle for crossing_position."""
+    for j in range(len(r) - 1):
+        if not r[j] < level and r[j + 1] < level:
+            return float(j + 1 + (r[j] - level) / (r[j] - r[j + 1]))
+    return None
+
+
+class TestCrossingPosition:
+    @pytest.mark.parametrize(
+        "r",
+        [[], [0.2], [0.7, 0.9, 1.0], [0.2, 0.1, 0.0], [0.0, 0.25, 1.0], [0.5, 0.5, 0.5]],
+        ids=["empty", "one-site", "all-above", "all-below", "rising", "at-level"],
+    )
+    def test_no_crossing(self, r):
+        assert crossing_position(np.array(r)) is None
+
+    def test_crossing_at_first_pair(self):
+        assert crossing_position(np.array([0.75, 0.25, 0.0, 0.0])) == 1.5
+
+    def test_crossing_at_last_pair(self):
+        assert crossing_position(np.array([1.0, 1.0, 0.75, 0.75, 0.25])) == 4.5
+
+    def test_plateau_at_level_crosses_at_its_end(self):
+        # a crossing pair has r0 >= level > r1, so r0 == r1 cannot occur; a
+        # plateau on the level puts the crossing at its last site, fraction 0
+        assert crossing_position(np.array([1.0, 0.5, 0.5, 0.5, 0.25])) == 4.0
+
+    @pytest.mark.parametrize(
+        "r, expected",
+        [
+            ([1.0, 0.25, 0.75, 0.0, 1.0, 0.25], 1.0 + 0.5 / 0.75),
+            # starts below the level: the first crossing follows the first rise
+            ([0.25, 0.75, 0.25, 1.0, 0.0], 2.5),
+            ([0.0, 0.0, 1.0, 0.5, 0.0, 0.75, 0.25], 4.0),
+        ],
+    )
+    def test_non_monotone_returns_first_crossing(self, r, expected):
+        assert crossing_position(np.array(r)) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_site_by_site_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            # few distinct values, so ties with the level and plateaus occur
+            r = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=rng.integers(0, 9))
+            assert crossing_position(r) == _first_crossing(r, 0.5)
+        r = rng.uniform(0.0, 1.0, 300)
+        level = float(rng.uniform(0.2, 0.8))
+        assert crossing_position(r, level) == _first_crossing(r, level)
 
 
 class TestFreeChainDissipation:

@@ -1,5 +1,6 @@
 """Potential structure, jump constants, and renormalization."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,26 @@ class TestArrayEvaluation:
             values = f(r)
             scalars = np.array([f(x) for x in r])
         assert values.shape == r.shape
+        assert values.tobytes() == scalars.tobytes()
+
+    @pytest.mark.parametrize(
+        "method, r",
+        [
+            # -1e308 and -1.7e308 overflow the upper side's slope term, and
+            # +inf turns the lower side's zero slope into 0 * inf
+            ("dphi", [-1.7e308, -1e308, 0.5, 1.5, np.inf]),
+            # r * r overflows on both sides alike, so phi only has +inf
+            ("phi", [-1e150, 0.5, 1.5, np.inf]),
+        ],
+    )
+    @pytest.mark.parametrize("make", [quadratic_force_potential, hertz_potential])
+    def test_each_side_sees_only_its_own_strains(self, make, method, r):
+        f = getattr(make(), method)
+        r = np.array(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f(r)
+            scalars = np.array([f(x) for x in r])
         assert values.tobytes() == scalars.tobytes()
 
 
