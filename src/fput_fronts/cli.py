@@ -1,10 +1,14 @@
 """Command line driver: JSON config in, CSV profiles and JSON reports out.
 
-Every subcommand reads one JSON config (--config), validates it completely
-before any numerics run (a field it does not read is an error), and writes
-its outputs under --out.  Floats in
-CSV files use a fixed %.17e format and JSON objects are serialized with
-sorted keys, so identical configs give bitwise-identical files.
+Every subcommand reads one JSON config (--config) and checks it completely
+before any numerics run.  Each JSON object in it (the config itself and its
+potential, grid, lattice and perturb objects) is read by one table of the
+fields it takes, so a field the command does not read is an error, and
+every list field must be non-empty.  Outputs go under --out, which is made
+only once there are results to write: a config error, whether found here or
+by the library, leaves no output directory.  Floats in CSV files use a fixed
+%.17e format and JSON objects are serialized with sorted keys, so identical
+configs give bitwise-identical files.
 
 Exit codes: 0 on success, 1 on a numerical failure (solver divergence,
 blow-up, under-resolved data), 2 on a config problem.
@@ -40,73 +44,159 @@ from .potentials import (
 )
 from .spectral import EPS0_DEFAULT, find_pole, verify_symbol_bounds
 
-# The top-level fields each subcommand reads.  Where one epsilon form is
-# read, both are listed, so the other form gets its own message.
-_EPSILON = {"epsilon", "epsilon_list"}
-CONFIG_KEYS = {
-    "ode": {"potential", "grid"},
-    "front solve": {"potential", "grid", *_EPSILON},
-    "front sweep": {"potential", "grid", *_EPSILON},
-    "poles": {"p", "p_list", *_EPSILON},
-    "symbol-check": {"s", "eta_minus", "eta_plus", *_EPSILON},
-    "lattice run": {"potential", "grid", "lattice", "perturb"},
-    "report": {"potential", "grid", *_EPSILON},
-}
-
-# The fields of each potential kind.
-POTENTIAL_KEYS = {
-    "quadratic": {"kind"},
-    "linear": {"kind"},
-    "hertz": {"kind", "alpha", "r_minus"},
-    "polynomial": {"kind", "coeffs", "r_plus", "r_minus"},
-}
+# A table maps each field of a JSON object to (parser, default): the parser
+# gets the value and the field name; an absent field takes the default, and
+# one whose default is REQUIRED is an error.
+REQUIRED = object()
 
 
-def load_config(path: str, command: str) -> dict:
-    """The JSON object in ``path``; fields that ``command`` does not read raise."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(cfg) - CONFIG_KEYS[command])
+def parse(obj, table: dict, what: str) -> dict:
+    """Every field of ``table`` read from the JSON object ``obj``.
+
+    Fields the table does not name are rejected before any field is parsed.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - set(table))
     if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    return cfg
+        raise ConfigError(f"unknown {what} fields: {', '.join(unknown)}")
+    fields = {}
+    for key, (parser, default) in table.items():
+        if key in obj:
+            fields[key] = parser(obj[key], key)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required field: {key}")
+        else:
+            fields[key] = default
+    return fields
 
 
-def build_potential(cfg: dict):
-    spec = cfg.get("potential")
-    if spec is None:
-        raise ConfigError("missing required field: potential")
+def _finite(value, key: str) -> float:
+    """``value`` as a finite float, or a ConfigError naming field ``key``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"field {key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {key} must be a number, got {value!r}") from exc
+    if not np.isfinite(number):
+        raise ConfigError(f"field {key} must be finite, got {value!r}")
+    return number
+
+
+def _positive(value, key: str) -> float:
+    number = _finite(value, key)
+    if not number > 0:
+        raise ConfigError(f"field {key} must be positive, got {number}")
+    return number
+
+
+def _integer_at_least(minimum: int):
+    def parser(value, key: str) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"field {key} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"field {key} must be at least {minimum}, got {value}")
+        return value
+
+    return parser
+
+
+def _list_of(entry):
+    """A parser of a non-empty list, each entry read by ``entry``."""
+
+    def parser(value, key: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"field {key} must be a non-empty list of numbers")
+        return [entry(v, key) for v in value]
+
+    return parser
+
+
+def _object(table: dict):
+    """A parser of a nested JSON object, named in messages by its field."""
+    return lambda value, key: parse(value, table, key)
+
+
+def _as_given(value, key: str):
+    return value
+
+
+# Each potential kind: its factory and the fields it takes besides "kind",
+# named as the factory's keyword arguments.
+POTENTIALS = {
+    "quadratic": (quadratic_force_potential, {}),
+    "linear": (linear_force_potential, {}),
+    "hertz": (hertz_potential, {"alpha": (_finite, 1.5), "r_minus": (_finite, 1.0)}),
+    "polynomial": (
+        polynomial_potential,
+        {
+            "coeffs": (_list_of(_finite), REQUIRED),
+            "r_plus": (_finite, 0.0),
+            "r_minus": (_finite, 1.0),
+        },
+    ),
+}
+
+
+def _potential(spec, key: str):
+    """The potential that the factory of its kind builds from the kind's fields."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("potential must be an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind not in POTENTIAL_KEYS:
+    spec = dict(spec)
+    kind = spec.pop("kind")
+    if not isinstance(kind, str) or kind not in POTENTIALS:
         raise ConfigError(f"unknown potential kind: {kind!r}")
-    unknown = sorted(set(spec) - POTENTIAL_KEYS[kind])
-    if unknown:
-        raise ConfigError(f"unknown fields for potential kind {kind!r}: {', '.join(unknown)}")
-    if kind == "quadratic":
-        return quadratic_force_potential()
-    if kind == "linear":
-        return linear_force_potential()
-    if kind == "hertz":
-        return hertz_potential(
-            alpha=_number(spec, "alpha", 1.5), r_minus=_number(spec, "r_minus", 1.0)
-        )
-    if kind == "polynomial":
-        if "coeffs" not in spec:
-            raise ConfigError("polynomial potential needs a 'coeffs' list")
-        return polynomial_potential(
-            _number_list(spec, "coeffs"),
-            r_plus=_number(spec, "r_plus", 0.0),
-            r_minus=_number(spec, "r_minus", 1.0),
-        )
+    factory, table = POTENTIALS[kind]
+    return factory(**parse(spec, table, f"{kind} potential"))
+
+
+GRID = {"L": (_finite, REQUIRED), "N": (_integer_at_least(256), REQUIRED)}
+
+
+def _grid(spec, key: str) -> UniformGrid | None:
+    """The pinned grid, or None for "auto" (chosen per epsilon by the solver)."""
+    if spec == "auto":
+        return None
+    if not isinstance(spec, dict):
+        raise ConfigError("grid must be \"auto\" or an object with fields L and N")
+    return UniformGrid(**parse(spec, GRID, "grid"))
+
+
+# "source" is passed on as given: "front" seeds the chain with a solved
+# front, and init_chain takes "step" and rejects anything else
+LATTICE = {
+    "M": (_integer_at_least(200), REQUIRED),
+    "T": (_positive, REQUIRED),
+    "gamma": (_positive, REQUIRED),
+    "dt": (_positive, None),
+    "source": (_as_given, "front"),
+    "output_every": (_integer_at_least(1), 50),
+}
+PERTURB = {"amplitude": (_finite, REQUIRED)}
+
+# top-level fields shared by the commands that solve a front
+FRONT = {"potential": (_potential, REQUIRED), "grid": (_grid, None)}
+EPSILON = {"epsilon": (_positive, None), "epsilon_list": (_list_of(_positive), None)}
+
+
+def _one_form(cfg: dict, key: str, only: str | None = None) -> list:
+    """The values given as ``key`` or as ``key_list``, never both.
+
+    ``only`` is "single" or "list" for a command that takes one form.
+    """
+    single, listed = cfg[key], cfg[f"{key}_list"]
+    if single is not None and listed is not None:
+        raise ConfigError(f"give exactly one of {key} / {key}_list")
+    if only == "single" and listed is not None:
+        raise ConfigError(f"this command takes a single {key}, not {key}_list")
+    if single is not None and only != "list":
+        return [single]
+    if listed is None:
+        raise ConfigError(f"missing required field: {f'{key}_list' if only == 'list' else key}")
+    return listed
 
 
 def _require_normalized(potential) -> None:
@@ -133,88 +223,15 @@ def _require_normalized(potential) -> None:
     )
 
 
-def _finite(value, key: str) -> float:
-    """``value`` as a finite float, or a ConfigError naming field ``key``."""
-    if isinstance(value, bool):
-        raise ConfigError(f"field {key} must be a number, got {value!r}")
+def _read_config(path: str):
+    """The JSON value in the file at ``path``."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {path}")
     try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key} must be a number, got {value!r}") from exc
-    if not np.isfinite(number):
-        raise ConfigError(f"field {key} must be finite, got {value!r}")
-    return number
-
-
-def _number(cfg: dict, key: str, default: float | None = None) -> float:
-    """The number in field ``key``; ``default`` when the field is absent."""
-    return _finite(cfg.get(key, default), key)
-
-
-def _number_list(cfg: dict, key: str) -> list[float]:
-    values = cfg[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"field {key} must be a list of numbers")
-    return [_finite(v, key) for v in values]
-
-
-def _positive_float(cfg: dict, key: str) -> float:
-    value = _number(cfg, key)
-    if not value > 0:
-        raise ConfigError(f"field {key} must be positive, got {value}")
-    return value
-
-
-def _integer_at_least(cfg: dict, key: str, minimum: int, default=None) -> int:
-    value = cfg.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field {key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"field {key} must be at least {minimum}, got {value}")
-    return value
-
-
-def take_epsilon(cfg: dict) -> float:
-    if "epsilon_list" in cfg:
-        if "epsilon" in cfg:
-            raise ConfigError("give exactly one of epsilon / epsilon_list")
-        raise ConfigError("this command takes a single epsilon, not epsilon_list")
-    if "epsilon" not in cfg:
-        raise ConfigError("missing required field: epsilon")
-    return _positive_float(cfg, "epsilon")
-
-
-def take_epsilon_list(cfg: dict) -> list[float]:
-    if "epsilon" in cfg and "epsilon_list" in cfg:
-        raise ConfigError("give exactly one of epsilon / epsilon_list")
-    if "epsilon_list" not in cfg:
-        raise ConfigError("missing required field: epsilon_list")
-    eps_list = _number_list(cfg, "epsilon_list")
-    if not eps_list:
-        raise ConfigError("epsilon_list must be a non-empty list")
-    tagged = {}
-    for e in eps_list:
-        if not e > 0:
-            raise ConfigError(f"epsilon_list entries must be positive, got {e}")
-        tag = _eps_tag(e)
-        if tag in tagged:
-            raise ConfigError(
-                f"epsilon_list entries {tagged[tag]!r} and {e!r} share the file tag eps{tag}"
-            )
-        tagged[tag] = e
-    return eps_list
-
-
-def take_grid(cfg: dict) -> UniformGrid | None:
-    """The pinned grid from the config, or None for automatic selection."""
-    spec = cfg.get("grid", "auto")
-    if spec == "auto":
-        return None
-    if not isinstance(spec, dict) or set(spec) != {"L", "N"}:
-        raise ConfigError("grid must be \"auto\" or an object with fields L and N")
-    return UniformGrid(_number(spec, "L"), _integer_at_least(spec, "N", 256))
+        return json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
 def _out_dir(out: str) -> Path:
@@ -253,37 +270,37 @@ def _eps_tag(eps: float) -> str:
     return f"{eps:g}".replace(".", "p").replace("-", "m")
 
 
-def guarded(fn):
-    """Map library errors to the documented exit codes."""
+def command(group, name: str, table: dict, *options):
+    """Register ``fn(cfg, out, **options)`` as subcommand ``name`` of ``group``.
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-        except NumericsError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(1)
+    The subcommand takes --config and --out (plus ``options``), reads the
+    config by ``table`` and passes the parsed fields to ``fn`` as ``cfg``.
+    Library errors map to the documented exit codes.
+    """
 
-    return wrapper
+    def register(fn):
+        @functools.wraps(fn)
+        def run(config_path, out, **kwargs):
+            try:
+                if Path(out).exists() and not Path(out).is_dir():
+                    raise ConfigError(f"--out {out} is not a directory")
+                fn(parse(_read_config(config_path), table, "config"), out, **kwargs)
+            except ConfigError as exc:
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(2)
+            except NumericsError as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(1)
 
+        for option in (
+            *options,
+            click.option("--out", default=".", show_default=True, help="Directory for output files."),
+            click.option("--config", "config_path", required=True, help="Path to the JSON run config."),
+        ):
+            run = option(run)
+        return group.command(name)(run)
 
-def config_options(fn):
-    fn = click.option(
-        "--out",
-        default=".",
-        show_default=True,
-        help="Directory for output files.",
-    )(fn)
-    fn = click.option(
-        "--config",
-        "config_path",
-        required=True,
-        help="Path to the JSON run config.",
-    )(fn)
-    return fn
+    return register
 
 
 @click.group()
@@ -291,19 +308,15 @@ def main():
     """Front profiles and lattice runs for the strongly damped FPUT chain."""
 
 
-@main.command()
-@config_options
-@guarded
-def ode(config_path, out):
+@command(main, "ode", FRONT)
+def ode(cfg, out):
     """Solve the continuum front R' + R = dphi(R) and write its profile."""
-    cfg = load_config(config_path, "ode")
-    potential = build_potential(cfg)
+    potential = cfg["potential"]
     _require_normalized(potential)
-    grid = take_grid(cfg)
-    out_path = _out_dir(out)
 
-    cont = solve_R0(potential, grid=grid)
+    cont = solve_R0(potential, grid=cfg["grid"])
     S = cont.slope_profile()
+    out_path = _out_dir(out)
     write_profile_csv(out_path / "R0_profile.csv", cont.grid.x, cont.values, S)
     write_json(
         out_path / "ode_report.json",
@@ -343,43 +356,38 @@ def front():
     """Finite-epsilon front profiles."""
 
 
-@front.command("solve")
-@config_options
-@guarded
-def front_solve(config_path, out):
+@command(front, "solve", {**FRONT, **EPSILON})
+def front_solve(cfg, out):
     """Solve one front profile and write CSV + JSON."""
-    cfg = load_config(config_path, "front solve")
-    potential = build_potential(cfg)
-    _require_normalized(potential)
-    eps = take_epsilon(cfg)
-    grid = take_grid(cfg)
-    out_path = _out_dir(out)
+    _require_normalized(cfg["potential"])
+    (eps,) = _one_form(cfg, "epsilon", "single")
 
+    sol = solve_front(cfg["potential"], eps, grid=cfg["grid"])
     if eps > EPS0_DEFAULT:
-        click.echo(
-            f"warning: epsilon {eps:g} above advisory threshold {EPS0_DEFAULT:g}, proceeding",
-            err=True,
-        )
-    sol = solve_front(potential, eps, grid=grid)
+        click.echo(f"warning: epsilon {eps:g} above advisory threshold {EPS0_DEFAULT:g}", err=True)
     tag = _eps_tag(eps)
+    out_path = _out_dir(out)
     write_profile_csv(out_path / f"front_eps{tag}.csv", sol.x, sol.R, sol.S)
     write_json(out_path / f"front_eps{tag}.json", _front_payload(sol))
     click.echo(f"wrote {out_path / f'front_eps{tag}.csv'}")
 
 
-@front.command("sweep")
-@config_options
-@guarded
-def front_sweep(config_path, out):
+@command(front, "sweep", {**FRONT, **EPSILON})
+def front_sweep(cfg, out):
     """Solve a list of epsilons with warm starts; one CSV per epsilon."""
-    cfg = load_config(config_path, "front sweep")
-    potential = build_potential(cfg)
-    _require_normalized(potential)
-    eps_list = take_epsilon_list(cfg)
-    grid = take_grid(cfg)
-    out_path = _out_dir(out)
+    _require_normalized(cfg["potential"])
+    eps_list = _one_form(cfg, "epsilon", "list")
+    tagged = {}
+    for e in eps_list:
+        tag = _eps_tag(e)
+        if tag in tagged:
+            raise ConfigError(
+                f"epsilon_list entries {tagged[tag]!r} and {e!r} share the file tag eps{tag}"
+            )
+        tagged[tag] = e
 
-    sols = continuation_sweep(potential, eps_list, grid=grid)
+    sols = continuation_sweep(cfg["potential"], eps_list, grid=cfg["grid"])
+    out_path = _out_dir(out)
     members = []
     for sol in sols:
         tag = _eps_tag(sol.eps)
@@ -389,25 +397,11 @@ def front_sweep(config_path, out):
     click.echo(f"wrote {len(sols)} profiles and {out_path / 'sweep_summary.json'}")
 
 
-@main.command()
-@config_options
-@guarded
-def poles(config_path, out):
+@command(main, "poles", {"p": (_finite, None), "p_list": (_list_of(_finite), None), **EPSILON})
+def poles(cfg, out):
     """Locate symbol denominator roots and report exponential tail rates."""
-    cfg = load_config(config_path, "poles")
-    if "p" in cfg and "p_list" in cfg:
-        raise ConfigError("give exactly one of p / p_list")
-    if "p" in cfg:
-        p_list = [_number(cfg, "p")]
-    elif "p_list" in cfg:
-        p_list = _number_list(cfg, "p_list")
-    else:
-        raise ConfigError("missing required field: p (far-field curvature)")
-    if "epsilon" in cfg:
-        eps_list = [take_epsilon(cfg)]
-    else:
-        eps_list = take_epsilon_list(cfg)
-    out_path = _out_dir(out)
+    p_list = _one_form(cfg, "p")
+    eps_list = _one_form(cfg, "epsilon")
 
     entries = []
     for p in p_list:
@@ -423,56 +417,27 @@ def poles(config_path, out):
                     "iterations": pole.iterations,
                 }
             )
+    out_path = _out_dir(out)
     write_json(out_path / "poles.json", {"poles": entries})
     click.echo(f"wrote {out_path / 'poles.json'}")
 
 
-@main.command("symbol-check")
-@config_options
-@guarded
-def symbol_check(config_path, out):
+@command(
+    main,
+    "symbol-check",
+    {**EPSILON, "s": (_finite, 0.5), "eta_minus": (_finite, 0.5), "eta_plus": (_finite, 0.5)},
+)
+def symbol_check(cfg, out):
     """Fit the epsilon-order of the kernel symbol differences on a strip."""
-    cfg = load_config(config_path, "symbol-check")
-    eps_list = take_epsilon_list(cfg)
-    if len(eps_list) < 2:
-        raise ConfigError("symbol-check needs at least two epsilons to fit orders")
-    s = _number(cfg, "s", 0.5)
-    eta_minus = _number(cfg, "eta_minus", 0.5)
-    eta_plus = _number(cfg, "eta_plus", 0.5)
-    out_path = _out_dir(out)
-
     report = verify_symbol_bounds(
-        eps_list=tuple(eps_list), s=s, eta_minus=eta_minus, eta_plus=eta_plus
+        eps_list=tuple(_one_form(cfg, "epsilon", "list")),
+        s=cfg["s"],
+        eta_minus=cfg["eta_minus"],
+        eta_plus=cfg["eta_plus"],
     )
+    out_path = _out_dir(out)
     write_json(out_path / "symbol_check.json", report.as_dict())
     click.echo(f"wrote {out_path / 'symbol_check.json'}")
-
-
-def _validate_lattice_cfg(cfg: dict) -> dict:
-    spec = cfg.get("lattice")
-    if spec is None:
-        raise ConfigError("missing required field: lattice")
-    if not isinstance(spec, dict):
-        raise ConfigError("lattice must be an object")
-    for key in ("M", "T", "gamma"):
-        if key not in spec:
-            raise ConfigError(f"lattice config needs field {key}")
-    allowed = {"M", "T", "gamma", "dt", "source", "output_every"}
-    unknown = sorted(set(spec) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown lattice fields: {', '.join(unknown)}")
-    out = {
-        "M": _integer_at_least(spec, "M", 200),
-        "T": _positive_float(spec, "T"),
-        "gamma": _positive_float(spec, "gamma"),
-        "source": spec.get("source", "front"),
-        "output_every": _integer_at_least(spec, "output_every", 1, default=50),
-    }
-    if out["source"] not in ("front", "step"):
-        raise ConfigError("lattice source must be \"front\" or \"step\"")
-    if "dt" in spec:
-        out["dt"] = _positive_float(spec, "dt")
-    return out
 
 
 @main.group()
@@ -480,40 +445,33 @@ def lattice():
     """Direct damped-chain integration."""
 
 
-@lattice.command("run")
-@config_options
-@click.option("--seed", type=int, default=None, help="Seed for the optional initial perturbation.")
-@guarded
-def lattice_run(config_path, out, seed):
+@command(
+    lattice,
+    "run",
+    {**FRONT, "lattice": (_object(LATTICE), REQUIRED), "perturb": (_object(PERTURB), None)},
+    click.option("--seed", type=int, default=None, help="Seed for the optional initial perturbation."),
+)
+def lattice_run(cfg, out, seed):
     """Integrate the chain, track the half-level crossing, fit the speed."""
-    cfg = load_config(config_path, "lattice run")
-    potential = build_potential(cfg)
-    lat = _validate_lattice_cfg(cfg)
+    potential, lat, perturb = cfg["potential"], cfg["lattice"], cfg["perturb"]
     if lat["source"] == "front":
         _require_normalized(potential)
-    grid = take_grid(cfg)
-    perturb = cfg.get("perturb")
-    if perturb is not None:
-        if not isinstance(perturb, dict) or "amplitude" not in perturb:
-            raise ConfigError("perturb must be an object with an 'amplitude' field")
-        if seed is None:
-            raise ConfigError("perturb requests need --seed for reproducibility")
-        amp = _number(perturb, "amplitude")
-    out_path = _out_dir(out)
+    if perturb is not None and seed is None:
+        raise ConfigError("perturb requests need --seed for reproducibility")
 
     eps = 1.0 / lat["gamma"]
-    dt = lat.get("dt", default_dt(potential))
+    dt = lat["dt"] or default_dt(potential)
     sol = None
     if lat["source"] == "front":
-        sol = solve_front(potential, eps, grid=grid)
+        sol = solve_front(potential, eps, grid=cfg["grid"])
         state = init_chain(lat["M"], sol, eps)
     else:
         state = init_chain(
-            lat["M"], "step", eps, r_minus=potential.r_minus, r_plus=potential.r_plus
+            lat["M"], lat["source"], eps, r_minus=potential.r_minus, r_plus=potential.r_plus
         )
     if perturb is not None:
         rng = np.random.default_rng(seed)
-        state.r = state.r + amp * rng.uniform(-1.0, 1.0, state.M)
+        state.r = state.r + perturb["amplitude"] * rng.uniform(-1.0, 1.0, state.M)
 
     traj = run_lattice(state, lat["T"], dt, potential, output_every=lat["output_every"])
     c_fit, r2 = measure_front_speed(traj)
@@ -530,31 +488,27 @@ def lattice_run(config_path, out, seed):
     if sol is not None:
         summary["max_profile_distance"] = compare_profile(traj, sol)
 
+    out_path = _out_dir(out)
     write_snapshots_csv(out_path / "lattice_snapshots.csv", traj.times, traj.snapshots)
     write_json(out_path / "lattice_summary.json", summary)
     click.echo(f"wrote {out_path / 'lattice_summary.json'}")
 
 
-@main.command()
-@config_options
-@guarded
-def report(config_path, out):
+@command(main, "report", {**FRONT, **EPSILON})
+def report(cfg, out):
     """Solve one front and write the consolidated pass/fail check list."""
-    cfg = load_config(config_path, "report")
-    potential = build_potential(cfg)
-    _require_normalized(potential)
-    eps = take_epsilon(cfg)
-    grid = take_grid(cfg)
-    out_path = _out_dir(out)
+    _require_normalized(cfg["potential"])
+    (eps,) = _one_form(cfg, "epsilon", "single")
 
-    sol = solve_front(potential, eps, grid=grid)
+    sol = solve_front(cfg["potential"], eps, grid=cfg["grid"])
     checks = consolidated_report(sol)
     payload = {
         "epsilon": eps,
-        "potential": potential.name,
+        "potential": cfg["potential"].name,
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }
+    out_path = _out_dir(out)
     write_json(out_path / "report.json", payload)
     status = "ok" if payload["all_pass"] else "FAILED CHECKS"
     click.echo(f"wrote {out_path / 'report.json'} ({status})")

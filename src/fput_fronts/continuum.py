@@ -35,7 +35,7 @@ from scipy.integrate import quad
 from scipy.integrate._ivp import dop853_coefficients as _tableau
 
 from .errors import ConfigError, DomainTooSmallError
-from .grids import GridProfile, UniformGrid, grid_for, max_spacing
+from .grids import UniformGrid, grid_for, max_spacing
 from .potentials import Potential
 from .spectral import find_pole
 
@@ -366,9 +366,6 @@ class ContinuumSolution:
         if x is None:
             x = self.grid.x
         return self.potential.d2phi(self(x))
-
-    def profile(self) -> GridProfile:
-        return GridProfile(self.grid, self.values)
 
     def tent_defect(self, eps: float, grid: UniformGrid | None = None) -> np.ndarray:
         """R0 - Lambda_eps * R0 on a grid inside [-L, L], exact on the segments.

@@ -167,12 +167,6 @@ class FrontSolution:
     def slope_integral(self) -> float:
         return float(np.trapezoid(self.S, dx=self.grid.h))
 
-    def profile(self) -> GridProfile:
-        return GridProfile(self.grid, self.R)
-
-    def slope(self) -> GridProfile:
-        return GridProfile(self.grid, self.S)
-
     def residual_tent(self) -> float:
         """Sup residual of the tent-averaged traveling-wave equation.
 

@@ -175,6 +175,30 @@ class TestPoles:
         assert len(data["poles"]) == 1
         assert abs(data["poles"][0]["mu_rate"] - 0.9991667) <= 1e-5
 
+    def test_out_naming_a_file_is_config_error(self, runner, tmp_path):
+        cfg = write_cfg(tmp_path, {"p": 0.0, "epsilon": 0.1})
+        out = tmp_path / "taken"
+        out.write_text("")
+        res = runner.invoke(main, ["poles", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.output.strip() == f"config error: --out {out} is not a directory"
+
+
+@pytest.mark.parametrize(
+    "command, cfg, name",
+    [
+        (["poles"], {"p": 0.0, "epsilon_list": [0.1, 0.1000001]}, "poles.json"),
+        (["symbol-check"], {"epsilon_list": [0.2, 0.1, 0.1000001]}, "symbol_check.json"),
+    ],
+    ids=["poles", "symbol_check"],
+)
+def test_one_file_commands_take_epsilons_that_print_alike(runner, tmp_path, command, cfg, name):
+    """Only front sweep writes a file per epsilon, so only it rejects a tag clash."""
+    out = tmp_path / "o"
+    res = runner.invoke(main, [*command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / name).exists()
+
 
 class TestSymbolCheck:
     def test_orders_emitted(self, runner, tmp_path):
@@ -381,7 +405,8 @@ class TestDeterminism:
 
 
 class TestNumberFields:
-    """Malformed numbers in any command's config exit 2 with one line."""
+    """Malformed or out-of-range values in any command's config exit 2 with
+    one line and leave no output directory."""
 
     QUAD = {"kind": "quadratic"}
 
@@ -404,6 +429,17 @@ class TestNumberFields:
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": ["a", 1.0]}}),
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0], "r_plus": "q"}}),
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0], "r_minus": True}}),
+            (["poles"], {"p_list": [], "epsilon": 0.1}),
+            (["ode"], {"potential": {"kind": ["hertz"]}}),
+            # out of the library's range: rejected by the library, before any output
+            (["front", "solve"], {"potential": QUAD, "epsilon": 1.5}),
+            (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1, 1.5]}),
+            (["poles"], {"p": 1.0, "epsilon": 0.1}),
+            (["poles"], {"p": 0.0, "epsilon": 2.0}),
+            (["lattice", "run"], {"potential": QUAD, "lattice": {"M": 400, "T": 5.0, "gamma": 0.5}}),
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": 3}),
+            (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40, "N": 256}}),
+            (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0, 2, -1]}}),
         ],
         ids=[
             "poles_p",
@@ -422,6 +458,16 @@ class TestNumberFields:
             "polynomial_coeffs",
             "polynomial_r_plus",
             "polynomial_r_minus_bool",
+            "poles_p_list_empty",
+            "potential_kind_list",
+            "solve_eps_above_cap",
+            "sweep_eps_above_cap",
+            "poles_p_degenerate",
+            "poles_eps_above_cap",
+            "lattice_gamma_below_one",
+            "symbol_eta_plus_inadmissible",
+            "solve_grid_too_coarse",
+            "polynomial_tail_rates",
         ],
     )
     def test_config_error(self, runner, tmp_path, command, cfg):
@@ -455,6 +501,7 @@ class TestConfigFields:
             (["poles"], {"p": 0.0, "epsilon": 0.1, "grid": "auto"}, "grid"),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "potential": QUAD}, "potential"),
             (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1], "s": 0.5}, "s"),
+            (["lattice", "run"], {"potential": QUAD, "lattice": LATTICE, "perturb": {"amplitude": 1e-3, "seed": 5}}, "seed"),
         ],
         ids=[
             "hertz_alpah",
@@ -468,6 +515,7 @@ class TestConfigFields:
             "poles_grid",
             "symbol_potential",
             "sweep_s",
+            "perturb_seed",
         ],
     )
     def test_unread_field_is_config_error(self, runner, tmp_path, command, cfg, field):
