@@ -154,7 +154,7 @@ def h1_distance(a: GridProfile, b: GridProfile) -> float:
 
 def normalization_check(sol: FrontSolution) -> float:
     """|trapezoid integral of S - 1|."""
-    return abs(float(np.trapezoid(sol.S, dx=sol.grid.h)) - 1.0)
+    return abs(sol.slope_integral - 1.0)
 
 
 def consolidated_report(sol: FrontSolution) -> list[dict]:

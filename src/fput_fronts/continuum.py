@@ -350,22 +350,9 @@ class ContinuumSolution:
             lambda v: self._rL * np.exp(-self.m_plus * (v - L)),
         )
 
-    def derivative(self, x):
-        """R0' evaluated through the ODE itself."""
-        R = self(x)
-        return self.potential.dphi(R) - R
-
-    def slope_profile(self, x=None):
-        """S0 = -R0', the positive traveling-wave slope at leading order."""
-        if x is None:
-            x = self.grid.x
-        return -np.asarray(self.derivative(x))
-
-    def linearization_profile(self, x=None):
-        """Curvature of the potential along the front, P(x) = d2phi(R0(x))."""
-        if x is None:
-            x = self.grid.x
-        return self.potential.d2phi(self(x))
+    def slope_profile(self) -> np.ndarray:
+        """S0 = -R0' = R0 - dphi(R0) on the grid, through the ODE itself."""
+        return -(self.potential.dphi(self.values) - self.values)
 
     def tent_defect(self, eps: float, grid: UniformGrid | None = None) -> np.ndarray:
         """R0 - Lambda_eps * R0 on a grid inside [-L, L], exact on the segments.

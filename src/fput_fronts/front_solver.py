@@ -25,12 +25,22 @@ inner iterations suffice.  Since R0(0) = 1/2 and no step moves W at x_c,
 every iterate crosses 1/2 at x = 0 exactly: the pin is the solver's only
 phase rule.  A warm start is re-centered once, before the first step.
 
-The background term needs care: dphi(R0) does not decay (it tends to 1 on
-the left), so it is split as dphi(R0) = s_delta + g_delta with s_delta a
-mollified step (Gaussian width delta = 6h).  The remainder g_delta decays
-on both sides and convolves spectrally; the step part has the closed-form
-symbol -b_hat(k) m_hat(k) / (2 pi i k) with b_hat(0)' = 0 making the k = 0
-limit zero.  The split is exact; only periodization error remains.
+dphi(R0) does not decay (it tends to 1 on the left), but the continuum ODE
+writes it as dphi(R0) = R0 + R0', and R0' decays at both ends.  With
+ik = 2 pi i k and T the tent symbol, a0 * dphi(R0) = R0 turns the
+background term into F1 = (1 - a_eps (1 + d/dx)) R0, the multiplier
+
+    F1_hat = (1 - T) / (ik (1 + ik T)) FFT(R0'),
+
+bounded, and 0 at k = 0 since 1 - T = O(k^2).  The slope S = -R' follows
+from the fixed point R = a_eps * dphi(R) with dphi(R) = R0 + (dphi(R) - R0),
+whose bracket decays:
+
+    S = -IFFT[a_hat (FFT(R0') + ik FFT(dphi(R) - R0))],
+
+again a bounded symbol on decaying data.  W itself does not match across
+the periodic seam, so neither term differentiates it; only periodization
+error remains.
 
 The verification residual of the tent-averaged equation needs the defect
 R0 - Lambda_eps * R0 of the continuum profile; it is integrated exactly
@@ -44,7 +54,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
-from scipy.special import erfc
 
 from .continuum import ContinuumSolution, solve_R0, suggest_half_length
 from .errors import (
@@ -56,12 +65,12 @@ from .errors import (
 from .grids import (
     GridProfile,
     UniformGrid,
+    apply_symbol,
     grid_for,
     interpolate_local,
     max_spacing,
     periodic_shift,
     require_bandwidth,
-    spectral_derivative,
 )
 from .potentials import Potential
 from .spectral import symbol_a, symbol_a0, tent_symbol
@@ -88,26 +97,21 @@ def solver_grid(potential: Potential, eps: float) -> UniformGrid:
 def background_term(eps: float, continuum: ContinuumSolution) -> GridProfile:
     """The forcing F1 = (a0 - a_eps) * dphi(R0) on the continuum's grid.
 
-    Vanishes identically at eps = 0 and decays at both ends; raises if the
-    computed end values exceed 1e-4 (domain or bandwidth problem).
+    Through R0' = dphi(R0) - R0 it is the multiplier (1 - T)/(ik (1 + ik T))
+    on the decaying R0' (0 at k = 0).  Vanishes identically at eps = 0 and
+    decays at both ends; raises if the computed end values exceed 1e-4
+    (domain or bandwidth problem).
     """
     grid = continuum.grid
     if eps == 0.0:
         return GridProfile(grid, np.zeros(grid.N))
     require_bandwidth(grid, eps)
-    x = grid.x
-    delta = 6.0 * grid.h
-    s_delta = 0.5 * erfc(x / (delta * np.sqrt(2.0)))
-    g_delta = continuum.potential.dphi(continuum.values) - s_delta
-
-    k = grid.k
-    bhat = symbol_a0(k) - symbol_a(eps, k)
-    mhat = np.exp(-2.0 * (np.pi * delta * k) ** 2)
-    step_hat = np.zeros_like(bhat)
-    step_hat[1:] = -bhat[1:] * mhat[1:] / (2j * np.pi * k[1:])
-    F1 = np.fft.irfft(bhat * np.fft.rfft(g_delta), n=grid.N)
-    # the step part is a pure kernel sample; shift its origin to x = -L
-    F1 += np.fft.fftshift(np.fft.irfft(step_hat, n=grid.N)) / grid.h
+    ik = 2j * np.pi * grid.k[1:]
+    T = tent_symbol(eps, grid.k[1:])
+    symbol = np.zeros(grid.k.size, dtype=complex)
+    # applied to the slope S0 = -R0', hence T - 1
+    symbol[1:] = (T - 1.0) / (ik * (1.0 + ik * T))
+    F1 = apply_symbol(continuum.slope_profile(), grid, symbol)
     ends = max(abs(F1[0]), abs(F1[-1]))
     if ends > 1e-4:
         raise NumericsError(
@@ -115,10 +119,6 @@ def background_term(eps: float, continuum: ContinuumSolution) -> GridProfile:
             "increase the domain half-length"
         )
     return GridProfile(grid, F1)
-
-
-def _convolve(values: np.ndarray, grid: UniformGrid, symbol_vals: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(symbol_vals * np.fft.rfft(values), n=grid.N)
 
 
 def fixed_point_residual(
@@ -131,7 +131,7 @@ def fixed_point_residual(
     pot = continuum.potential
     R0 = continuum.values
     nl = pot.dphi(R0 + W) - pot.dphi(R0)
-    return W + F1 - _convolve(nl, continuum.grid, a_hat)
+    return W + F1 - apply_symbol(nl, continuum.grid, a_hat)
 
 
 @dataclass
@@ -157,8 +157,8 @@ class FrontSolution:
 
     @property
     def h1_dist_to_R0(self) -> float:
-        """H^1 distance of the profile to the continuum profile."""
-        Wp = spectral_derivative(self.W, self.grid)
+        """H^1 distance of the profile to the continuum profile (W' = S0 - S)."""
+        Wp = self.continuum.slope_profile() - self.S
         return float(
             np.sqrt(np.trapezoid(self.W**2 + Wp**2, dx=self.grid.h))
         )
@@ -365,7 +365,7 @@ def solve_front(
             continuum=continuum,
             R=continuum.values.copy(),
             W=np.zeros(grid.N),
-            S=np.asarray(continuum.slope_profile()),
+            S=continuum.slope_profile(),
             residual_fp=0.0,
             iterations=0,
         )
@@ -407,10 +407,10 @@ def solve_front(
 
         def matvec(y):
             z = M.solve(y)
-            return z - _convolve(P * z, grid, a_hat)
+            return z - apply_symbol(P * z, grid, a_hat)
 
         def rmatvec(v):
-            return M.adjoint(v - P * _convolve(v, grid, a_adj))
+            return M.adjoint(v - P * apply_symbol(v, grid, a_adj))
 
         op = LinearOperator(
             (grid.N, grid.N), matvec=matvec, rmatvec=rmatvec, dtype=float
@@ -458,7 +458,10 @@ def solve_front(
             break
 
     R = R0 + W
-    S = -(pot.dphi(R0) - R0 + spectral_derivative(W, grid))
+    # S = -R' from R = a_eps * dphi(R), through decaying data only
+    S0_hat = np.fft.rfft(continuum.slope_profile())
+    S_hat = a_hat * (S0_hat - 2j * np.pi * grid.k * np.fft.rfft(pot.dphi(R) - R0))
+    S = np.fft.irfft(S_hat, n=grid.N)
     return FrontSolution(
         potential=potential,
         eps=eps,
@@ -503,4 +506,4 @@ def derivative_consistency(sol: FrontSolution) -> float:
     grid = sol.grid
     a_hat = symbol_a(sol.eps, grid.k) if sol.eps > 0 else symbol_a0(grid.k)
     P = sol.potential.d2phi(sol.R)
-    return float(np.max(np.abs(sol.S - _convolve(P * sol.S, grid, a_hat))))
+    return float(np.max(np.abs(sol.S - apply_symbol(P * sol.S, grid, a_hat))))

@@ -45,10 +45,6 @@ class UniformGrid:
         """Real-FFT frequencies (cycles per unit length)."""
         return np.fft.rfftfreq(self.N, d=self.h)
 
-    @cached_property
-    def k_full(self) -> np.ndarray:
-        return np.fft.fftfreq(self.N, d=self.h)
-
     def index_of(self, x0: float) -> int:
         """Index of the grid point at or just left of x0."""
         return int(np.floor((x0 + self.L) / self.h))
@@ -104,24 +100,23 @@ class GridProfile:
         return self.grid.x
 
 
-def apply_symbol(values: np.ndarray, grid: UniformGrid, symbol) -> np.ndarray:
-    """Apply a Fourier multiplier to real samples.
+def apply_symbol(values: np.ndarray, grid: UniformGrid, symbol_values: np.ndarray) -> np.ndarray:
+    """Apply a Fourier multiplier, given on the grid's rfft frequencies, to real samples.
 
-    ``symbol`` is a callable evaluated on the grid's rfft frequencies; it must
-    satisfy the Hermitian symmetry symbol(-k) = conj(symbol(k)), which holds
-    for every kernel in this package (they are all real in physical space).
+    The multiplier must satisfy the Hermitian symmetry symbol(-k) =
+    conj(symbol(k)), which holds for every kernel in this package (they are
+    all real in physical space).
     """
-    fhat = np.fft.rfft(values)
-    return np.fft.irfft(symbol(grid.k) * fhat, n=grid.N)
+    return np.fft.irfft(symbol_values * np.fft.rfft(values), n=grid.N)
 
 
 def spectral_derivative(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    return apply_symbol(values, grid, lambda k: 2j * np.pi * k)
+    return apply_symbol(values, grid, 2j * np.pi * grid.k)
 
 
 def periodic_shift(values: np.ndarray, grid: UniformGrid, shift: float) -> np.ndarray:
     """Samples of f(x + shift) for band-limited periodic f."""
-    return apply_symbol(values, grid, lambda k: np.exp(2j * np.pi * k * shift))
+    return apply_symbol(values, grid, np.exp(2j * np.pi * grid.k * shift))
 
 
 def interpolate_local(

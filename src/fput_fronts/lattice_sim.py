@@ -100,7 +100,7 @@ def init_chain(
     scale = r_minus - r_plus
     if isinstance(source, FrontSolution):
         x = eps * (n - n_center).astype(float)
-        r = r_plus + scale * np.interp(x, source.grid.x, source.R, left=1.0, right=0.0)
+        r = _front_strains(source, x, r_minus, r_plus)
         v = scale * eps * c * np.interp(x, source.grid.x, source.S, left=0.0, right=0.0)
         return LatticeState(
             r=r, v=v, t=0.0, gamma=c / eps, r_left=r_minus, r_right=r_plus
@@ -234,7 +234,13 @@ def run(
     output_every: int = 50,
     eps: float | None = None,
 ) -> Trajectory:
-    """Integrate to time T, recording snapshots and the 1/2-level crossing."""
+    """Integrate to time T, recording snapshots and the mid-level crossing.
+
+    ``eps`` is the front's normalized eps, stored on the trajectory for
+    ``profile_distances``; it defaults to 1 / gamma, which holds for a chain
+    seeded with c = 1.  A chain seeded with c != 1 (gamma = c / eps) passes
+    the normalized eps.
+    """
     if T <= 0 or dt <= 0:
         raise ConfigError("T and dt must be positive")
     if output_every < 1:
@@ -299,18 +305,18 @@ def measure_front_speed(traj: Trajectory) -> tuple[float, float]:
     return linear_fit(t, x)
 
 
-def _sampled_profile(sol: FrontSolution, eps: float, M: int, center: float) -> np.ndarray:
-    n = np.arange(1, M + 1)
-    x = eps * (n - center)
-    return np.interp(x, sol.grid.x, sol.R, left=1.0, right=0.0)
+def _front_strains(sol: FrontSolution, x, r_left: float, r_right: float) -> np.ndarray:
+    """Strains r_right + (r_left - r_right) R(x) of the solved front; the tails clamp."""
+    return r_right + (r_left - r_right) * np.interp(x, sol.grid.x, sol.R, left=1.0, right=0.0)
 
 
 def profile_distances(traj: Trajectory, sol: FrontSolution) -> np.ndarray:
     """Min-over-shift sup distance to the solved front, one value per snapshot."""
     from scipy.optimize import minimize_scalar
 
-    M = traj.snapshots.shape[1]
-    level = 0.5 * (traj.final_state.r_left + traj.final_state.r_right)
+    n = np.arange(1, traj.snapshots.shape[1] + 1)
+    r_left, r_right = traj.final_state.r_left, traj.final_state.r_right
+    level = 0.5 * (r_left + r_right)
     out = np.empty(len(traj.snapshots))
     for k, snap in enumerate(traj.snapshots):
         c = crossing_position(snap, level)
@@ -318,7 +324,8 @@ def profile_distances(traj: Trajectory, sol: FrontSolution) -> np.ndarray:
             raise NumericsError("snapshot has no level crossing to align on")
 
         def dist(center):
-            return float(np.max(np.abs(snap - _sampled_profile(sol, traj.eps, M, center))))
+            x = traj.eps * (n - center)
+            return float(np.max(np.abs(snap - _front_strains(sol, x, r_left, r_right))))
 
         res = minimize_scalar(dist, bounds=(c - 3.0, c + 3.0), method="bounded",
                               options={"xatol": 1e-10})

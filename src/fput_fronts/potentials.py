@@ -307,9 +307,6 @@ class Potential:
         d2 = self.d2phi(grid)
         messages = []
 
-        endpoints = abs(self._dp_a) <= ENDPOINT_TOL and abs(self._dp_b - 1.0) <= ENDPOINT_TOL
-        if not (self.r_plus == 0.0 and self.r_minus == 1.0):
-            endpoints = False
         monotone = bool(np.all(np.diff(dp) > -1e-14 * max(1.0, abs(self._dp_b))))
         convex = bool(np.all(np.diff(d2) > -1e-12 * max(1.0, abs(self._p_b))))
         strictly = bool(np.all(np.diff(d2) > 0) and np.all(d2[1:] > 0))
@@ -334,7 +331,7 @@ class Potential:
             slope = np.inf  # curvature is constant at this resolution
             messages.append("curvature increments vanish near r_plus")
         return ValidationReport(
-            endpoints_normalized=endpoints,
+            endpoints_normalized=self.is_normalized,
             monotone=monotone,
             convex=convex,
             strictly_convex=strictly,

@@ -243,9 +243,8 @@ def kernel_physical(eps: float, L: float = 40.0, N: int | None = None) -> Kernel
     _check_eps_mu(eps, 0.0)
     grid = grid_for(L, max_spacing(eps)) if N is None else UniformGrid(L, N)
     require_bandwidth(grid, eps)
-    kf = grid.k_full
-    a_eps = np.fft.fftshift(np.fft.ifft(symbol_a(eps, kf))).real / grid.h
-    a0 = np.fft.fftshift(np.fft.ifft(symbol_a0(kf))).real / grid.h
+    a_eps = np.fft.fftshift(np.fft.irfft(symbol_a(eps, grid.k), n=grid.N)) / grid.h
+    a0 = np.fft.fftshift(np.fft.irfft(symbol_a0(grid.k), n=grid.N)) / grid.h
     b = a0 - a_eps
     C = cumulative_trapezoid(b, dx=grid.h, initial=0.0)
     B = C[-1] - C

@@ -24,6 +24,7 @@ from fput_fronts.analysis import (
     normalization_check,
     predicted_rates,
 )
+from fput_fronts.front_solver import continuation_sweep
 from fput_fronts.grids import UniformGrid
 
 
@@ -45,6 +46,32 @@ def hertz_sol():
 @pytest.fixture(scope="module")
 def logistic_sol(quad):
     return solve_front(quad, 0.0)
+
+
+# Hertz fronts whose slope S met the periodic seam when it was a spectral
+# derivative of W: the wrap jump of W turned into a ripple at x = -L that
+# grew like 1/h.
+FINE_N = (8192, 32768, 65536)
+SWEEP_EPS = (0.2, 0.1, 0.05)
+
+
+@pytest.fixture(scope="module")
+def hertz_fine():
+    """Hertz eps 0.2 on pinned L = 40 grids, from its default N up."""
+    pot = hertz_potential(1.5)
+    return {N: solve_front(pot, 0.2, grid=UniformGrid(40.0, N)) for N in FINE_N}
+
+
+@pytest.fixture(scope="module")
+def hertz_sweep():
+    """The benchmark's Hertz sweep, every member on its shared N = 32768 grid."""
+    sols = continuation_sweep(hertz_potential(1.5), SWEEP_EPS)
+    return {s.eps: s for s in sols}
+
+
+@pytest.fixture(scope="module")
+def hertz_eps1():
+    return solve_front(hertz_potential(1.5), 1.0)
 
 
 class TestDecayRates:
@@ -98,8 +125,8 @@ class TestDecayRates:
 
 
 class TestMonotonicity:
-    def test_converged_fronts(self, quad_sol, hertz_sol, logistic_sol):
-        for sol in (quad_sol, hertz_sol, logistic_sol):
+    def test_converged_fronts(self, quad_sol, hertz_sol, logistic_sol, hertz_eps1):
+        for sol in (quad_sol, hertz_sol, logistic_sol, hertz_eps1):
             ok, smin = monotonicity_check(sol)
             assert ok
         # logistic slope strictly positive in the interior (it saturates to
@@ -107,6 +134,10 @@ class TestMonotonicity:
         N = logistic_sol.grid.N
         interior = logistic_sol.S[N // 8 : -N // 8]
         assert np.min(interior) > 0.0
+
+    @pytest.mark.parametrize("N", FINE_N)
+    def test_slope_bounded_as_the_grid_refines(self, hertz_fine, N):
+        assert np.min(hertz_fine[N].S) >= -1e-9
 
     def test_oscillatory_negative_control(self):
         x = np.linspace(-10, 10, 600)
@@ -160,10 +191,23 @@ class TestNormalization:
         assert normalization_check(hertz_sol) <= 1e-6
 
 
+# report input -> (fixture, member or None)
+HEALTHY = {
+    "quad": ("quad_sol", None),
+    "hertz": ("hertz_sol", None),
+    "logistic": ("logistic_sol", None),
+    **{f"hertz-fine-{N}": ("hertz_fine", N) for N in FINE_N},
+    **{f"hertz-sweep-{e}": ("hertz_sweep", e) for e in SWEEP_EPS},
+}
+
+
 class TestConsolidatedReport:
-    @pytest.mark.parametrize("which", ["quad", "hertz", "logistic"])
-    def test_healthy_solutions_pass(self, which, quad_sol, hertz_sol, logistic_sol):
-        sol = {"quad": quad_sol, "hertz": hertz_sol, "logistic": logistic_sol}[which]
+    @pytest.mark.parametrize("which", list(HEALTHY))
+    def test_healthy_solutions_pass(self, which, request):
+        fixture, member = HEALTHY[which]
+        sol = request.getfixturevalue(fixture)
+        if member is not None:
+            sol = sol[member]
         checks = consolidated_report(sol)
         failed = [c["name"] for c in checks if not c["pass"]]
         assert failed == []

@@ -119,7 +119,7 @@ class TestLinearization:
     def test_limits_at_ends(self, name, logistic_solution, hertz_solution):
         sol = logistic_solution if name == "quadratic" else hertz_solution
         pot = sol.potential
-        P = sol.linearization_profile()
+        P = pot.d2phi(sol.values)
         assert abs(P[0] - pot.p_minus) <= 1e-6
         assert abs(P[-1] - pot.p_plus) <= 1e-6
 

@@ -174,10 +174,12 @@ class TestUnnormalizedChain:
         sol = solve_front(norm, eps_n)
         state = init_chain(2000, sol, eps_n, r_minus=4.0, r_plus=0.0, c=c)
         assert state.gamma == pytest.approx(10.0)
-        traj = run(state, 50.0, 0.05, raw, output_every=200)
+        traj = run(state, 50.0, 0.05, raw, output_every=200, eps=eps_n)
         c_fit, r2 = measure_front_speed(traj)
         assert abs(c_fit / np.sqrt(2.0) - 1.0) <= 0.02
         assert r2 >= 0.9999
+        # the profile compares in raw strains, scaled to the far fields
+        assert compare_profile(traj, sol) <= 4e-3
 
 
 class TestStepRelaxation:
