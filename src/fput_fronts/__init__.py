@@ -18,7 +18,13 @@ from .analysis import (
     monotonicity_check,
     normalization_check,
 )
-from .continuum import ContinuumSolution, position_of_level, solve_R0, suggest_half_length
+from .continuum import (
+    ContinuumSolution,
+    position_of_level,
+    solve_R0,
+    solver_grid,
+    suggest_half_length,
+)
 from .errors import (
     ConfigError,
     DomainTooSmallError,
@@ -34,7 +40,6 @@ from .front_solver import (
     continuation_sweep,
     derivative_consistency,
     solve_front,
-    solver_grid,
 )
 from .grids import GridProfile, UniformGrid, grid_for
 from .lattice_sim import (
@@ -56,7 +61,7 @@ from .potentials import (
     polynomial_potential,
     quadratic_force_potential,
 )
-from .spectral import PoleData, find_pole, symbol_a, symbol_a0, verify_symbol_bounds
+from .spectral import PoleData, find_pole, symbol_a, verify_symbol_bounds
 
 __version__ = "0.1.0"
 
@@ -105,7 +110,6 @@ __all__ = [
     "step_imex",
     "suggest_half_length",
     "symbol_a",
-    "symbol_a0",
     "verify_symbol_bounds",
     "__version__",
 ]

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .continuum import decay_rates
 from .errors import ConfigError, NumericsError
 from .front_solver import FrontSolution
 from .grids import GridProfile, spectral_derivative
-from .spectral import PoleData, find_pole
+from .spectral import PoleData
 
 WINDOW_LO = 1e-10
 WINDOW_HI = 1e-3
@@ -87,28 +88,19 @@ def _tail_fit(x, S, side: str):
     return lam, r2, (float(xs[0]), float(xs[-1])), xs, ss
 
 
-def predicted_rates(potential, eps: float) -> tuple[float, float]:
-    """(mu_minus, mu_plus) tail rates; continuum rates at eps = 0."""
-    if eps == 0.0:
-        return potential.p_minus - 1.0, 1.0 - potential.p_plus
-    return (
-        find_pole(eps, potential.p_minus).mu_rate,
-        find_pole(eps, potential.p_plus).mu_rate,
-    )
-
-
 def fit_decay_rates(
     sol: FrontSolution, poles: tuple[PoleData, PoleData] | None = None
 ) -> DecayReport:
     """Fit tail rates of S and compare to the symbol-pole predictions.
 
     ``poles`` is (left, right) i.e. (pole at p_minus, pole at p_plus);
-    defaults to computing them from the solution's potential and eps.
+    without it the rates are ``decay_rates(sol.potential, sol.eps)``, the
+    continuum rates at eps = 0.
     """
     if poles is not None:
         mu_minus, mu_plus = poles[0].mu_rate, poles[1].mu_rate
     else:
-        mu_minus, mu_plus = predicted_rates(sol.potential, sol.eps)
+        mu_minus, mu_plus = decay_rates(sol.potential, sol.eps)
     x, S = sol.grid.x, sol.S
     lam_m, r2_m, win_m, xs_m, ss_m = _tail_fit(x, S, "minus")
     lam_p, r2_p, win_p, xs_p, ss_p = _tail_fit(x, S, "plus")
@@ -177,9 +169,8 @@ def consolidated_report(sol: FrontSolution) -> list[dict]:
     j0 = sol.grid.index_of(0.0)
     phase = abs(sol.R[j0] - 0.5)
     add("phase_R0_half", phase, 1e-9, phase <= 1e-9)
-    if sol.eps > 0:
-        rep = fit_decay_rates(sol)
-        add("tail_rate_minus", rep.rel_err_minus, 0.02, rep.rel_err_minus <= 0.02)
-        add("tail_rate_plus", rep.rel_err_plus, 0.02, rep.rel_err_plus <= 0.02)
-        add("tail_fit_r2", rep.fit_r2, 0.999, rep.fit_r2 >= 0.999)
+    rep = fit_decay_rates(sol)
+    add("tail_rate_minus", rep.rel_err_minus, 0.02, rep.rel_err_minus <= 0.02)
+    add("tail_rate_plus", rep.rel_err_plus, 0.02, rep.rel_err_plus <= 0.02)
+    add("tail_fit_r2", rep.fit_r2, 0.999, rep.fit_r2 >= 0.999)
     return checks

@@ -179,23 +179,24 @@ PERTURB = {"amplitude": (_finite, REQUIRED)}
 
 # top-level fields shared by the commands that solve a front
 FRONT = {"potential": (_potential, REQUIRED), "grid": (_grid, None)}
-EPSILON = {"epsilon": (_positive, None), "epsilon_list": (_list_of(_positive), None)}
+EPSILON = {"epsilon": (_positive, REQUIRED)}
+EPSILON_LIST = {"epsilon_list": (_list_of(_positive), REQUIRED)}
 
 
-def _one_form(cfg: dict, key: str, only: str | None = None) -> list:
-    """The values given as ``key`` or as ``key_list``, never both.
+def _either_form(key: str, entry) -> dict:
+    """Optional fields ``key`` and ``key_list``, each value read by ``entry``."""
+    return {key: (entry, None), f"{key}_list": (_list_of(entry), None)}
 
-    ``only`` is "single" or "list" for a command that takes one form.
-    """
+
+def _one_form(cfg: dict, key: str) -> list:
+    """The values given as ``key`` or as ``key_list``, exactly one of them."""
     single, listed = cfg[key], cfg[f"{key}_list"]
     if single is not None and listed is not None:
         raise ConfigError(f"give exactly one of {key} / {key}_list")
-    if only == "single" and listed is not None:
-        raise ConfigError(f"this command takes a single {key}, not {key}_list")
-    if single is not None and only != "list":
+    if single is not None:
         return [single]
     if listed is None:
-        raise ConfigError(f"missing required field: {f'{key}_list' if only == 'list' else key}")
+        raise ConfigError(f"missing required field: {key}")
     return listed
 
 
@@ -331,6 +332,16 @@ def ode(cfg, out):
     click.echo(f"wrote {out_path / 'R0_profile.csv'}")
 
 
+def _advise(payload: dict, eps: float) -> None:
+    """Add a warning to a front command's payload, and stderr, if eps is above advisory."""
+    if eps > EPS0_DEFAULT:
+        payload["warning"] = (
+            f"epsilon {eps:g} exceeds the advisory threshold {EPS0_DEFAULT:g}; "
+            "the expansion this solver is built around degrades here"
+        )
+        click.echo(f"warning: {payload['warning']}", err=True)
+
+
 def _front_payload(sol) -> dict:
     payload = {
         "epsilon": sol.eps,
@@ -343,11 +354,7 @@ def _front_payload(sol) -> dict:
         "h1_dist_to_R0": sol.h1_dist_to_R0,
         "slope_integral": sol.slope_integral,
     }
-    if sol.eps > EPS0_DEFAULT:
-        payload["warning"] = (
-            f"epsilon {sol.eps:g} exceeds the advisory threshold {EPS0_DEFAULT:g}; "
-            "the expansion this solver is built around degrades here"
-        )
+    _advise(payload, sol.eps)
     return payload
 
 
@@ -360,11 +367,9 @@ def front():
 def front_solve(cfg, out):
     """Solve one front profile and write CSV + JSON."""
     _require_normalized(cfg["potential"])
-    (eps,) = _one_form(cfg, "epsilon", "single")
+    eps = cfg["epsilon"]
 
     sol = solve_front(cfg["potential"], eps, grid=cfg["grid"])
-    if eps > EPS0_DEFAULT:
-        click.echo(f"warning: epsilon {eps:g} above advisory threshold {EPS0_DEFAULT:g}", err=True)
     tag = _eps_tag(eps)
     out_path = _out_dir(out)
     write_profile_csv(out_path / f"front_eps{tag}.csv", sol.x, sol.R, sol.S)
@@ -372,11 +377,11 @@ def front_solve(cfg, out):
     click.echo(f"wrote {out_path / f'front_eps{tag}.csv'}")
 
 
-@command(front, "sweep", {**FRONT, **EPSILON})
+@command(front, "sweep", {**FRONT, **EPSILON_LIST})
 def front_sweep(cfg, out):
     """Solve a list of epsilons with warm starts; one CSV per epsilon."""
     _require_normalized(cfg["potential"])
-    eps_list = _one_form(cfg, "epsilon", "list")
+    eps_list = cfg["epsilon_list"]
     tagged = {}
     for e in eps_list:
         tag = _eps_tag(e)
@@ -397,7 +402,7 @@ def front_sweep(cfg, out):
     click.echo(f"wrote {len(sols)} profiles and {out_path / 'sweep_summary.json'}")
 
 
-@command(main, "poles", {"p": (_finite, None), "p_list": (_list_of(_finite), None), **EPSILON})
+@command(main, "poles", {**_either_form("p", _finite), **_either_form("epsilon", _positive)})
 def poles(cfg, out):
     """Locate symbol denominator roots and report exponential tail rates."""
     p_list = _one_form(cfg, "p")
@@ -425,12 +430,12 @@ def poles(cfg, out):
 @command(
     main,
     "symbol-check",
-    {**EPSILON, "s": (_finite, 0.5), "eta_minus": (_finite, 0.5), "eta_plus": (_finite, 0.5)},
+    {**EPSILON_LIST, "s": (_finite, 0.5), "eta_minus": (_finite, 0.5), "eta_plus": (_finite, 0.5)},
 )
 def symbol_check(cfg, out):
     """Fit the epsilon-order of the kernel symbol differences on a strip."""
     report = verify_symbol_bounds(
-        eps_list=tuple(_one_form(cfg, "epsilon", "list")),
+        eps_list=tuple(cfg["epsilon_list"]),
         s=cfg["s"],
         eta_minus=cfg["eta_minus"],
         eta_plus=cfg["eta_plus"],
@@ -487,6 +492,7 @@ def lattice_run(cfg, out, seed):
     }
     if sol is not None:
         summary["max_profile_distance"] = compare_profile(traj, sol)
+        _advise(summary, eps)
 
     out_path = _out_dir(out)
     write_snapshots_csv(out_path / "lattice_snapshots.csv", traj.times, traj.snapshots)
@@ -498,7 +504,7 @@ def lattice_run(cfg, out, seed):
 def report(cfg, out):
     """Solve one front and write the consolidated pass/fail check list."""
     _require_normalized(cfg["potential"])
-    (eps,) = _one_form(cfg, "epsilon", "single")
+    eps = cfg["epsilon"]
 
     sol = solve_front(cfg["potential"], eps, grid=cfg["grid"])
     checks = consolidated_report(sol)
@@ -508,6 +514,7 @@ def report(cfg, out):
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }
+    _advise(payload, eps)
     out_path = _out_dir(out)
     write_json(out_path / "report.json", payload)
     status = "ok" if payload["all_pass"] else "FAILED CHECKS"

@@ -81,12 +81,14 @@ def _gap_rhs(potential: Potential):
     return lambda q: q * (float(np.dot(w, d2phi(1.0 - q * s))) - 1.0) + e1
 
 
-def decay_rates(potential: Potential) -> tuple[float, float]:
-    """Linearized tail rates (left, right) of the normalized front.
+def decay_rates(potential: Potential, eps: float = 0.0) -> tuple[float, float]:
+    """Tail rates (left, right) of the front's slope at tent half-width eps.
 
-    The right tail decays like exp(-(1 - p_plus) x) and the left gap
-    1 - R0 decays like exp((p_minus - 1) x); both exponents must be
-    positive for a monotone front between nondegenerate states.
+    At eps = 0 these are the continuum's linearized rates: the right tail
+    decays like exp(-(1 - p_plus) x) and the left gap 1 - R0 like
+    exp((p_minus - 1) x).  Both exponents must be positive for a monotone
+    front between nondegenerate states.  At eps > 0 they are the kernel pole
+    rates ``find_pole(eps, p).mu_rate`` at p_minus and p_plus.
     """
     m_minus = potential.p_minus - 1.0
     m_plus = 1.0 - potential.p_plus
@@ -95,20 +97,29 @@ def decay_rates(potential: Potential) -> tuple[float, float]:
             f"potential has p_plus={potential.p_plus}, p_minus={potential.p_minus}; "
             "front tail rates require p_plus < 1 < p_minus"
         )
-    return m_minus, m_plus
+    if eps == 0.0:
+        return m_minus, m_plus
+    return find_pole(eps, potential.p_minus).mu_rate, find_pole(eps, potential.p_plus).mu_rate
 
 
 def suggest_half_length(potential: Potential, eps: float = 0.0) -> float:
     """Half-length such that both tails settle far below working precision.
 
-    max(40, 20/min rate), with the continuum's tail rates at eps = 0 and the
-    kernel pole rates at eps > 0.
+    max(40, 20/min rate), with the rates ``decay_rates(potential, eps)``.
     """
-    if eps == 0.0:
-        rates = decay_rates(potential)
-    else:
-        rates = [find_pole(eps, p).mu_rate for p in (potential.p_minus, potential.p_plus)]
-    return max(40.0, 20.0 / min(*rates, 1.0))
+    return max(40.0, 20.0 / min(*decay_rates(potential, eps), 1.0))
+
+
+def solver_grid(potential: Potential, *eps: float) -> UniformGrid:
+    """Default grid for solving the front at every tent half-width in ``eps``.
+
+    Half-length: the largest ``suggest_half_length`` over ``eps``, so every
+    tail settles; spacing at most ``max_spacing`` of the smallest eps, so
+    every tent scale is resolved.  With no eps given, eps = 0.
+    """
+    eps = eps or (0.0,)
+    L = max(suggest_half_length(potential, e) for e in eps)
+    return grid_for(L, max_spacing(min(eps)))
 
 
 class _DenseTable:
@@ -442,17 +453,15 @@ class ContinuumSolution:
 def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> ContinuumSolution:
     """Integrate the continuum front outward from R0(0) = 1/2.
 
-    The potential must be normalized.  The grid defaults to half-length
-    ``suggest_half_length(potential)`` and spacing at most
-    ``max_spacing(0)``.  Raises ``DomainTooSmallError`` with a suggested
-    half-length if either tail has not settled to within 1e-8 at the window
-    ends.
+    The potential must be normalized.  The grid defaults to
+    ``solver_grid(potential)``.  Raises ``DomainTooSmallError`` with a
+    suggested half-length, from the solution's tail rates, if either tail
+    has not settled to within 1e-8 at the window ends.
     """
     if not potential.is_normalized:
         raise ConfigError("continuum front solve requires a normalized potential")
-    m_minus, m_plus = decay_rates(potential)
     if grid is None:
-        grid = grid_for(suggest_half_length(potential), max_spacing(0.0))
+        grid = solver_grid(potential)
     L = grid.L
 
     dphi = potential.dphi
@@ -467,9 +476,9 @@ def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> Continuum
     if end_r > SETTLE_TOL or end_l > SETTLE_TOL:
         need = L
         if end_r > SETTLE_TOL:
-            need = max(need, L + np.log(end_r / 1e-9) / m_plus)
+            need = max(need, L + np.log(end_r / 1e-9) / sol.m_plus)
         if end_l > SETTLE_TOL:
-            need = max(need, L + np.log(end_l / 1e-9) / m_minus)
+            need = max(need, L + np.log(end_l / 1e-9) / sol.m_minus)
         suggested = float(np.ceil(need / 10.0) * 10.0)
         raise DomainTooSmallError(
             f"tails have not settled at x = +-{L}: "

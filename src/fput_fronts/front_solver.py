@@ -7,8 +7,10 @@ R0 = a0 * dphi(R0), the correction W solves
     F(W) = W + F1 - a_eps * (dphi(R0 + W) - dphi(R0)) = 0,
 
 where the background term F1 = (a0 - a_eps) * dphi(R0) is a fixed, O(eps^2)
-forcing (the tent symbol is even in eps).  Everything lives on a periodic
-grid; convolutions are Fourier multipliers.
+forcing (the tent symbol is even in eps).  At eps = 0 it is exactly 0 and
+W = 0 solves the map: the continuum limit is the base point of the same
+solve, not a separate case.  Everything lives on a periodic grid;
+convolutions are Fourier multipliers.
 
 The linearization J = I - a_eps * (P .), P = d2phi(R), is singular at a
 solution (translation mode R').  Its continuum limit I - a0 * (P .) =
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .continuum import ContinuumSolution, solve_R0, suggest_half_length
+from .continuum import ContinuumSolution, solve_R0, solver_grid
 from .errors import (
     ConfigError,
     KrylovStagnationError,
@@ -66,14 +68,12 @@ from .grids import (
     GridProfile,
     UniformGrid,
     apply_symbol,
-    grid_for,
     interpolate_local,
-    max_spacing,
     periodic_shift,
     require_bandwidth,
 )
 from .potentials import Potential
-from .spectral import symbol_a, symbol_a0, tent_symbol
+from .spectral import symbol_a, tent_symbol
 
 # Newton stops once the sup residual falls below NEWTON_TOL or the sup step
 # below STEP_TOL, and gives up after MAX_NEWTON steps; each step's LSMR
@@ -85,26 +85,16 @@ KRYLOV_MAXITER = 400
 MAX_NEWTON = 30
 
 
-def solver_grid(potential: Potential, eps: float) -> UniformGrid:
-    """Default grid: tails settled far below tolerance, tent scale resolved.
-
-    Half-length ``suggest_half_length(potential, eps)``; spacing at most
-    ``max_spacing(eps)``.
-    """
-    return grid_for(suggest_half_length(potential, eps), max_spacing(eps))
-
-
 def background_term(eps: float, continuum: ContinuumSolution) -> GridProfile:
     """The forcing F1 = (a0 - a_eps) * dphi(R0) on the continuum's grid.
 
     Through R0' = dphi(R0) - R0 it is the multiplier (1 - T)/(ik (1 + ik T))
-    on the decaying R0' (0 at k = 0).  Vanishes identically at eps = 0 and
-    decays at both ends; raises if the computed end values exceed 1e-4
-    (domain or bandwidth problem).
+    on the decaying R0' (0 at k = 0).  At eps = 0, T = 1 exactly, so the
+    multiplier and F1 are exactly 0.  F1 decays at both ends; raises if the
+    computed end values exceed 1e-4 (domain or bandwidth problem), and
+    ``ConfigError`` if the grid spacing exceeds ``max_spacing(eps)``.
     """
     grid = continuum.grid
-    if eps == 0.0:
-        return GridProfile(grid, np.zeros(grid.N))
     require_bandwidth(grid, eps)
     ik = 2j * np.pi * grid.k[1:]
     T = tent_symbol(eps, grid.k[1:])
@@ -336,8 +326,11 @@ def solve_front(
 ) -> FrontSolution:
     """Newton-Krylov solve of the front fixed point at a given eps.
 
-    The grid defaults to ``solver_grid(potential, eps)``.  ``eps = 0``
-    returns the continuum profile exactly (W = 0).  Warm starts pass
+    The grid defaults to ``solver_grid(potential, eps)``; a pinned grid
+    must have spacing at most ``max_spacing(eps)`` (0.05 at eps = 0) or
+    ``ConfigError`` is raised.  eps = 0 takes the same path: the background
+    term is exactly 0 there, so from a cold start F(0) = 0, no Newton step
+    runs, and R is R0 bitwise.  Warm starts pass
     ``initial`` (a W profile on the same grid), which is re-centered once
     so that R crosses 1/2 at x = 0; every Newton step then keeps R(0) = 1/2
     (the pinned preconditioner).  Convergence when the sup residual falls
@@ -352,23 +345,9 @@ def solve_front(
         raise ConfigError(f"eps must be nonnegative, got {eps}")
     if grid is None:
         grid = solver_grid(potential, eps)
-    if eps > 0:
-        require_bandwidth(grid, eps)
+    require_bandwidth(grid, eps)
     if continuum is None or continuum.grid is not grid or continuum.potential is not potential:
         continuum = solve_R0(potential, grid=grid)
-
-    if eps == 0.0:
-        return FrontSolution(
-            potential=potential,
-            eps=0.0,
-            grid=grid,
-            continuum=continuum,
-            R=continuum.values.copy(),
-            W=np.zeros(grid.N),
-            S=continuum.slope_profile(),
-            residual_fp=0.0,
-            iterations=0,
-        )
 
     F1 = background_term(eps, continuum).values
     a_hat = symbol_a(eps, grid.k)
@@ -482,15 +461,15 @@ def continuation_sweep(
 ) -> list[FrontSolution]:
     """Solve a family of fronts in ascending eps with warm starts.
 
-    All solves share one grid (fine enough for the smallest eps, long
-    enough for every member), so the previous correction seeds the next.
+    All solves share one grid, by default ``solver_grid(potential,
+    *eps_list)`` (fine enough for the smallest eps, long enough for every
+    member), so the previous correction seeds the next.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if not eps_list or eps_list[0] <= 0:
         raise ConfigError("continuation needs positive eps values")
     if grid is None:
-        L = max(suggest_half_length(potential, e) for e in eps_list)
-        grid = grid_for(L, max_spacing(eps_list[0]))
+        grid = solver_grid(potential, *eps_list)
     continuum = solve_R0(potential, grid=grid)
     out: list[FrontSolution] = []
     W = None
@@ -504,6 +483,6 @@ def continuation_sweep(
 def derivative_consistency(sol: FrontSolution) -> float:
     """Sup defect of the differentiated fixed point S = a_eps*(d2phi(R) S)."""
     grid = sol.grid
-    a_hat = symbol_a(sol.eps, grid.k) if sol.eps > 0 else symbol_a0(grid.k)
+    a_hat = symbol_a(sol.eps, grid.k)
     P = sol.potential.d2phi(sol.R)
     return float(np.max(np.abs(sol.S - apply_symbol(P * sol.S, grid, a_hat))))

@@ -7,10 +7,10 @@ of the traveling-wave equation is
 
     a_hat(k) = T / (1 + 2*pi*i*k*T),       T = sinc^2(eps*pi*k),
 
-with the eps -> 0 limit 1/(1 + 2*pi*i*k), the one-sided exponential.  The
-linearization about a far-field state with curvature mu generalizes the
-denominator to 1 - mu*T + 2*pi*i*k*T; in the rescaled variable z = eps*pi*k
-this reads
+whose eps -> 0 limit 1/(1 + 2*pi*i*k), the one-sided exponential, is the
+same formula at eps = 0, where T = 1 exactly.  The linearization about a
+far-field state with curvature mu generalizes the denominator to
+1 - mu*T + 2*pi*i*k*T; in the rescaled variable z = eps*pi*k this reads
 
     A(z) = eps * sin(z)^2 / D(z),
     D(z) = eps*z^2 - eps*mu*sin(z)^2 + 2*i*z*sin(z)^2.
@@ -63,12 +63,6 @@ def tent_symbol(eps: float, k):
     return sinc2(eps * np.pi * np.asarray(k))
 
 
-def symbol_a0(k):
-    """eps -> 0 limit kernel: one-sided exponential exp(-x) on x >= 0."""
-    k = np.asarray(k)
-    return 1.0 / (1.0 + 2j * np.pi * k)
-
-
 def symbol_a_mu(eps: float, mu: float, k):
     """Linearized fixed-point kernel symbol T / (1 - mu*T + 2*pi*i*k*T).
 
@@ -86,7 +80,11 @@ def symbol_a_mu(eps: float, mu: float, k):
 
 
 def symbol_a(eps: float, k):
-    """Fixed-point kernel symbol of the traveling-wave equation (mu = 0)."""
+    """Fixed-point kernel symbol of the traveling-wave equation (mu = 0).
+
+    At eps = 0 it is 1/(1 + 2*pi*i*k), the symbol of the one-sided
+    exponential exp(-x) on x >= 0, since sinc2(0) is exactly 1.
+    """
     return symbol_a_mu(eps, 0.0, k)
 
 
@@ -244,7 +242,7 @@ def kernel_physical(eps: float, L: float = 40.0, N: int | None = None) -> Kernel
     grid = grid_for(L, max_spacing(eps)) if N is None else UniformGrid(L, N)
     require_bandwidth(grid, eps)
     a_eps = np.fft.fftshift(np.fft.irfft(symbol_a(eps, grid.k), n=grid.N)) / grid.h
-    a0 = np.fft.fftshift(np.fft.irfft(symbol_a0(grid.k), n=grid.N)) / grid.h
+    a0 = np.fft.fftshift(np.fft.irfft(symbol_a(0.0, grid.k), n=grid.N)) / grid.h
     b = a0 - a_eps
     C = cumulative_trapezoid(b, dx=grid.h, initial=0.0)
     B = C[-1] - C
@@ -350,7 +348,7 @@ def verify_symbol_bounds(
         )
         k_real = np.concatenate([-mags[::-1], mags])
         K = (k_real[None, :] + 1j * offsets[:, None]).ravel()
-        diff = symbol_a(eps, K) - symbol_a0(K)
+        diff = symbol_a(eps, K) - symbol_a(0.0, K)
         sup_diff.append(np.max(np.abs(diff)))
         weight = 1.0 + np.abs(K) ** (1.0 - s)
         sup_weighted.append(np.max(np.abs(diff) * weight))

@@ -22,10 +22,11 @@ from fput_fronts.analysis import (
     h1_distance,
     monotonicity_check,
     normalization_check,
-    predicted_rates,
 )
+from fput_fronts.continuum import decay_rates
 from fput_fronts.front_solver import continuation_sweep
 from fput_fronts.grids import UniformGrid
+from fput_fronts.spectral import find_pole
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,11 @@ def hertz_sol():
 @pytest.fixture(scope="module")
 def logistic_sol(quad):
     return solve_front(quad, 0.0)
+
+
+@pytest.fixture(scope="module")
+def hertz_zero():
+    return solve_front(hertz_potential(1.5), 0.0)
 
 
 # Hertz fronts whose slope S met the periodic seam when it was a spectral
@@ -119,9 +125,10 @@ class TestDecayRates:
         assert abs(rep2.lambda_fit_plus - rep.lambda_fit_plus) < 1e-10
 
     def test_predicted_rates_continuum_limit(self, quad):
-        assert predicted_rates(quad, 0.0) == (1.0, 1.0)
-        mm, mp = predicted_rates(quad, 0.1)
+        assert decay_rates(quad, 0.0) == (1.0, 1.0)
+        mm, mp = decay_rates(quad, 0.1)
         assert 0 < mp < 1 < mm
+        assert (mm, mp) == (find_pole(0.1, 2.0).mu_rate, find_pole(0.1, 0.0).mu_rate)
 
 
 class TestMonotonicity:
@@ -196,6 +203,7 @@ HEALTHY = {
     "quad": ("quad_sol", None),
     "hertz": ("hertz_sol", None),
     "logistic": ("logistic_sol", None),
+    "hertz-zero": ("hertz_zero", None),
     **{f"hertz-fine-{N}": ("hertz_fine", N) for N in FINE_N},
     **{f"hertz-sweep-{e}": ("hertz_sweep", e) for e in SWEEP_EPS},
 }
@@ -212,17 +220,18 @@ class TestConsolidatedReport:
         failed = [c["name"] for c in checks if not c["pass"]]
         assert failed == []
 
-    def test_report_shape(self, quad_sol):
-        checks = consolidated_report(quad_sol)
-        assert {c["name"] for c in checks} >= {
-            "residual_fp",
-            "residual_tent",
-            "monotone_min_S",
-            "slope_normalization",
-            "phase_R0_half",
-            "tail_rate_minus",
-            "tail_rate_plus",
-            "tail_fit_r2",
-        }
-        for c in checks:
-            assert set(c) == {"name", "value", "threshold", "pass"}
+    def test_report_shape(self, quad_sol, logistic_sol):
+        for sol in (quad_sol, logistic_sol):
+            checks = consolidated_report(sol)
+            assert [c["name"] for c in checks] == [
+                "residual_fp",
+                "residual_tent",
+                "monotone_min_S",
+                "slope_normalization",
+                "phase_R0_half",
+                "tail_rate_minus",
+                "tail_rate_plus",
+                "tail_fit_r2",
+            ]
+            for c in checks:
+                assert set(c) == {"name", "value", "threshold", "pass"}

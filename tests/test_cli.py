@@ -200,6 +200,25 @@ def test_one_file_commands_take_epsilons_that_print_alike(runner, tmp_path, comm
     assert (out / name).exists()
 
 
+@pytest.mark.parametrize(
+    "command, cfg, name",
+    [
+        (["report"], {"epsilon": 0.6}, "report.json"),
+        (["front", "sweep"], {"epsilon_list": [0.6]}, "sweep_summary.json"),
+        (["lattice", "run"], {"lattice": {"M": 200, "T": 2.0, "gamma": 1.6}}, "lattice_summary.json"),
+    ],
+    ids=["report", "sweep", "lattice"],
+)
+def test_every_front_payload_warns_above_advisory(runner, tmp_path, command, cfg, name):
+    cfg = write_cfg(tmp_path, {"potential": {"kind": "quadratic"}, **cfg})
+    out = tmp_path / "o"
+    res = runner.invoke(main, [*command, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    data = json.loads((out / name).read_text())
+    payload = data["members"][0] if command == ["front", "sweep"] else data
+    assert "advisory" in payload["warning"]
+
+
 class TestSymbolCheck:
     def test_orders_emitted(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, {"epsilon_list": [0.2, 0.1, 0.05]})
@@ -501,6 +520,8 @@ class TestConfigFields:
             (["poles"], {"p": 0.0, "epsilon": 0.1, "grid": "auto"}, "grid"),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "potential": QUAD}, "potential"),
             (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1], "s": 0.5}, "s"),
+            (["front", "sweep"], {"potential": QUAD, "epsilon": 0.1}, "epsilon"),
+            (["symbol-check"], {"epsilon": 0.1}, "epsilon"),
             (["lattice", "run"], {"potential": QUAD, "lattice": LATTICE, "perturb": {"amplitude": 1e-3, "seed": 5}}, "seed"),
         ],
         ids=[
@@ -515,6 +536,8 @@ class TestConfigFields:
             "poles_grid",
             "symbol_potential",
             "sweep_s",
+            "sweep_epsilon",
+            "symbol_epsilon",
             "perturb_seed",
         ],
     )
@@ -530,16 +553,20 @@ class TestConfigFields:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "cfg, message",
+        "command, cfg, message",
         [
-            ({"epsilon": 0.1, "epsilon_list": [0.1]}, "give exactly one of epsilon / epsilon_list"),
-            ({"epsilon_list": [0.1]}, "this command takes a single epsilon, not epsilon_list"),
+            (
+                ["poles"],
+                {"p": 0.0, "epsilon": 0.1, "epsilon_list": [0.1]},
+                "give exactly one of epsilon / epsilon_list",
+            ),
+            (["report"], {"potential": QUAD, "epsilon_list": [0.1]}, "unknown config fields: epsilon_list"),
         ],
         ids=["both", "list_for_single"],
     )
-    def test_epsilon_forms_keep_their_messages(self, runner, tmp_path, cfg, message):
-        cfg = write_cfg(tmp_path, {"potential": self.QUAD, **cfg})
-        res = runner.invoke(main, ["report", "--config", cfg, "--out", str(tmp_path / "o")])
+    def test_epsilon_forms_keep_their_messages(self, runner, tmp_path, command, cfg, message):
+        cfg = write_cfg(tmp_path, cfg)
+        res = runner.invoke(main, [*command, "--config", cfg, "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert res.output.strip() == "config error: " + message
 

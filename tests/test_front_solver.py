@@ -26,7 +26,7 @@ from fput_fronts.front_solver import (
     solver_grid,
 )
 from fput_fronts.grids import UniformGrid, periodic_shift
-from fput_fronts.spectral import kernel_physical, symbol_a, symbol_a0
+from fput_fronts.spectral import kernel_physical, symbol_a
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,9 @@ class TestGridGuards:
     def test_coarse_grid_rejected(self, quad):
         with pytest.raises(ConfigError):
             solve_front(quad, 0.1, grid=UniformGrid(40.0, 512))
+        # the bandwidth rule holds at eps = 0 too: h = 0.078 > max_spacing(0)
+        with pytest.raises(ConfigError):
+            solve_front(quad, 0.0, grid=UniformGrid(40.0, 1024))
 
     def test_bandwidth_for_small_eps(self, quad):
         # 1/(2h) must cover 8/eps; N = 4096 on L = 40 gives h close to 0.02,
@@ -121,6 +124,11 @@ class TestGridGuards:
         g = solver_grid(quad, 0.05)
         assert g.h <= 0.05
         assert 1.0 / (2.0 * g.h) >= 8.0 / 0.05
+
+    def test_continuum_default_grid_is_the_solver_grid(self, quad):
+        # hertz 1.2 has left rate 0.2, so a longer half-length (100)
+        for pot in (quad, hertz_potential(1.2)):
+            assert solve_R0(pot).grid == solver_grid(pot) == solver_grid(pot, 0.0)
 
 
 class TestSolverContract:
@@ -148,6 +156,8 @@ class TestSolverContract:
         sol = solve_front(quad, 0.0)
         assert sol.iterations == 0
         assert np.all(sol.W == 0.0)
+        assert np.array_equal(sol.R, sol.continuum.values)
+        assert np.max(np.abs(sol.S - sol.continuum.slope_profile())) <= 1e-15
         exact = 1.0 / (1.0 + np.exp(sol.grid.x))
         assert np.max(np.abs(sol.R - exact)) <= 1e-9
 
@@ -206,6 +216,7 @@ class TestContinuation:
         eps_list = [0.4, 0.2, 0.1, 0.05]
         sols = continuation_sweep(quad, eps_list)
         assert [s.eps for s in sols] == sorted(eps_list)
+        assert all(s.grid == solver_grid(quad, *eps_list) for s in sols)
         h1 = np.array([s.h1_dist_to_R0 for s in sols])
         assert np.all(np.diff(h1) > 0)  # distance grows with eps
         slope = np.polyfit(np.log(sorted(eps_list)), np.log(h1), 1)[0]
@@ -325,7 +336,7 @@ class TestContinuumInverse:
             P = _logistic_curvature(g)
             r = np.exp(-((g.x - 1.0) ** 2))
             z = _ContinuumInverse(P, g.h, N // 2).solve(r)
-            back = z - np.fft.irfft(symbol_a0(g.k) * np.fft.rfft(P * z), n=N)
+            back = z - np.fft.irfft(symbol_a(0.0, g.k) * np.fft.rfft(P * z), n=N)
             errs.append(float(np.max(np.abs(back - r))))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all((orders > 1.9) & (orders < 2.1))

@@ -15,7 +15,6 @@ from fput_fronts.spectral import (
     residue_symbol,
     sinc2,
     symbol_a,
-    symbol_a0,
     symbol_a_mu,
     tent_symbol,
     verify_symbol_bounds,
@@ -80,14 +79,17 @@ class TestTentSymbol:
 
 class TestLimitSymbol:
     def test_against_quadrature(self):
-        """symbol_a0 equals the transform of exp(-x) on x >= 0."""
+        """symbol_a at eps = 0 equals the transform of exp(-x) on x >= 0."""
         for k in (0.11, 0.37, 2.5):
             w = 2 * np.pi * k
             re, _ = quad(lambda x: np.exp(-x), 0, np.inf, weight="cos", wvar=w)
             im, _ = quad(lambda x: np.exp(-x), 0, np.inf, weight="sin", wvar=w)
-            val = symbol_a0(k)
+            val = symbol_a(0.0, k)
             assert val.real == pytest.approx(re, abs=1e-12)
             assert val.imag == pytest.approx(-im, abs=1e-12)
+        # sinc2(0) is exactly 1, so on grid frequencies it is the closed form
+        k = np.fft.rfftfreq(4096, d=80.0 / 4096)
+        assert np.array_equal(symbol_a(0.0, k), 1.0 / (1.0 + 2j * np.pi * k))
 
 
 class TestKernelSymbol:
