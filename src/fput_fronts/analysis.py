@@ -17,7 +17,6 @@ from .continuum import decay_rates
 from .errors import ConfigError, NumericsError
 from .front_solver import FrontSolution
 from .grids import GridProfile, spectral_derivative
-from .spectral import PoleData
 
 WINDOW_LO = 1e-10
 WINDOW_HI = 1e-3
@@ -41,21 +40,6 @@ class DecayReport:
     @property
     def fit_r2(self) -> float:
         return min(self.fit_r2_minus, self.fit_r2_plus)
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda_fit_minus": self.lambda_fit_minus,
-            "lambda_fit_plus": self.lambda_fit_plus,
-            "mu_pred_minus": self.mu_pred_minus,
-            "mu_pred_plus": self.mu_pred_plus,
-            "window_minus": list(self.window_minus),
-            "window_plus": list(self.window_plus),
-            "fit_r2": self.fit_r2,
-            "rel_err_minus": self.rel_err_minus,
-            "rel_err_plus": self.rel_err_plus,
-            "bound_ratio_minus": self.bound_ratio_minus,
-            "bound_ratio_plus": self.bound_ratio_plus,
-        }
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -88,19 +72,13 @@ def _tail_fit(x, S, side: str):
     return lam, r2, (float(xs[0]), float(xs[-1])), xs, ss
 
 
-def fit_decay_rates(
-    sol: FrontSolution, poles: tuple[PoleData, PoleData] | None = None
-) -> DecayReport:
+def fit_decay_rates(sol: FrontSolution) -> DecayReport:
     """Fit tail rates of S and compare to the symbol-pole predictions.
 
-    ``poles`` is (left, right) i.e. (pole at p_minus, pole at p_plus);
-    without it the rates are ``decay_rates(sol.potential, sol.eps)``, the
-    continuum rates at eps = 0.
+    The predictions are ``decay_rates(sol.potential, sol.eps)``: the kernel
+    pole rates at ``sol.eps`` (the continuum rates when it is 0).
     """
-    if poles is not None:
-        mu_minus, mu_plus = poles[0].mu_rate, poles[1].mu_rate
-    else:
-        mu_minus, mu_plus = decay_rates(sol.potential, sol.eps)
+    mu_minus, mu_plus = decay_rates(sol.potential, sol.eps)
     x, S = sol.grid.x, sol.S
     lam_m, r2_m, win_m, xs_m, ss_m = _tail_fit(x, S, "minus")
     lam_p, r2_p, win_p, xs_p, ss_p = _tail_fit(x, S, "plus")
@@ -123,14 +101,8 @@ def fit_decay_rates(
     )
 
 
-def monotonicity_check(obj) -> tuple[bool, float]:
-    """(min S >= -1e-8, min S); accepts a FrontSolution, profile, or array."""
-    if isinstance(obj, FrontSolution):
-        S = obj.S
-    elif isinstance(obj, GridProfile):
-        S = obj.values
-    else:
-        S = np.asarray(obj, dtype=float)
+def monotonicity_check(S: np.ndarray) -> tuple[bool, float]:
+    """(min S >= -1e-8, min S) for the slope array S."""
     m = float(np.min(S))
     return m >= -1e-8, m
 
@@ -162,7 +134,7 @@ def consolidated_report(sol: FrontSolution) -> list[dict]:
         sol.residual_fp <= 1e-9 * sol.grid.N)
     tent = sol.residual_tent()
     add("residual_tent", tent, 1e-7, tent <= 1e-7)
-    ok_mono, smin = monotonicity_check(sol)
+    ok_mono, smin = monotonicity_check(sol.S)
     add("monotone_min_S", smin, -1e-8, ok_mono)
     norm = normalization_check(sol)
     add("slope_normalization", norm, 1e-6, norm <= 1e-6)

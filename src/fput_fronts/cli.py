@@ -183,23 +183,6 @@ EPSILON = {"epsilon": (_positive, REQUIRED)}
 EPSILON_LIST = {"epsilon_list": (_list_of(_positive), REQUIRED)}
 
 
-def _either_form(key: str, entry) -> dict:
-    """Optional fields ``key`` and ``key_list``, each value read by ``entry``."""
-    return {key: (entry, None), f"{key}_list": (_list_of(entry), None)}
-
-
-def _one_form(cfg: dict, key: str) -> list:
-    """The values given as ``key`` or as ``key_list``, exactly one of them."""
-    single, listed = cfg[key], cfg[f"{key}_list"]
-    if single is not None and listed is not None:
-        raise ConfigError(f"give exactly one of {key} / {key}_list")
-    if single is not None:
-        return [single]
-    if listed is None:
-        raise ConfigError(f"missing required field: {key}")
-    return listed
-
-
 def _require_normalized(potential) -> None:
     """Commands that solve a front need the normalized setting; name what is off."""
     if potential.is_normalized:
@@ -402,15 +385,12 @@ def front_sweep(cfg, out):
     click.echo(f"wrote {len(sols)} profiles and {out_path / 'sweep_summary.json'}")
 
 
-@command(main, "poles", {**_either_form("p", _finite), **_either_form("epsilon", _positive)})
+@command(main, "poles", {"p_list": (_list_of(_finite), REQUIRED), **EPSILON_LIST})
 def poles(cfg, out):
     """Locate symbol denominator roots and report exponential tail rates."""
-    p_list = _one_form(cfg, "p")
-    eps_list = _one_form(cfg, "epsilon")
-
     entries = []
-    for p in p_list:
-        for eps in eps_list:
+    for p in cfg["p_list"]:
+        for eps in cfg["epsilon_list"]:
             pole = find_pole(eps, p)
             entries.append(
                 {

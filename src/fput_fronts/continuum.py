@@ -113,13 +113,14 @@ def suggest_half_length(potential: Potential, eps: float = 0.0) -> float:
 def solver_grid(potential: Potential, *eps: float) -> UniformGrid:
     """Default grid for solving the front at every tent half-width in ``eps``.
 
-    Half-length: the largest ``suggest_half_length`` over ``eps``, so every
-    tail settles; spacing at most ``max_spacing`` of the smallest eps, so
-    every tent scale is resolved.  With no eps given, eps = 0.
+    Spacing: the smallest ``max_spacing`` over ``eps``, so every tent scale
+    is resolved (and every eps is checked against the cap before any pole
+    search); half-length: the largest ``suggest_half_length``, so every
+    tail settles.  With no eps given, eps = 0.
     """
     eps = eps or (0.0,)
-    L = max(suggest_half_length(potential, e) for e in eps)
-    return grid_for(L, max_spacing(min(eps)))
+    h = min(max_spacing(e) for e in eps)
+    return grid_for(max(suggest_half_length(potential, e) for e in eps), h)
 
 
 class _DenseTable:

@@ -326,11 +326,12 @@ def solve_front(
 ) -> FrontSolution:
     """Newton-Krylov solve of the front fixed point at a given eps.
 
-    The grid defaults to ``solver_grid(potential, eps)``; a pinned grid
-    must have spacing at most ``max_spacing(eps)`` (0.05 at eps = 0) or
-    ``ConfigError`` is raised.  eps = 0 takes the same path: the background
-    term is exactly 0 there, so from a cold start F(0) = 0, no Newton step
-    runs, and R is R0 bitwise.  Warm starts pass
+    eps must lie in [0, ``EPS_HARD_MAX``] on every grid.  The grid defaults
+    to ``solver_grid(potential, eps)``; a pinned grid must have spacing at
+    most ``max_spacing(eps)`` (0.05 at eps = 0) or ``ConfigError`` is
+    raised.  eps = 0 takes the same path: the background term is exactly 0
+    there, so from a cold start F(0) = 0, no Newton step runs, and R is R0
+    bitwise.  Warm starts pass
     ``initial`` (a W profile on the same grid), which is re-centered once
     so that R crosses 1/2 at x = 0; every Newton step then keeps R(0) = 1/2
     (the pinned preconditioner).  Convergence when the sup residual falls
@@ -338,11 +339,10 @@ def solve_front(
     non-improving steps, or ``MAX_NEWTON`` steps, raise
     ``NewtonDivergenceError``, whose diagnostics hold one record per Newton
     step (sup residual after the step, damping factor, LSMR stop code and
-    iterations).  A ``continuum`` is reused only if it was solved for this
-    potential on this grid; otherwise R0 is solved afresh.
+    iterations), as does a non-finite residual; a non-finite ``initial``
+    is a ``ConfigError``.  A ``continuum`` is reused only if it was solved
+    for this potential on this grid; otherwise R0 is solved afresh.
     """
-    if eps < 0:
-        raise ConfigError(f"eps must be nonnegative, got {eps}")
     if grid is None:
         grid = solver_grid(potential, eps)
     require_bandwidth(grid, eps)
@@ -359,8 +359,8 @@ def solve_front(
         W = np.zeros(grid.N)
     else:
         W = np.array(initial, dtype=float)
-        if W.shape != (grid.N,):
-            raise ConfigError("warm-start profile does not match the grid")
+        if W.shape != (grid.N,) or not np.all(np.isfinite(W)):
+            raise ConfigError("warm-start profile must be N finite values on the grid")
         W, _ = _recenter(W, continuum)
 
     def residual(Wv):
@@ -435,6 +435,11 @@ def solve_front(
             )
         if float(np.max(np.abs(step * dW))) <= STEP_TOL:
             break
+    if not np.isfinite(res_norm):
+        raise NewtonDivergenceError(
+            f"non-finite residual after {iteration} Newton steps at eps={eps}",
+            diagnostics={"steps": steps},
+        )
 
     R = R0 + W
     # S = -R' from R = a_eps * dphi(R), through decaying data only
@@ -470,6 +475,8 @@ def continuation_sweep(
         raise ConfigError("continuation needs positive eps values")
     if grid is None:
         grid = solver_grid(potential, *eps_list)
+    for e in eps_list:  # every member's eps cap and spacing, before any solve
+        require_bandwidth(grid, e)
     continuum = solve_R0(potential, grid=grid)
     out: list[FrontSolution] = []
     W = None

@@ -58,8 +58,19 @@ def grid_for(L: float, h_max: float) -> UniformGrid:
     return UniformGrid(L, n)
 
 
+# Largest tent half-width: the kernel symbols and their poles stay well
+# defined up to here (values above ``spectral.EPS0_DEFAULT`` are experimental)
+EPS_HARD_MAX = 1.0
+
+
 def max_spacing(eps: float) -> float:
-    """Largest grid spacing at tent half-width eps: 0.05, and eps/16 (Nyquist 8/eps)."""
+    """Largest grid spacing at tent half-width eps: 0.05, and eps/16 (Nyquist 8/eps).
+
+    Every front solve asks for it before any numerics, so it is also the
+    one rule that rejects eps outside [0, ``EPS_HARD_MAX``] (``ConfigError``).
+    """
+    if not 0.0 <= eps <= EPS_HARD_MAX:
+        raise ConfigError(f"eps must lie in [0, {EPS_HARD_MAX}], got {eps}")
     return min(0.05, eps / 16.0) if eps > 0 else 0.05
 
 

@@ -71,21 +71,20 @@ def init_chain(
     M: int,
     source,
     eps: float,
-    n_center: int | None = None,
     r_minus: float = 1.0,
     r_plus: float = 0.0,
     c: float = 1.0,
 ) -> LatticeState:
     """Initial state from either a solved front or a sharp step.
 
-    Front source (normalized defaults): r_n = R(eps (n - n_center)),
+    Front source (normalized defaults): r_n = R(eps (n - M // 2)),
     v_n = eps S at the same points (the traveling-wave time derivative at
     unit speed).  Outside the stored profile the tails are clamped to the
     asymptotic values.  For an unnormalized chain pass the raw far fields
     and the jump-condition speed c: the profile is scaled affinely,
     v picks up the factor (r_minus - r_plus) c, and gamma = c / eps keeps
     the physical damping consistent with the time rescaling t -> c t.
-    Step source jumps from r_minus to r_plus at the center with zero
+    Step source jumps from r_minus to r_plus at site M // 2 with zero
     velocities (the ghosts follow the far fields in both cases).
     """
     if M < 200:
@@ -94,9 +93,8 @@ def init_chain(
         raise ConfigError("eps must be positive")
     if c <= 0:
         raise ConfigError("front speed must be positive")
-    if n_center is None:
-        n_center = M // 2
     n = np.arange(1, M + 1)
+    n_center = M // 2
     scale = r_minus - r_plus
     if isinstance(source, FrontSolution):
         x = eps * (n - n_center).astype(float)

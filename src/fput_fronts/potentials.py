@@ -24,6 +24,8 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConfigError
 
 ENDPOINT_TOL = 1e-12
+# points of the core interval that Potential.validate samples
+VALIDATE_SAMPLES = 2048
 
 
 class PotentialError(ConfigError):
@@ -294,15 +296,15 @@ class Potential:
         )
         return normalized, fmap
 
-    def validate(self, n_samples: int = 2048) -> ValidationReport:
-        """Structural checks on a sampled grid of the core interval.
+    def validate(self) -> ValidationReport:
+        """Structural checks on ``VALIDATE_SAMPLES`` points of the core interval.
 
         Monotone / convex failures make ``ok`` false; the Hoelder exponent of
         the curvature near ``r_plus`` is estimated by log-log regression of
         sup-increments at dyadic scales and reported without being enforced.
         """
         a, b = self.r_plus, self.r_minus
-        grid = np.linspace(a, b, n_samples)
+        grid = np.linspace(a, b, VALIDATE_SAMPLES)
         dp = self.dphi(grid)
         d2 = self.d2phi(grid)
         messages = []

@@ -28,11 +28,20 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError, PoleProximityError, PoleSearchError
-from .grids import UniformGrid, grid_for, max_spacing, require_bandwidth
+from .grids import EPS_HARD_MAX, UniformGrid, grid_for, max_spacing, require_bandwidth
 
 EPS0_DEFAULT = 0.5
 POLE_BALL = 0.9 * np.pi
 _SMALL_ARG = 1e-2
+# the pole search's contract on |D| at its root, and its iteration budget
+POLE_TOL = 1e-13
+POLE_MAX_ITER = 50
+# verify_symbol_bounds samples the strip for the quadratic force law's
+# far-field curvatures on STRIP_LINES lines, STRIP_N_K magnitudes per range
+STRIP_P_PLUS = 0.0
+STRIP_P_MINUS = 2.0
+STRIP_N_K = 2048
+STRIP_LINES = 5
 
 
 def sinc2(u):
@@ -127,19 +136,20 @@ class PoleData:
         return self.z / (self.eps * np.pi)
 
 
-def find_pole(eps: float, mu: float, tol: float = 1e-13, max_iter: int = 50) -> PoleData:
+def find_pole(eps: float, mu: float) -> PoleData:
     """Damped Newton search for the imaginary-axis root of D.
 
     Starts from the continuum prediction z = i*eps*(1 - mu)/2; steps are
     halved while they would increase |D|.  Raises ``PoleSearchError`` if the
-    iterate leaves |z| < 0.9*pi or the residual fails to reach ``tol``.
+    iterate leaves |z| < 0.9*pi or the residual fails to reach ``POLE_TOL``
+    within ``POLE_MAX_ITER`` iterations.
     """
     _check_eps_mu(eps, mu)
     z = 0.5j * eps * (1.0 - mu)
     D, Dp = denominator_D(eps, mu, z)
     iteration = 0
-    # iterate to the numerical floor; tol is the contract checked afterwards
-    for iteration in range(1, max_iter + 1):
+    # iterate to the numerical floor; POLE_TOL is the contract checked afterwards
+    for iteration in range(1, POLE_MAX_ITER + 1):
         if D == 0:
             break
         step = -D / Dp
@@ -159,9 +169,9 @@ def find_pole(eps: float, mu: float, tol: float = 1e-13, max_iter: int = 50) -> 
             )
         if lam * abs(step) <= 1e-17 * abs(z):
             break
-    if abs(D) > tol:
+    if abs(D) > POLE_TOL:
         raise PoleSearchError(
-            f"pole search stalled at |D| = {abs(D):.3e} > {tol} after "
+            f"pole search stalled at |D| = {abs(D):.3e} > {POLE_TOL} after "
             f"{iteration} iterations (eps={eps}, mu={mu})"
         )
 
@@ -193,12 +203,8 @@ def residue_symbol(pole: PoleData, z):
     return pole.eps * np.sin(z0) ** 2 / (pole.d_deriv * (z - z0))
 
 
-EPS_HARD_MAX = 1.0
-
-
 def _check_eps_mu(eps: float, mu: float):
-    # values above EPS0_DEFAULT are experimental (callers may warn) but the
-    # symbol and its pole stay well defined up to eps = 1
+    # the continuum limit eps = 0 has no pole; the cap is the grids' one
     if not 0.0 < eps <= EPS_HARD_MAX:
         raise ConfigError(f"eps must lie in (0, {EPS_HARD_MAX}], got {eps}")
     if not 0.0 <= mu < 4.0:
@@ -298,19 +304,16 @@ def verify_symbol_bounds(
     eta_minus: float = 0.5,
     eta_plus: float = 0.5,
     s: float = 0.5,
-    p_plus: float = 0.0,
-    p_minus: float = 2.0,
-    n_k: int = 2048,
-    n_lines: int = 5,
 ) -> SymbolBoundsReport:
     """Sample symbol estimates on a strip and fit their orders in eps.
 
-    The strip half-widths must be admissible for the given far-field
-    curvatures (eta_plus < 1 - p_plus, eta_minus < p_minus - 1); sampling
-    uses the midpoint between the requested and the critical width, n_k
+    The strip half-widths must be admissible for the far-field curvatures
+    p_plus = ``STRIP_P_PLUS`` and p_minus = ``STRIP_P_MINUS`` (eta_plus <
+    1 - p_plus, eta_minus < p_minus - 1); sampling uses the midpoint
+    between the requested and the critical width, n_k = ``STRIP_N_K``
     log-spaced magnitudes |k| in [1e-3, 10/eps] plus n_k linearly spaced
     ones in [0.8/eps, 1.2/eps] around the first tent-symbol zero, with both
-    signs, on ``n_lines`` horizontal lines.
+    signs, on ``STRIP_LINES`` horizontal lines.
 
     The fitted orders (1 for the plain sup difference, 1/2 for the weighted
     sup) are eps -> 0 statements.  The weighted sup, attained near the first
@@ -319,32 +322,33 @@ def verify_symbol_bounds(
     0.02-0.005 and 0.52 at 2e-3-5e-4; the plain order falls from 1.09 to
     1.00 over the same ranges.  The peak is about eps^(-1/2) wide in k,
     which a log grid alone stops resolving near eps = 1e-4; the linear band
-    resolves it with the default ``n_k`` (orders 1.00 and 0.51 at eps
+    resolves it with ``STRIP_N_K`` (orders 1.00 and 0.51 at eps
     2e-4-5e-5).
     """
-    if not 0.0 < eta_plus < 1.0 - p_plus:
+    eta_plus_max, eta_minus_max = 1.0 - STRIP_P_PLUS, STRIP_P_MINUS - 1.0
+    if not 0.0 < eta_plus < eta_plus_max:
         raise ConfigError(
-            f"eta_plus={eta_plus} not admissible for p_plus={p_plus}"
+            f"eta_plus={eta_plus} not admissible for p_plus={STRIP_P_PLUS}"
         )
-    if not 0.0 < eta_minus < p_minus - 1.0:
+    if not 0.0 < eta_minus < eta_minus_max:
         raise ConfigError(
-            f"eta_minus={eta_minus} not admissible for p_minus={p_minus}"
+            f"eta_minus={eta_minus} not admissible for p_minus={STRIP_P_MINUS}"
         )
     eps_list = tuple(sorted(eps_list, reverse=True))
     if len(set(eps_list)) < 2:
         raise ConfigError(f"fitting orders needs two distinct eps, got {list(eps_list)}")
-    eta_up = 0.5 * (eta_plus + (1.0 - p_plus))
-    eta_dn = 0.5 * (eta_minus + (p_minus - 1.0))
-    offsets = np.linspace(-eta_dn, eta_up, n_lines) / (2.0 * np.pi)
+    eta_up = 0.5 * (eta_plus + eta_plus_max)
+    eta_dn = 0.5 * (eta_minus + eta_minus_max)
+    offsets = np.linspace(-eta_dn, eta_up, STRIP_LINES) / (2.0 * np.pi)
 
-    mus = sorted({float(p_plus), float(p_minus)})
+    mus = [STRIP_P_PLUS, STRIP_P_MINUS]
     sup_diff, sup_weighted = [], []
     bulk = {m: [] for m in mus}
     tail = {m: [] for m in mus}
     for eps in eps_list:
         mags = np.union1d(
-            np.logspace(np.log10(1e-3), np.log10(10.0 / eps), n_k),
-            np.linspace(0.8 / eps, 1.2 / eps, n_k),
+            np.logspace(np.log10(1e-3), np.log10(10.0 / eps), STRIP_N_K),
+            np.linspace(0.8 / eps, 1.2 / eps, STRIP_N_K),
         )
         k_real = np.concatenate([-mags[::-1], mags])
         K = (k_real[None, :] + 1j * offsets[:, None]).ravel()

@@ -23,7 +23,7 @@ gives, each named in its verdict line:
 import numpy as np
 import pytest
 
-from fput_fronts.analysis import fit_decay_rates, h1_distance
+from fput_fronts.analysis import fit_decay_rates
 from fput_fronts.continuum import solve_R0
 from fput_fronts.front_solver import continuation_sweep, solve_front
 from fput_fronts.lattice_sim import (

@@ -134,7 +134,7 @@ class TestDecayRates:
 class TestMonotonicity:
     def test_converged_fronts(self, quad_sol, hertz_sol, logistic_sol, hertz_eps1):
         for sol in (quad_sol, hertz_sol, logistic_sol, hertz_eps1):
-            ok, smin = monotonicity_check(sol)
+            ok, smin = monotonicity_check(sol.S)
             assert ok
         # logistic slope strictly positive in the interior (it saturates to
         # exact zero only where R has clamped to 1 in doubles)

@@ -77,8 +77,22 @@ class TestFrontSolve:
 
     def test_epsilon_above_hard_cap_is_config_error(self, runner, tmp_path):
         cfg = write_cfg(tmp_path, {"potential": {"kind": "quadratic"}, "epsilon": 1.5})
-        res = runner.invoke(main, ["front", "solve", "--config", cfg, "--out", str(tmp_path)])
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["front", "solve", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 2
+        assert res.output.strip() == "config error: eps must lie in [0, 1.0], got 1.5"
+        assert not out.exists()
+
+    def test_epsilon_above_hard_cap_on_pinned_grid_is_config_error(self, runner, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            {"potential": {"kind": "quadratic"}, "epsilon": 1.5, "grid": {"L": 40.0, "N": 4096}},
+        )
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["front", "solve", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.output.strip() == "config error: eps must lie in [0, 1.0], got 1.5"
+        assert not out.exists()
 
     def test_exactly_one_epsilon_form(self, runner, tmp_path):
         both = write_cfg(
@@ -167,7 +181,7 @@ class TestFrontSweep:
 
 class TestPoles:
     def test_quadratic_family_rate(self, runner, tmp_path):
-        cfg = write_cfg(tmp_path, {"p": 0.0, "epsilon": 0.1})
+        cfg = write_cfg(tmp_path, {"p_list": [0.0], "epsilon_list": [0.1]})
         out = tmp_path / "o"
         res = runner.invoke(main, ["poles", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0
@@ -176,7 +190,7 @@ class TestPoles:
         assert abs(data["poles"][0]["mu_rate"] - 0.9991667) <= 1e-5
 
     def test_out_naming_a_file_is_config_error(self, runner, tmp_path):
-        cfg = write_cfg(tmp_path, {"p": 0.0, "epsilon": 0.1})
+        cfg = write_cfg(tmp_path, {"p_list": [0.0], "epsilon_list": [0.1]})
         out = tmp_path / "taken"
         out.write_text("")
         res = runner.invoke(main, ["poles", "--config", cfg, "--out", str(out)])
@@ -187,7 +201,7 @@ class TestPoles:
 @pytest.mark.parametrize(
     "command, cfg, name",
     [
-        (["poles"], {"p": 0.0, "epsilon_list": [0.1, 0.1000001]}, "poles.json"),
+        (["poles"], {"p_list": [0.0], "epsilon_list": [0.1, 0.1000001]}, "poles.json"),
         (["symbol-check"], {"epsilon_list": [0.2, 0.1, 0.1000001]}, "symbol_check.json"),
     ],
     ids=["poles", "symbol_check"],
@@ -428,13 +442,14 @@ class TestNumberFields:
     one line and leave no output directory."""
 
     QUAD = {"kind": "quadratic"}
+    PINNED = {"L": 40.0, "N": 4096}
 
     @pytest.mark.parametrize(
         "command, cfg",
         [
-            (["poles"], {"p": "abc", "epsilon": 0.1}),
-            (["poles"], {"p_list": [0.0, "x"], "epsilon": 0.1}),
-            (["poles"], {"p_list": "0.5", "epsilon": 0.1}),
+            (["poles"], {"p_list": ["abc"], "epsilon_list": [0.1]}),
+            (["poles"], {"p_list": [0.0, "x"], "epsilon_list": [0.1]}),
+            (["poles"], {"p_list": "0.5", "epsilon_list": [0.1]}),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "s": "x"}),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_minus": None}),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": "inf"}),
@@ -448,14 +463,18 @@ class TestNumberFields:
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": ["a", 1.0]}}),
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0], "r_plus": "q"}}),
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0], "r_minus": True}}),
-            (["poles"], {"p_list": [], "epsilon": 0.1}),
+            (["poles"], {"p_list": [], "epsilon_list": [0.1]}),
             (["ode"], {"potential": {"kind": ["hertz"]}}),
             # out of the library's range: rejected by the library, before any output
             (["front", "solve"], {"potential": QUAD, "epsilon": 1.5}),
             (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1, 1.5]}),
-            (["poles"], {"p": 1.0, "epsilon": 0.1}),
-            (["poles"], {"p": 0.0, "epsilon": 2.0}),
+            (["poles"], {"p_list": [1.0], "epsilon_list": [0.1]}),
+            (["poles"], {"p_list": [0.0], "epsilon_list": [2.0]}),
             (["lattice", "run"], {"potential": QUAD, "lattice": {"M": 400, "T": 5.0, "gamma": 0.5}}),
+            # the eps cap holds on a pinned grid too (front solve: TestFrontSolve)
+            (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.5, 1.5], "grid": PINNED}),
+            (["report"], {"potential": QUAD, "epsilon": 1.5, "grid": PINNED}),
+            (["lattice", "run"], {"potential": QUAD, "lattice": {"M": 400, "T": 5.0, "gamma": 0.5}, "grid": PINNED}),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": 3}),
             (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40, "N": 256}}),
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0, 2, -1]}}),
@@ -484,6 +503,9 @@ class TestNumberFields:
             "poles_p_degenerate",
             "poles_eps_above_cap",
             "lattice_gamma_below_one",
+            "sweep_eps_above_cap_pinned_grid",
+            "report_eps_above_cap_pinned_grid",
+            "lattice_gamma_below_one_pinned_grid",
             "symbol_eta_plus_inadmissible",
             "solve_grid_too_coarse",
             "polynomial_tail_rates",
@@ -517,7 +539,7 @@ class TestConfigFields:
             (["ode"], {"potential": QUAD, "epsilon": 0.1}, "epsilon"),
             (["ode"], {"potential": QUAD, "lattice": LATTICE}, "lattice"),
             (["lattice", "run"], {"potential": QUAD, "lattice": LATTICE, "epsilon": 0.1}, "epsilon"),
-            (["poles"], {"p": 0.0, "epsilon": 0.1, "grid": "auto"}, "grid"),
+            (["poles"], {"p_list": [0.0], "epsilon_list": [0.1], "grid": "auto"}, "grid"),
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "potential": QUAD}, "potential"),
             (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1], "s": 0.5}, "s"),
             (["front", "sweep"], {"potential": QUAD, "epsilon": 0.1}, "epsilon"),
@@ -558,11 +580,12 @@ class TestConfigFields:
             (
                 ["poles"],
                 {"p": 0.0, "epsilon": 0.1, "epsilon_list": [0.1]},
-                "give exactly one of epsilon / epsilon_list",
+                "unknown config fields: epsilon, p",
             ),
             (["report"], {"potential": QUAD, "epsilon_list": [0.1]}, "unknown config fields: epsilon_list"),
+            (["poles"], {"p": 0.0, "epsilon_list": [0.1]}, "unknown config fields: p"),
         ],
-        ids=["both", "list_for_single"],
+        ids=["both", "list_for_single", "single_p_for_poles"],
     )
     def test_epsilon_forms_keep_their_messages(self, runner, tmp_path, command, cfg, message):
         cfg = write_cfg(tmp_path, cfg)

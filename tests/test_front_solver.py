@@ -114,6 +114,22 @@ class TestGridGuards:
         with pytest.raises(ConfigError):
             solve_front(quad, 0.0, grid=UniformGrid(40.0, 1024))
 
+    def test_eps_cap_holds_on_every_grid(self, quad, monkeypatch):
+        """eps above the cap is rejected before any R0 solve, pinned grid or not."""
+
+        def no_numerics(*args, **kwargs):
+            raise AssertionError("a continuum solve ran")
+
+        monkeypatch.setattr(front_solver, "solve_R0", no_numerics)
+        pinned = UniformGrid(40.0, 4096)
+        for solve in (
+            lambda: solve_front(quad, 1.5),
+            lambda: solve_front(quad, 1.5, grid=pinned),
+            lambda: continuation_sweep(quad, [0.5, 1.5], grid=pinned),
+        ):
+            with pytest.raises(ConfigError, match=r"^eps must lie in \[0, 1.0\], got 1.5$"):
+                solve()
+
     def test_bandwidth_for_small_eps(self, quad):
         # 1/(2h) must cover 8/eps; N = 4096 on L = 40 gives h close to 0.02,
         # too coarse for eps = 0.01
@@ -260,6 +276,26 @@ class TestFailurePaths:
         assert record["damping"] == 1.0
         assert record["istop"] in (1, 2, 3)
         assert record["itn"] > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_warm_start_rejected(self, quad, quad_sol, bad):
+        W = quad_sol.W.copy()
+        W[7] = bad
+        with pytest.raises(ConfigError):
+            solve_front(quad, 0.1, grid=quad_sol.grid, initial=W, continuum=quad_sol.continuum)
+
+    def test_non_finite_residual_is_divergence(self, quad, monkeypatch):
+        """A NaN step leaves a NaN residual, which must not read as converged."""
+
+        def nan_lsmr(op, b, **kwargs):
+            return np.full(b.size, np.nan), 1, 3, 0.0, 0.0, 1.0, 1.0, 0.0
+
+        monkeypatch.setattr(front_solver, "lsmr", nan_lsmr)
+        with pytest.raises(NewtonDivergenceError) as info:
+            solve_front(quad, 0.1)
+        (record,) = info.value.diagnostics["steps"]
+        assert np.isnan(record["residual"])
+        assert record["itn"] == 3
 
     def test_negative_eps_rejected(self, quad):
         with pytest.raises(ConfigError):

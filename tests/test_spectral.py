@@ -286,6 +286,6 @@ class TestSymbolBounds:
 
     def test_strip_admissibility(self):
         with pytest.raises(ConfigError):
-            verify_symbol_bounds(eta_plus=1.2, p_plus=0.0)
+            verify_symbol_bounds(eta_plus=1.2)
         with pytest.raises(ConfigError):
-            verify_symbol_bounds(eta_minus=1.2, p_minus=2.0)
+            verify_symbol_bounds(eta_minus=1.2)
