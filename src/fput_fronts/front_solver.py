@@ -12,6 +12,12 @@ W = 0 solves the map: the continuum limit is the base point of the same
 solve, not a separate case.  Everything lives on a periodic grid;
 convolutions are Fourier multipliers.
 
+Off the base point the correction follows the same expansion,
+W = eps^2 W2 + O(eps^4), with W2 the solution of one linear continuum
+problem (``leading_corrector``).  Every solve starts on that law: a cold
+start from eps^2 W2, a sweep member from eps^2 W2 + eps^4 B with B fitted
+to the member before it.
+
 The linearization J = I - a_eps * (P .), P = d2phi(R), is singular at a
 solution (translation mode R').  Its continuum limit I - a0 * (P .) =
 (1 + d/dx)^{-1} (d/dx + 1 - P) is a first-order ODE operator, and J
@@ -25,7 +31,8 @@ carries the phase condition (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3
 I + (a0 - a_eps) * P M^{-1} is then close to the identity, and a handful of
 inner iterations suffice.  Since R0(0) = 1/2 and no step moves W at x_c,
 every iterate crosses 1/2 at x = 0 exactly: the pin is the solver's only
-phase rule.  A warm start is re-centered once, before the first step.
+phase rule.  W2 vanishes at x_c, so both starts are on phase; a start
+passed in by the caller is re-centered once, before the first step.
 
 dphi(R0) does not decay (it tends to 1 on the left), but the continuum ODE
 writes it as dphi(R0) = R0 + R0', and R0' decays at both ends.  With
@@ -291,6 +298,24 @@ class _ContinuumInverse:
         return rbar
 
 
+def leading_corrector(continuum: ContinuumSolution) -> np.ndarray:
+    """The eps^2 coefficient W2 of the correction, W = eps^2 W2 + O(eps^4).
+
+    With T = 1 + eps^2 (ik)^2 / 12 + O(eps^4), a_eps = a0 + eps^2 a2 + O(eps^4)
+    with a2 = (ik)^2 / (12 (1 + ik)^2), so F1 = -eps^2 a2 dphi(R0) + O(eps^4)
+    and the eps^2 terms of F(W) = 0 read (I - a0 * P0) W2 = a2 * dphi(R0),
+    P0 = d2phi(R0).  Through dphi(R0) = R0 + R0' the right side is the
+    bounded multiplier -ik / (12 (1 + ik)) on the decaying S0 = -R0'.  The
+    pinned continuum inverse solves the system with W2 = 0 at x = 0, so
+    every eps^2 multiple of W2 is on phase.
+    """
+    grid = continuum.grid
+    ik = 2j * np.pi * grid.k
+    rhs = apply_symbol(continuum.slope_profile(), grid, -ik / (12.0 * (1.0 + ik)))
+    P0 = continuum.potential.d2phi(continuum.values)
+    return _ContinuumInverse(P0, grid.h, grid.N // 2).solve(rhs)
+
+
 def _level(xq, continuum: ContinuumSolution, W: np.ndarray):
     """R(xq) - 1/2 for the profile R = continuum + W."""
     return continuum(xq) + interpolate_local(W, continuum.grid, xq) - 0.5
@@ -329,9 +354,10 @@ def solve_front(
     eps must lie in [0, ``EPS_HARD_MAX``] on every grid.  The grid defaults
     to ``solver_grid(potential, eps)``; a pinned grid must have spacing at
     most ``max_spacing(eps)`` (0.05 at eps = 0) or ``ConfigError`` is
-    raised.  eps = 0 takes the same path: the background term is exactly 0
-    there, so from a cold start F(0) = 0, no Newton step runs, and R is R0
-    bitwise.  Warm starts pass
+    raised.  A cold start is W = eps^2 W2 (``leading_corrector``), on phase
+    since W2(0) = 0.  eps = 0 takes the same path: the start and the
+    background term are exactly 0 there, so F = 0, no Newton step runs, and
+    R is R0 bitwise.  Warm starts pass
     ``initial`` (a W profile on the same grid), which is re-centered once
     so that R crosses 1/2 at x = 0; every Newton step then keeps R(0) = 1/2
     (the pinned preconditioner).  Convergence when the sup residual falls
@@ -356,7 +382,7 @@ def solve_front(
     R0 = continuum.values
 
     if initial is None:
-        W = np.zeros(grid.N)
+        W = eps**2 * leading_corrector(continuum)
     else:
         W = np.array(initial, dtype=float)
         if W.shape != (grid.N,) or not np.all(np.isfinite(W)):
@@ -464,11 +490,13 @@ def solve_front(
 def continuation_sweep(
     potential: Potential, eps_list, grid: UniformGrid | None = None
 ) -> list[FrontSolution]:
-    """Solve a family of fronts in ascending eps with warm starts.
+    """Solve a family of fronts in ascending eps with predicted warm starts.
 
     All solves share one grid, by default ``solver_grid(potential,
     *eps_list)`` (fine enough for the smallest eps, long enough for every
-    member), so the previous correction seeds the next.
+    member), and one leading corrector W2.  Each member starts from
+    W = eps^2 W2 + eps^4 B, where B = 0 for the first member and
+    B = (W_last - eps_last^2 W2) / eps_last^4 after each converged one.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if not eps_list or eps_list[0] <= 0:
@@ -478,12 +506,15 @@ def continuation_sweep(
     for e in eps_list:  # every member's eps cap and spacing, before any solve
         require_bandwidth(grid, e)
     continuum = solve_R0(potential, grid=grid)
+    W2 = leading_corrector(continuum)
+    B = np.zeros(grid.N)  # eps^4 coefficient, refitted to each converged member
     out: list[FrontSolution] = []
-    W = None
     for e in eps_list:
-        sol = solve_front(potential, e, grid=grid, initial=W, continuum=continuum)
+        sol = solve_front(
+            potential, e, grid=grid, initial=e**2 * W2 + e**4 * B, continuum=continuum
+        )
         out.append(sol)
-        W = sol.W
+        B = (sol.W - e**2 * W2) / e**4
     return out
 
 

@@ -23,9 +23,10 @@ from fput_fronts.front_solver import (
     continuation_sweep,
     derivative_consistency,
     fixed_point_residual,
+    leading_corrector,
     solver_grid,
 )
-from fput_fronts.grids import UniformGrid, periodic_shift
+from fput_fronts.grids import UniformGrid, periodic_shift, spectral_derivative
 from fput_fronts.spectral import kernel_physical, symbol_a
 
 
@@ -47,6 +48,23 @@ def quad_sol(quad):
 @pytest.fixture(scope="module")
 def hertz_sol(hertz):
     return solve_front(hertz, 0.1)
+
+
+# the benchmark's sweeps, and the H1 norm of W2 on their shared grids
+SWEEPS = {"quad": [0.4, 0.2, 0.1, 0.05], "hertz": [0.2, 0.1, 0.05]}
+W2_H1 = {"quad": 0.01914, "hertz": 0.013114}
+
+
+@pytest.fixture(scope="module")
+def sweeps(quad, hertz):
+    return {
+        "quad": continuation_sweep(quad, SWEEPS["quad"]),
+        "hertz": continuation_sweep(hertz, SWEEPS["hertz"]),
+    }
+
+
+def _h1(f, fp, h):
+    return float(np.sqrt(np.trapezoid(f**2 + fp**2, dx=h)))
 
 
 class TestBackgroundTerm:
@@ -228,17 +246,25 @@ class TestRecenter:
 
 
 class TestContinuation:
-    def test_sweep_orders_and_warm_starts(self, quad):
-        eps_list = [0.4, 0.2, 0.1, 0.05]
-        sols = continuation_sweep(quad, eps_list)
+    def test_sweep_orders_and_warm_starts(self, quad, sweeps):
+        eps_list = SWEEPS["quad"]
+        sols = sweeps["quad"]
         assert [s.eps for s in sols] == sorted(eps_list)
         assert all(s.grid == solver_grid(quad, *eps_list) for s in sols)
         h1 = np.array([s.h1_dist_to_R0 for s in sols])
         assert np.all(np.diff(h1) > 0)  # distance grows with eps
         slope = np.polyfit(np.log(sorted(eps_list)), np.log(h1), 1)[0]
         assert 1.8 <= slope <= 2.2
-        assert not sols[0].warm_started
-        assert all(s.warm_started for s in sols[1:])
+        # every member, the first included, starts from the eps^2 predictor
+        assert all(s.warm_started for s in sols)
+        cold = solve_front(quad, 0.05, grid=sols[0].grid, continuum=sols[0].continuum)
+        assert np.array_equal(sols[0].R, cold.R)
+
+    @pytest.mark.parametrize("which", ["quad", "hertz"])
+    def test_sweep_work_budget(self, which, sweeps):
+        sols = sweeps[which]
+        assert all(s.iterations <= 1 for s in sols)
+        assert sum(s.krylov_iterations for s in sols) <= {"quad": 45, "hertz": 20}[which]
 
     def test_warm_start_is_cheaper(self, quad):
         sols = continuation_sweep(quad, [0.1, 0.2])
@@ -264,12 +290,12 @@ class TestFailurePaths:
         with pytest.raises(NewtonDivergenceError):
             solve_front(quad, 0.1, grid=g)
 
-    def test_divergence_carries_step_records(self, quad, quad_sol, monkeypatch):
-        # quad at eps 0.1 needs two Newton steps
-        assert quad_sol.iterations == 2
+    def test_divergence_carries_step_records(self, quad, monkeypatch):
+        # quad at eps 0.5 needs two Newton steps from the eps^2 cold start
+        assert solve_front(quad, 0.5).iterations == 2
         monkeypatch.setattr(front_solver, "MAX_NEWTON", 1)
         with pytest.raises(NewtonDivergenceError) as info:
-            solve_front(quad, 0.1)
+            solve_front(quad, 0.5)
         (record,) = info.value.diagnostics["steps"]
         assert set(record) == {"residual", "damping", "istop", "itn"}
         assert 1e-10 < record["residual"] < 1e-3
@@ -394,13 +420,10 @@ class TestContinuumInverse:
         assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert abs(z @ y - r @ zt) <= 1e-14 * np.linalg.norm(z) * np.linalg.norm(y)
 
-    def test_pinned_solve_needs_no_recentering(self, quad, hertz, quad_sol):
+    def test_pinned_solve_needs_no_recentering(self, quad_sol, sweeps):
         """The pin is the only phase rule: every solve of a cold front and
         of both sweeps crosses 1/2 exactly at the center grid point."""
-        sweeps = continuation_sweep(quad, [0.4, 0.2, 0.1, 0.05]) + continuation_sweep(
-            hertz, [0.2, 0.1, 0.05]
-        )
-        for sol in [quad_sol, *sweeps]:
+        for sol in [quad_sol, *sweeps["quad"], *sweeps["hertz"]]:
             c = sol.grid.N // 2
             assert sol.grid.x[c] == 0.0
             assert sol.R[c] == 0.5
@@ -414,7 +437,46 @@ class TestContinuumInverse:
             sol = quad_sol if which == "quad" else hertz_sol
         else:
             sol = solve_front(quad if which == "quad" else hertz, eps)
-        assert sol.krylov_iterations <= 20
+        assert sol.krylov_iterations <= 12
+
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("which", ["quad", "hertz"])
+    def test_cold_start_is_no_worse_than_zero(self, which, eps, quad, hertz):
+        """The eps^2 cold start takes no more Newton steps than W = 0 did."""
+        sol = solve_front(quad if which == "quad" else hertz, eps)
+        g, cont = sol.grid, sol.continuum
+        zero = solve_front(sol.potential, eps, grid=g, initial=np.zeros(g.N), continuum=cont)
+        assert sol.iterations <= zero.iterations
+
+
+class TestLeadingCorrector:
+    """W2, the eps^2 coefficient of the correction W."""
+
+    @pytest.mark.parametrize("which", ["quad", "hertz"])
+    def test_h1_norm_and_pin(self, which, sweeps):
+        cont = sweeps[which][0].continuum
+        grid = cont.grid
+        W2 = leading_corrector(cont)
+        assert W2[grid.N // 2] == 0.0
+        norm = _h1(W2, spectral_derivative(W2, grid), grid.h)
+        assert norm == pytest.approx(W2_H1[which], rel=1e-3)
+
+    @pytest.mark.parametrize("which", ["quad", "hertz"])
+    def test_remainder_is_fourth_order(self, which, sweeps):
+        """||W_eps - eps^2 W2||_H1 / eps^4 stays bounded over the sweep."""
+        sols = sweeps[which]
+        cont, grid = sols[0].continuum, sols[0].grid
+        W2 = leading_corrector(cont)
+        W2p = spectral_derivative(W2, grid)
+        S0 = cont.slope_profile()
+        ratios = np.array(
+            [
+                _h1(s.W - s.eps**2 * W2, S0 - s.S - s.eps**2 * W2p, grid.h) / s.eps**4
+                for s in sols
+            ]
+        )
+        assert np.all(ratios <= 0.1 * W2_H1[which])
+        assert np.max(ratios) <= 1.05 * np.min(ratios)
 
 
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
