@@ -8,7 +8,10 @@ every list field must be non-empty.  Outputs go under --out, which is made
 only once there are results to write: a config error, whether found here or
 by the library, leaves no output directory.  Floats in CSV files use a fixed
 %.17e format and JSON objects are serialized with sorted keys, so identical
-configs give bitwise-identical files.
+configs give bitwise-identical files.  The CSV writers format whole arrays
+at once, with the bytes of '%.17e' % x: digits from double-double integer
+arithmetic with a proven error bound, and '%' itself for zeros, non-finite
+values and ties the bound cannot decide.
 
 Exit codes: 0 on success, 1 on a numerical failure (solver divergence,
 blow-up, under-resolved data), 2 on a config problem.
@@ -228,26 +231,182 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+# -- %.17e on whole arrays ------------------------------------------------------
+#
+# '%.17e' % x prints the 18 significant digits of x correctly rounded, ties
+# to even.  Write |x| = M 2^(e-53) with M a 53-bit integer (np.frexp), and
+# E = floor((e-1) log10 2), which floating point gives exactly: for
+# 0 < |e-1| < 2136, (e-1) log10 2 is at least 1e-4 from an integer.  Then
+# 10^E <= 2^(e-1) <= |x| < 20 10^E, so the digits are those of
+# v = |x| 10^(17-E) in [10^17, 2 10^18), rounded to an integer D, or, where D
+# would reach 10^18, those of v/10 with exponent E + 1.  Which one is decided
+# before any digit, by comparing |x| with the least double not below
+# (10^18 - 1/2) 10^(E-17).  v = M P with P = 2^(e-53) 10^(17-E) held as a
+# double-double hi + lo; Dekker's exact product M hi = p + err leaves
+# v = p + t, t = err + M lo, so D = p + floor(t) and t - floor(t) is the
+# fraction rounding decides on.  The error of that fraction is below 2^-43:
+# hi + lo is P to 2^-105 relative (2^-44 of v < 2^61), and forming M lo
+# (|M lo| < 2^8) and t (|t| < 2^9) rounds by at most 2^-46 and 2^-45.
+# Fractions within _TIE_MARGIN of 1/2 (true ties such as 2^-27), zeros and
+# non-finite values are printed by '%' itself.
+
+# Each value is laid out in a row of seven uint32 words, NUL where a
+# character is absent: "-d.d" (NUL for a plus sign), four words of four
+# digits, then "e", the exponent's sign, its (NUL or) hundreds and tens
+# digits, and its units digit.  Dropping the NULs leaves the '%' text; byte
+# _SEP, after the units digit, is left NUL for the caller's separator.
+_ROW = 28
+_SEP = 25
+_CHUNK = 1 << 13  # values per pass, so each pass's arrays stay in cache
+_TIE_MARGIN = 2.0**-36
+_FREXP_MIN = -1073  # np.frexp's exponent of the least subnormal, 2^-1074
+
+
+def _texts(strings, width: int, dtype) -> np.ndarray:
+    """``strings`` NUL-padded to ``width`` bytes, each viewed as ``dtype``."""
+    return np.array(strings, dtype=f"S{width}").view(dtype)
+
+
+def _double_double(num: int, den: int) -> tuple[float, float]:
+    """num/den as hi + lo, each correctly rounded: hi of num/den, lo of the rest."""
+    hi = num / den
+    hn, hd = hi.as_integer_ratio()
+    return hi, (num * hd - hn * den) / (den * hd)
+
+
+@functools.cache
+def _e17_tables():
+    """The formatter's tables, built once from exact integers.
+
+    Per np.frexp exponent e: the least |x| printed with exponent E + 1.  Per
+    e and exponent E or E + 1 (index 2 (e - _FREXP_MIN) + 0 or 1): P as hi
+    and lo, and the exponent's two words.  Then the words of the sign and
+    first two digits and of four digits.
+    """
+    e = np.arange(_FREXP_MIN, 1025)
+    E_low = np.floor((e - 1) * np.log10(2.0)).astype(np.int64)
+    E = np.column_stack([E_low, E_low + 1]).ravel()
+    # 10^k = (hi + lo) 2^shift with hi + lo in (1/2, 2)
+    ks = np.arange(17 - E.max(), 18 - E.min())
+    tens = []
+    for k in ks.tolist():
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        shift = num.bit_length() - den.bit_length()
+        tens.append((*_double_double(num << max(-shift, 0), den << max(shift, 0)), shift))
+    hi, lo, shift = np.array(tens).T[:, 17 - E - ks[0]]
+    scale = shift.astype(np.int64) + e.repeat(2) - 53
+    # (10^18 - 1/2) 10^(E - 17), rounded up
+    limits = []
+    for n in range(E_low.min(), E_low.max() + 1):
+        num, den = (2 * 10**18 - 1) * 10 ** max(n - 17, 0), 2 * 10 ** max(17 - n, 0)
+        limit = num / den
+        ln, ld = limit.as_integer_ratio()
+        limits.append(np.nextafter(limit, np.inf) if ln * den < num * ld else limit)
+    exponents = ["e" + "-+"[n >= 0] + f"{abs(n):02d}".rjust(3, "\0") for n in E.tolist()]
+    return (
+        np.array(limits)[E_low - E_low.min()],
+        np.ldexp(hi, scale),
+        np.ldexp(lo, scale),
+        _texts([s[:4] for s in exponents], 4, np.uint32),
+        _texts([s[4:] for s in exponents], 4, np.uint32),
+        _texts([f"{s}{a // 10}.{a % 10}" for s in ("", "-") for a in range(100)], 4, np.uint32),
+        _texts([f"{q:04d}" for q in range(10000)], 4, np.uint32),
+    )
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of at most 26 bits."""
+    c = 134217729.0 * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _e17_fill(rows, x):
+    """Lay out ``x`` in ``rows``; True where '%' must print the value instead."""
+    limit, hi, lo, exp_hi, exp_lo, head, four = _e17_tables()
+    special = ~np.isfinite(x) | (x == 0)
+    a = np.where(special, 1.0, np.abs(x))
+    m, e = np.frexp(a)
+    i = e - _FREXP_MIN
+    j = 2 * i + (a >= limit[i])
+    hi, lo = hi[j], lo[j]
+    # D and the fraction of v = M (hi + lo)
+    M = m * 2.0**53
+    p = M * hi
+    Mh, Ml = _split(M)
+    hh, hl = _split(hi)
+    t = (((Mh * hh - p) + Mh * hl + Ml * hh) + Ml * hl) + M * lo
+    floor = np.floor(t)
+    frac = t - floor
+    D = p.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    first, D = np.divmod(D, 10**16)
+    high, low = np.divmod(D, 10**8)
+    words = rows.view(np.uint32)
+    words[:, 0] = head[first + 100 * np.signbit(x)]
+    words[:, 1], words[:, 2] = (four[q] for q in np.divmod(high, 10**4))
+    words[:, 3], words[:, 4] = (four[q] for q in np.divmod(low, 10**4))
+    words[:, 5] = exp_hi[j]
+    words[:, 6] = exp_lo[j]
+    return special | (np.abs(frac - 0.5) < _TIE_MARGIN)
+
+
+def _e17(values) -> np.ndarray:
+    """'%.17e' % v for each float v of ``values``, as NUL-padded uint8 rows.
+
+    The result has shape ``values.shape + (_ROW,)``; byte ``_SEP`` of each
+    row is NUL, free for a separator.
+    """
+    x = np.asarray(values, dtype=float)
+    flat = x.ravel()
+    rows = np.zeros((flat.size, _ROW), dtype=np.uint8)
+    fallback = np.zeros(flat.size, dtype=bool)
+    for start in range(0, flat.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        fallback[part] = _e17_fill(rows[part], flat[part])
+    if fallback.any():
+        texts = ["%.17e" % v for v in flat[fallback].tolist()]
+        rows[fallback] = _texts(texts, _ROW, np.uint8).reshape(-1, _ROW)
+    return rows.reshape(*x.shape, _ROW)
+
+
+def _text(rows: np.ndarray) -> bytes:
+    """The bytes of ``rows`` without their NULs."""
+    return rows.tobytes().translate(None, b"\0")
+
+
 def write_profile_csv(path: Path, x, R, S) -> None:
     """Header x,R,S and one %.17e row per point, as np.savetxt writes them."""
-    rows = np.column_stack([x, R, S])
-    with open(path, "w", newline="") as f:
-        f.write("x,R,S\n")
-        f.write(("%.17e,%.17e,%.17e\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    rows = _e17(np.column_stack([x, R, S]))
+    rows[..., _SEP] = np.frombuffer(b",,\n", dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(b"x,R,S\n")
+        f.write(_text(rows))
 
 
 def write_snapshots_csv(path: Path, times, snapshots) -> None:
     """Header t,n,r and one row per site and snapshot, as np.savetxt writes them.
 
     Rows are ``%.17e,%d,%.17e``: the snapshot time, the site index from 1
-    and the strain.  Each snapshot is formatted as one string, so the text
-    held in memory is one snapshot's, not the whole trajectory's.
+    and the strain.  Each snapshot is written as one block of text, so the
+    text held in memory is one snapshot's, not the whole trajectory's.
     """
-    with open(path, "w", newline="") as f:
-        f.write("t,n,r\n")
-        for t, snap in zip(times, snapshots):
-            block = np.column_stack([np.full(snap.size, t), np.arange(1, snap.size + 1), snap])
-            f.write(("%.17e,%d,%.17e\n" * snap.size) % tuple(block.ravel().tolist()))
+    stamps = _e17(times)
+    stamps[:, _SEP] = ord(",")
+    with open(path, "wb") as f:
+        f.write(b"t,n,r\n")
+        for stamp, snap in zip(stamps, snapshots):
+            sites = np.arange(1, snap.size + 1).astype("S")
+            strains = _e17(snap)
+            strains[:, _SEP] = ord("\n")
+            block = np.hstack(
+                [
+                    np.broadcast_to(stamp, (snap.size, _ROW)),
+                    sites.view(np.uint8).reshape(snap.size, sites.itemsize),
+                    np.full((snap.size, 1), ord(","), dtype=np.uint8),
+                    strains,
+                ]
+            )
+            f.write(_text(block))
 
 
 def _eps_tag(eps: float) -> str:

@@ -6,9 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fput_fronts.cli as cli
 from fput_fronts.cli import main, write_profile_csv, write_snapshots_csv
+from fput_fronts.front_solver import solve_front
+from fput_fronts.potentials import hertz_potential, quadratic_force_potential
 
 
 @pytest.fixture()
@@ -676,3 +680,62 @@ def test_snapshot_csv_bytes_match_savetxt(tmp_path):
             block = np.column_stack([np.full(snap.size, t), np.arange(1, snap.size + 1), snap])
             np.savetxt(f, block, fmt=["%.17e", "%d", "%.17e"], delimiter=",")
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def e17_lines(values) -> bytes:
+    """The array formatter's text of ``values``, one value a line."""
+    rows = cli._e17(values)
+    rows[:, cli._SEP] = ord("\n")
+    return cli._text(rows)
+
+
+def percent_lines(values) -> bytes:
+    return "".join("%.17e\n" % v for v in values.tolist()).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
+def test_formatter_matches_percent_on_any_bit_pattern(bits):
+    # every float64: subnormals, +-0, +-inf and NaN payloads included
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert e17_lines(values) == percent_lines(values)
+
+
+def test_formatter_matches_percent_on_hard_values():
+    n = np.arange(-1074, 1024)
+    powers_of_ten = np.array([float(10**k) for k in range(-323, 309)])
+    j = np.arange(1, 2048, dtype=float)
+    values = np.concatenate(
+        [
+            np.ldexp(1.0, n),  # every power of two: every frexp exponent
+            # every power of ten and both neighbours: the decimal exponent's
+            # edges; float(1e153) lies below 10^153 and prints as 1.0e+153
+            powers_of_ten,
+            np.nextafter(powers_of_ten, 0.0),
+            np.nextafter(powers_of_ten, np.inf),
+            [np.nextafter(1e6, 0.0), 1e-305, 1e153],
+            # ties to even: 2^-27 has 19 significant digits ending in 5, and
+            # so do j/512 above 2^43
+            [2.0**-27, 3 * 2.0**-27],
+            2.0**44 + j / 512,
+            2.0**43 + j / 512,
+            [5e-324, 1.7976931348623157e308, -0.0],
+        ]
+    )
+    values = np.concatenate([values, -values])
+    assert e17_lines(values) == percent_lines(values)
+
+
+def percent_profile(x, R, S) -> bytes:
+    rows = np.column_stack([x, R, S])
+    return ("x,R,S\n" + ("%.17e,%.17e,%.17e\n" * len(rows)) % tuple(rows.ravel().tolist())).encode()
+
+
+@pytest.mark.parametrize("name", ["quad", "hertz"])
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.02])
+def test_front_profile_csv_matches_percent(tmp_path, name, eps):
+    potential = {"quad": quadratic_force_potential(), "hertz": hertz_potential(alpha=1.5)}[name]
+    sol = solve_front(potential, eps)
+    path = tmp_path / "front.csv"
+    write_profile_csv(path, sol.x, sol.R, sol.S)
+    assert path.read_bytes() == percent_profile(sol.x, sol.R, sol.S)
