@@ -7,8 +7,9 @@ In the normalized setting the continuum profile solves the scalar ODE
 connecting 1 at -infinity to 0 at +infinity.  It is integrated outward
 from the midpoint in both directions by the module's own DOP853 stepper
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5) on Python floats:
-scipy's tableau from ``scipy.integrate._ivp.dop853_coefficients`` and
-scipy's step-size controller (rtol 1e-13, atol 1e-300).  Each accepted step
+scipy's tableau from ``scipy.integrate._ivp.dop853_coefficients``, written
+out once at import as straight-line stage code, and scipy's step-size
+controller (rtol 1e-13, atol 1e-300).  Each accepted step
 becomes one segment of a packed dense-output table, kept for off-grid
 evaluation.
 
@@ -28,7 +29,6 @@ right branch has no such cancellation and is integrated directly.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 import numpy as np
 from scipy.integrate import quad
@@ -43,17 +43,50 @@ SETTLE_TOL = 1e-8
 _CHUNK = 16384  # points per evaluation pass
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-# DOP853 on floats: stage rows A[s, :s], weights and the two error
-# estimators, with scipy's step-size controller constants.  The extra stages
-# and dense-output rows of the accepted steps are evaluated on arrays.
+# DOP853 on floats with scipy's step-size controller constants.  The extra
+# stages and dense-output rows of the accepted steps are evaluated on arrays.
 _RTOL, _ATOL = 1e-13, 1e-300
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
 _N_STAGES = _tableau.N_STAGES
-_A = [tuple(map(float, _tableau.A[s, :s])) for s in range(1, _N_STAGES)]
-_B = tuple(map(float, _tableau.B))
-_E3 = tuple(map(float, _tableau.E3))
-_E5 = tuple(map(float, _tableau.E5))
+
+
+def _sum_source(coefficients, terms) -> str:
+    """Source of sum(c * k) over the pairs, added as Python 3.11's ``sum`` adds.
+
+    One double addition after another, left to right from 0.0 (``sum``'s
+    integer 0 start gives 0.0 + x), whatever the running Python's ``sum``
+    does (from 3.12 it compensates).  Terms with a zero coefficient are
+    left out: every partial sum after the first addition is +0.0 or
+    nonzero, so adding a zero to it changes no bit.
+    """
+    products = [f"{float(c)!r} * {k}" for c, k in zip(coefficients, terms) if c != 0.0]
+    return " + ".join(["0.0", *products])
+
+
+def _compile_stages():
+    """One DOP853 step's 12 stages as straight-line code, from scipy's tableau.
+
+    ``_stages(fun, y, h, k0)`` returns y_new, the 13 stages k0 .. k12
+    (k12 = fun(y_new)) and the unscaled 5th- and 3rd-order error sums.
+    Constants are written as ``repr`` of the tableau's doubles, which
+    parse back to the same doubles.
+    """
+    k = [f"k{i}" for i in range(_N_STAGES + 1)]
+    lines = ["def _stages(fun, y, h, k0):"]
+    for s in range(1, _N_STAGES):
+        lines.append(f"    {k[s]} = fun(y + ({_sum_source(_tableau.A[s, :s], k)}) * h)")
+    lines.append(f"    y_new = y + h * ({_sum_source(_tableau.B, k)})")
+    lines.append(f"    {k[-1]} = fun(y_new)")
+    lines.append(f"    e5 = {_sum_source(_tableau.E5, k)}")
+    lines.append(f"    e3 = {_sum_source(_tableau.E3, k)}")
+    lines.append(f"    return y_new, ({', '.join(k)}), e5, e3")
+    scope: dict = {}
+    exec(compile("\n".join(lines), "<dop853 stages>", "exec"), scope)
+    return scope["_stages"]
+
+
+_stages = _compile_stages()
 
 # Segment polynomials have degree 7.  _TAYLOR_1 @ c re-expands sum c_k u^k
 # about u = 1; the unit tent's even moments are
@@ -103,9 +136,11 @@ def decay_rates(potential: Potential, eps: float = 0.0) -> tuple[float, float]:
 
 
 def suggest_half_length(potential: Potential, eps: float = 0.0) -> float:
-    """Half-length such that both tails settle far below working precision.
+    """Half-length that gives the slower tail 20 e-folds, and at least 40.
 
     max(40, 20/min rate), with the rates ``decay_rates(potential, eps)``.
+    Over [0, L] each tail falls by at least e^-20, about 2e-9: the ends
+    settle near 1e-9 (``solve_R0`` requires 1e-8), not to working precision.
     """
     return max(40.0, 20.0 / min(*decay_rates(potential, eps), 1.0))
 
@@ -207,8 +242,11 @@ def _dop853(fun, t_bound: float, y0: float) -> _DenseTable:
     ``DOP853`` solver's: the 5th/3rd-order error blend, SAFETY 0.9, growth
     in [0.2, 10], no growth right after a rejection, and a minimum step of
     10 ulp of t.  Each attempted step costs 12 evaluations, and each
-    accepted one 3 more for its dense output.  Raises
-    ``DomainTooSmallError`` if the step size falls below that minimum.
+    accepted one 3 more for its dense output.  The stage, weight and error
+    sums are straight-line code (``_stages``) with a fixed left-to-right
+    order of double additions, so the tables do not depend on the running
+    Python's ``sum``.  Raises ``DomainTooSmallError`` if the step size
+    falls below that minimum.
     """
     direction = 1.0 if t_bound > 0 else -1.0
     t, y = 0.0, y0
@@ -232,16 +270,12 @@ def _dop853(fun, t_bound: float, y0: float) -> _DenseTable:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K = [f]
-            for a in _A:
-                K.append(fun(y + sum(map(mul, a, K)) * h))
-            y_new = y + h * sum(map(mul, _B, K))
-            f_new = fun(y_new)
-            K.append(f_new)
+            y_new, K, err5, err3 = _stages(fun, y, h, f)
+            f_new = K[-1]
             nfev += _N_STAGES
             scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
-            err5 = sum(map(mul, _E5, K)) / scale
-            err3 = sum(map(mul, _E3, K)) / scale
+            err5 /= scale
+            err3 /= scale
             err5_2, err3_2 = err5 * err5, err3 * err3
             if err5_2 == 0.0 and err3_2 == 0.0:
                 error_norm = 0.0

@@ -126,10 +126,27 @@ class Potential:
         self._dp_b = float(dphi_core(self.r_minus))
         self._p_a = float(d2phi_core(self.r_plus))
         self._p_b = float(d2phi_core(self.r_minus))
+        # each law as (core, extension below r_plus, extension above
+        # r_minus), built once rather than on every call
+        a, b = self.r_plus, self.r_minus
+        phi_a, phi_b = self._phi_a, self._phi_b
+        dp_a, dp_b, p_a, p_b = self._dp_a, self._dp_b, self._p_a, self._p_b
+        self._phi_law = (
+            phi_core,
+            lambda r: phi_a + dp_a * (r - a) + 0.5 * p_a * ((r - a) * (r - a)),
+            lambda r: phi_b + dp_b * (r - b) + 0.5 * p_b * ((r - b) * (r - b)),
+        )
+        self._dphi_law = (
+            dphi_core,
+            lambda r: dp_a + p_a * (r - a),
+            lambda r: dp_b + p_b * (r - b),
+        )
+        self._d2phi_law = (d2phi_core, lambda r: p_a, lambda r: p_b)
 
     # -- evaluation ---------------------------------------------------------
 
-    def _eval_extended(self, r, core, below, above):
+    def _eval_extended(self, r, law):
+        core, below, above = law
         if type(r) is not float:
             r = np.asarray(r, dtype=float)
             if r.ndim:
@@ -163,29 +180,15 @@ class Potential:
 
     def phi(self, r):
         """Potential energy of a bond at strain ``r``."""
-        return self._eval_extended(
-            r,
-            self._phi,
-            lambda r: self._phi_a + self._dp_a * (r - self.r_plus)
-            + 0.5 * self._p_a * ((r - self.r_plus) * (r - self.r_plus)),
-            lambda r: self._phi_b + self._dp_b * (r - self.r_minus)
-            + 0.5 * self._p_b * ((r - self.r_minus) * (r - self.r_minus)),
-        )
+        return self._eval_extended(r, self._phi_law)
 
     def dphi(self, r):
         """Force law (derivative of :meth:`phi`)."""
-        return self._eval_extended(
-            r,
-            self._dphi,
-            lambda r: self._dp_a + self._p_a * (r - self.r_plus),
-            lambda r: self._dp_b + self._p_b * (r - self.r_minus),
-        )
+        return self._eval_extended(r, self._dphi_law)
 
     def d2phi(self, r):
         """Curvature of the potential (derivative of the force law)."""
-        return self._eval_extended(
-            r, self._d2phi, lambda r: self._p_a, lambda r: self._p_b
-        )
+        return self._eval_extended(r, self._d2phi_law)
 
     def gap_force(self, d: float) -> float:
         """dphi(r_minus) - dphi(r_minus - d) for a float d, via ``gap_core``.
@@ -428,9 +431,15 @@ def hertz_potential(alpha: float = 1.5, r_minus: float = 1.0) -> Potential:
 
     For 1 < alpha < 2 the curvature vanishes at zero strain and is only
     Hoelder continuous there, with exponent alpha - 1.  Floats go through
-    the same ufuncs as arrays: Python's ``**`` (libm ``pow``) differs in the
-    last bit from numpy's SIMD ``pow`` at some points, and a float must give
-    what an array gives.  The gap force is
+    the same ufunc as arrays: Python's ``**`` and ``math.pow`` (libm
+    ``pow``) differ in the last bit from numpy's SIMD ``pow`` at some
+    points, and a float must give what an array gives.  A core sees strains
+    in [0, r_minus], signed zeros and NaN; ``r + 0.0`` turns -0.0 into +0.0
+    there as ``np.maximum(r, 0.0)`` does, without a second ufunc call on a
+    float, so odd integer powers give +0.0 on both paths.  The exponents
+    are 0-d float64 arrays: with one, ``np.power`` on a float base costs
+    about 40 % less than with a Python float exponent, for the same bits.
+    The gap force is
     ``r_minus**alpha * (1 - (1 - d/r_minus)**alpha)``, written with
     ``expm1``/``log1p`` so it keeps its relative accuracy as d goes to 0.
     """
@@ -445,13 +454,15 @@ def hertz_potential(alpha: float = 1.5, r_minus: float = 1.0) -> Potential:
         # x rounds to 1 only at the far core end, where the force is 0
         return rm_a if x >= 1.0 else -rm_a * math.expm1(a * math.log1p(-x))
 
+    e_phi, e_dphi, e_d2phi = np.array(a + 1.0), np.array(a), np.array(a - 1.0)
+
     def phi(r):
-        return np.power(np.maximum(r, 0.0), a + 1.0) / (a + 1.0)
+        return np.power(r + 0.0, e_phi) / (a + 1.0)
 
     def dphi(r):
-        return np.power(np.maximum(r, 0.0), a)
+        return np.power(r + 0.0, e_dphi)
 
     def d2phi(r):
-        return a * np.power(np.maximum(r, 0.0), a - 1.0)
+        return a * np.power(r + 0.0, e_d2phi)
 
     return Potential(phi, dphi, d2phi, 0.0, rm, name=f"hertz(alpha={a})", gap_core=gap)

@@ -1,5 +1,7 @@
 """Continuum front profile against closed-form and quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -11,12 +13,26 @@ from fput_fronts import (
     UniformGrid,
     hertz_potential,
     linear_force_potential,
+    polynomial_potential,
     position_of_level,
     quadratic_force_potential,
     solve_R0,
     suggest_half_length,
 )
-from fput_fronts.continuum import _dop853, _gap_rhs, _tableau
+from fput_fronts.continuum import (
+    _ATOL,
+    _ERROR_EXPONENT,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _RTOL,
+    _SAFETY,
+    _DenseTable,
+    _dop853,
+    _gap_rhs,
+    _initial_step,
+    _tableau,
+    solver_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +273,139 @@ class TestStepper:
         x = np.linspace(0.0, 30.0, 3001)
         assert np.max(np.abs(table(x) / np.exp(-x) - 1.0)) <= 1e-11
         assert table.knots[0] == 0.0 and table.knots[-1] == 30.0
+
+
+def _dot(row, K):
+    """sum(map(mul, row, K)) as Python 3.11 adds it: from 0, left to right.
+
+    Written as a loop because ``sum`` compensates from Python 3.12 on.
+    """
+    total = 0
+    for a, k in zip(row, K):
+        total += a * k
+    return total
+
+
+def _reference_dop853(fun, t_bound, y0):
+    """The loop-form DOP853 stepper: every stage sum over the full tableau row.
+
+    The reference for ``continuum._dop853``, which writes the same sums as
+    straight-line code without the zero terms; the two must agree bitwise.
+    """
+    n_stages = _tableau.N_STAGES
+    A = [tuple(map(float, _tableau.A[s, :s])) for s in range(1, n_stages)]
+    B, E3, E5 = (tuple(map(float, row)) for row in (_tableau.B, _tableau.E3, _tableau.E5))
+    direction = 1.0 if t_bound > 0 else -1.0
+    t, y = 0.0, y0
+    f = fun(y)
+    h_abs = _initial_step(fun, y, f, direction, abs(t_bound))
+    nfev = 2
+    knots, ys, stages = [t], [y], []
+    while direction * (t - t_bound) < 0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise DomainTooSmallError(
+                    f"continuum integration failed: step size below {min_step:.3g} "
+                    f"at x = {t}",
+                    suggested_L=2 * abs(t_bound),
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for a in A:
+                K.append(fun(y + _dot(a, K) * h))
+            y_new = y + h * _dot(B, K)
+            f_new = fun(y_new)
+            K.append(f_new)
+            nfev += n_stages
+            scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
+            err5 = _dot(E5, K) / scale
+            err3 = _dot(E3, K) / scale
+            err5_2, err3_2 = err5 * err5, err3 * err3
+            if err5_2 == 0.0 and err3_2 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5_2 / math.sqrt(err5_2 + 0.01 * err3_2)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+
+        stages.append(K)
+        knots.append(t_new)
+        ys.append(y_new)
+        t, y, f = t_new, y_new, f_new
+
+    h, y_old = np.diff(knots), np.array(ys[:-1])
+    K = np.zeros((h.size, _tableau.N_STAGES_EXTENDED))
+    K[:, : n_stages + 1] = stages
+    for s in range(n_stages + 1, _tableau.N_STAGES_EXTENDED):
+        args = y_old + (K[:, :s] @ _tableau.A[s, :s]) * h
+        K[:, s] = [fun(v) for v in args.tolist()]
+    nfev += (_tableau.N_STAGES_EXTENDED - n_stages - 1) * h.size
+    return _DenseTable(knots, ys, K, nfev)
+
+
+_ORACLE_POTENTIALS = {
+    "quadratic": quadratic_force_potential,
+    "hertz1.1": lambda: hertz_potential(1.1),
+    "hertz1.5": hertz_potential,
+    "degree4": lambda: polynomial_potential(
+        [0.1, 0.7, 1.3, 0.4, 0.2], r_plus=0.2, r_minus=1.7
+    ).renormalize()[0],
+    # no gap_core: the gap branch takes the quadrature right-hand side
+    "user": lambda: Potential(lambda r: r**3 / 3.0, lambda r: r * r, lambda r: 2.0 * r),
+}
+
+
+class TestStepperOracle:
+    """The straight-line stepper gives the loop-form reference's tables bit for bit."""
+
+    @staticmethod
+    def assert_same_table(table, ref):
+        assert table.side == ref.side
+        assert table.nfev == ref.nfev
+        for name in ("knots", "t_old", "h", "y_old", "horner"):
+            assert getattr(table, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("branch", ["gap", "right"])
+    @pytest.mark.parametrize("name", list(_ORACLE_POTENTIALS))
+    def test_tables_are_bitwise_equal(self, name, branch):
+        pot = _ORACLE_POTENTIALS[name]()
+        # the renormalized degree-4 force (raw dphi(r_plus) != 0) keeps
+        # only about 8 digits below R = 1e-8, past x = 22, where the step
+        # collapses; both branches stop at 20 for it
+        L = 20.0 if name == "degree4" else solver_grid(pot).L
+        if branch == "gap":
+            rhs, t_bound = _gap_rhs(pot), -L
+        else:
+            rhs, t_bound = (lambda r: pot.dphi(r) - r), L
+        self.assert_same_table(_dop853(rhs, t_bound, 0.5), _reference_dop853(rhs, t_bound, 0.5))
+
+    def test_blow_up_raises_the_same_error(self):
+        # y' = 1/(1 - y) blows up at t = 1/2
+        def rhs(y):
+            return 1.0 / (1.0 - y)
+
+        errors = []
+        for stepper in (_dop853, _reference_dop853):
+            with pytest.raises(DomainTooSmallError) as exc:
+                stepper(rhs, 5.0, 0.0)
+            errors.append((str(exc.value), exc.value.suggested_L))
+        assert errors[0] == errors[1]
 
 
 class TestUserCoreFallback:

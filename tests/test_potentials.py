@@ -110,6 +110,15 @@ class TestExtension:
         assert pot.dphi(-0.5) == 0.0
         assert pot.phi(-0.5) == 0.0
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_hertz_signed_zero_strain_gives_positive_zero(self, alpha):
+        # odd integer powers would keep the sign of -0.0 without the
+        # core's -0.0 -> +0.0 step
+        for pot in (hertz_potential(alpha), hertz_potential(alpha, r_minus=2.0).renormalize()[0]):
+            for f in (pot.phi, pot.dphi, pot.d2phi):
+                values = [f(-0.0), f(0.0), *f(np.array([-0.0, 0.0]))]
+                assert values == [0.0] * 4 and not np.signbit(values).any()
+
 
 class TestArrayEvaluation:
     @pytest.mark.parametrize("method", ["phi", "dphi", "d2phi"])
@@ -198,6 +207,37 @@ class TestScalarPath:
                 scalars = [f(kind(x)) for x in r]
                 assert all(type(v) is float for v in scalars)
                 assert np.array(scalars).tobytes() == values.tobytes(), kind
+
+    @staticmethod
+    def gap_reference(pot, d):
+        """dphi(r_minus) - dphi(r_minus - d) by its three cases, forces from arrays."""
+        if d < 0.0:
+            return pot.p_minus * d
+        if d > pot.r_minus - pot.r_plus:
+            force = pot.dphi(np.array([pot.r_minus, pot.r_minus - d]))
+            return float(force[0] - force[1])
+        return float(pot.gap_core(d))
+
+    @pytest.mark.parametrize("norm", [False, True], ids=["raw", "renormalized"])
+    @pytest.mark.parametrize(
+        "name", [n for n, make in _FORCE_LAWS.items() if make().gap_core is not None]
+    )
+    def test_gap_force_on_floats(self, name, norm):
+        pot = _FORCE_LAWS[name]()
+        if norm:
+            pot = pot.renormalize()[0]
+        span = pot.r_minus - pot.r_plus
+        # above the core (d < 0), the signed zeros, the span end and below
+        # the core (d > span), with the neighbours of each boundary
+        edges = [-0.0, 0.0, span]
+        neighbours = [np.nextafter(e, t) for e in edges for t in (-np.inf, np.inf)]
+        outside = [-5e-324, -1e-3, -0.5, span + 1e-3, span + 2.0]
+        inside = np.linspace(0.0, span, 41)[1:-1]
+        d = np.concatenate([edges, neighbours, outside, inside])
+        want = np.array([self.gap_reference(pot, x) for x in d.tolist()])
+        got = [pot.gap_force(x) for x in d.tolist()]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestHorner:
