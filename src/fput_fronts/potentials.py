@@ -4,7 +4,10 @@ A potential is defined by its force law ``dphi`` on a core strain interval
 ``[r_plus, r_minus]`` (the far-field strains behind and ahead of a front,
 with ``r_minus > r_plus``).  Outside the core the force is extended with
 constant curvature, so solver iterates that overshoot the physical range
-still see a C^1 force law.
+still see a C^1 force law.  The extension is each law's Taylor polynomial
+at the nearer core end (value, slope and half the curvature of phi; value
+and curvature of dphi; the curvature of d2phi), kept once per potential
+and read by the float and the array path alike.
 
 The normalized setting used throughout the solver modules has
 ``r_plus = 0``, ``r_minus = 1``, ``dphi(0) = 0``, ``dphi(1) = 1``; any
@@ -24,6 +27,14 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConfigError
 
 ENDPOINT_TOL = 1e-12
+# arrays of this many bytes or more (glibc's default mmap threshold) get the
+# force-law extension in fresh arrays selected with np.where; smaller ones
+# get it written in place, which makes a 16 KB lattice field (M = 2000)
+# step faster.  Cold front solves at 64 and 128 KiB and sweeps at 128 and
+# 256 KiB, run on their own, took the same time either way, but a benchmark
+# process (perfbench front-sweep) on 256 KiB grids took about a sixth
+# longer in place.  The switch sits one doubling below that size
+IN_PLACE_MAX_BYTES = 128 * 1024
 # points of the core interval that Potential.validate samples
 VALIDATE_SAMPLES = 2048
 
@@ -94,7 +105,9 @@ class Potential:
 
     Parameters are callables for the potential, force, and curvature on the
     core interval; all evaluation methods accept scalars or arrays and apply
-    the extension automatically.  ``gap_core``, when given, is the gap force
+    the extension automatically.  A core gets strains in the core interval
+    (or NaN); the array path writes the extension into arrays it made, never
+    into what a core returns.  ``gap_core``, when given, is the gap force
     ``d -> dphi(r_minus) - dphi(r_minus - d)`` on plain floats d in
     ``[0, r_minus - r_plus]``, evaluated without cancellation at small d
     (see :meth:`gap_force`); the built-in factories supply it.
@@ -126,22 +139,16 @@ class Potential:
         self._dp_b = float(dphi_core(self.r_minus))
         self._p_a = float(d2phi_core(self.r_plus))
         self._p_b = float(d2phi_core(self.r_minus))
-        # each law as (core, extension below r_plus, extension above
-        # r_minus), built once rather than on every call
-        a, b = self.r_plus, self.r_minus
-        phi_a, phi_b = self._phi_a, self._phi_b
-        dp_a, dp_b, p_a, p_b = self._dp_a, self._dp_b, self._p_a, self._p_b
+        # each law as (core, Taylor data at r_plus, Taylor data at r_minus):
+        # the value and the derivatives over k! that the constant-curvature
+        # extension keeps, read by the float and the array path alike
         self._phi_law = (
             phi_core,
-            lambda r: phi_a + dp_a * (r - a) + 0.5 * p_a * ((r - a) * (r - a)),
-            lambda r: phi_b + dp_b * (r - b) + 0.5 * p_b * ((r - b) * (r - b)),
+            (self._phi_a, self._dp_a, 0.5 * self._p_a),
+            (self._phi_b, self._dp_b, 0.5 * self._p_b),
         )
-        self._dphi_law = (
-            dphi_core,
-            lambda r: dp_a + p_a * (r - a),
-            lambda r: dp_b + p_b * (r - b),
-        )
-        self._d2phi_law = (d2phi_core, lambda r: p_a, lambda r: p_b)
+        self._dphi_law = (dphi_core, (self._dp_a, self._p_a), (self._dp_b, self._p_b))
+        self._d2phi_law = (d2phi_core, (self._p_a,), (self._p_b,))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -156,26 +163,43 @@ class Potential:
         # returns r itself, signed zeros at the core ends included, so the
         # core gets r as the array path's core does
         if r < self.r_plus:
-            return float(below(r))
+            return _taylor(below, r - self.r_plus)
         if r > self.r_minus:
-            return float(above(r))
+            return _taylor(above, r - self.r_minus)
         return float(core(r))
 
     def _eval_array(self, r, core, below, above):
-        # each occupied side is selected over the whole field; a side sees r
-        # clamped to its own half-line, so the other side's strains give it
-        # only its end value and raise no warning the subset would not.  NaN
-        # is skipped by both reductions and both selects and goes to the
-        # core, as np.clip passes it through
+        # the core sees r clipped to the core interval.  Each occupied side
+        # forms its Taylor terms over the whole field on r clamped to its own
+        # half-line, so the other side's strains give it distance 0 and raise
+        # no warning the subset would not, and selects them in at its own
+        # strains.  NaN is skipped by both reductions and both masks and
+        # keeps the core's value, as clip passes it through
         a, b = self.r_plus, self.r_minus
-        out = np.asarray(core(np.clip(r, a, b)), dtype=float)
-        if np.fmin.reduce(r, axis=None, initial=np.inf) < a:
-            out = np.where(r < a, below(np.minimum(r, a)), out)
-        if np.fmax.reduce(r, axis=None, initial=-np.inf) > b:
-            out = np.where(r > b, above(np.maximum(r, b)), out)
+        c = r.clip(a, b)
+        out = np.asarray(core(c), dtype=float)
         if out.shape != r.shape:
             # a core may return a scalar
             out = np.array(np.broadcast_to(out, r.shape))
+        lo = np.fmin.reduce(r, axis=None, initial=np.inf) < a
+        hi = np.fmax.reduce(r, axis=None, initial=-np.inf) > b
+        if not (lo or hi):
+            return out
+        if r.nbytes >= IN_PLACE_MAX_BYTES:
+            if lo:
+                out = np.where(r < a, _taylor(below, np.minimum(r, a) - a), out)
+            if hi:
+                out = np.where(r > b, _taylor(above, np.maximum(r, b) - b), out)
+            return out
+        # the call writes only into arrays it made: the clip result takes
+        # each side's distance and terms, and a copy of the core's output
+        # (which may be its argument, a view of it or an array the core
+        # keeps) takes the result
+        out = out.copy()
+        if lo:
+            _put_taylor(out, np.less(r, a), below, np.subtract(np.minimum(r, a, out=c), a, out=c))
+        if hi:
+            _put_taylor(out, np.greater(r, b), above, np.subtract(np.maximum(r, b, out=c), b, out=c))
         return out
 
     def phi(self, r):
@@ -266,6 +290,14 @@ class Potential:
             raise PotentialError("force law is not increasing on the core interval")
         if not rep.convex:
             raise PotentialError("force law is not convex on the core interval")
+        fc = self.front_constants()
+        fmap = RenormalizationMap(
+            r_plus=self.r_plus, r_minus=self.r_minus, speed=fc.speed, offset=fc.offset
+        )
+        return self._unit_form(), fmap
+
+    def _unit_form(self) -> "Potential":
+        """The unit form through the cores, with r = r_plus + (r_minus - r_plus) * R."""
         a, b = self.r_plus, self.r_minus
         dr = b - a
         ddp = self._dp_b - self._dp_a
@@ -284,7 +316,7 @@ class Potential:
         def gap_n(Q):
             return self.gap_core(dr * Q) / ddp
 
-        normalized = Potential(
+        return Potential(
             phi_n,
             dphi_n,
             d2phi_n,
@@ -293,11 +325,6 @@ class Potential:
             name=f"{self.name} (normalized)",
             gap_core=None if self.gap_core is None else gap_n,
         )
-        fc = self.front_constants()
-        fmap = RenormalizationMap(
-            r_plus=a, r_minus=b, speed=fc.speed, offset=fc.offset
-        )
-        return normalized, fmap
 
     def validate(self) -> ValidationReport:
         """Structural checks on ``VALIDATE_SAMPLES`` points of the core interval.
@@ -353,6 +380,32 @@ class Potential:
         )
 
 
+def _taylor(terms, d):
+    """``(value + t1*d) + t2*(d*d)`` over the given Taylor data, on a float or an array."""
+    if len(terms) == 1:
+        return terms[0]
+    y = terms[0] + terms[1] * d
+    return y if len(terms) == 2 else y + terms[2] * (d * d)
+
+
+def _put_taylor(out, side, terms, d) -> None:
+    """Put :func:`_taylor` of ``d`` into ``out`` where ``side`` holds; ``d`` is overwritten.
+
+    The terms are formed over the whole of ``d`` in the float path's
+    operation order, as the ``np.where`` path forms them, so each value is
+    the float path's and both array paths raise the same warnings.
+    """
+    if len(terms) == 1:
+        np.putmask(out, side, terms[0])
+        return
+    q = terms[2] * (d * d) if len(terms) == 3 else None
+    np.multiply(terms[1], d, out=d)
+    np.add(terms[0], d, out=d)
+    if q is not None:
+        np.add(d, q, out=d)
+    np.putmask(out, side, d)
+
+
 # -- factories --------------------------------------------------------------
 #
 # Every core takes a plain float (returning a float) or an array; the scalar
@@ -374,20 +427,67 @@ def _horner(coeffs: tuple, x):
     return y
 
 
+def _taylor_shift(coeffs: Sequence[float], x0: float) -> list:
+    """Exact rationals t with sum_j coeffs[j] r**j = sum_k t[k] (r - x0)**k.
+
+    t[k] is dphi^(k)(x0) / k!, in rational arithmetic on the float inputs.
+    """
+    c = [Fraction(v) for v in coeffs]
+    x = Fraction(x0)
+    return [
+        sum(c[j] * math.comb(j, k) * x ** (j - k) for j in range(k, len(c)))
+        for k in range(len(c))
+    ]
+
+
 def _gap_coefficients(coeffs: Sequence[float], r_minus: float) -> tuple:
     """h with dphi(r_minus) - dphi(r_minus - d) = d * sum_k h[k] d**k.
 
     Taylor-shifts the force polynomial to r_minus: h[k-1] is
-    (-1)**(k+1) dphi^(k)(r_minus) / k!.  The shift is exact rational
-    arithmetic on the float inputs, so each h[k] is correctly rounded.
+    (-1)**(k+1) dphi^(k)(r_minus) / k!, each correctly rounded.
     """
-    c = [Fraction(v) for v in coeffs]
-    rm = Fraction(r_minus)
-    h = [
-        (-1) ** (k + 1) * sum(c[j] * math.comb(j, k) * rm ** (j - k) for j in range(k, len(c)))
-        for k in range(1, len(c))
-    ]
-    return tuple(map(float, h)) or (0.0,)
+    t = _taylor_shift(coeffs, r_minus)
+    return tuple(float((-1) ** (k + 1) * t[k]) for k in range(1, len(t))) or (0.0,)
+
+
+def _unit_coefficients(coeffs: Sequence[float], r_plus: float, r_minus: float) -> tuple:
+    """The force polynomial of the unit form, R -> (dphi(r) - dphi(r_plus)) / jump.
+
+    With r = r_plus + s R, s = r_minus - r_plus as RenormalizationMap takes
+    it, and jump = dphi(r_plus + s) - dphi(r_plus): the Taylor shift to
+    r_plus, scaled, all in exact rationals.  The constant term is exactly 0,
+    so the unit force keeps its relative accuracy as R goes to 0.
+    """
+    t = _taylor_shift(coeffs, r_plus)
+    s = Fraction(r_minus - r_plus)
+    shifted = [t[k] * s**k for k in range(1, len(t))]
+    jump = sum(shifted)
+    return (0.0, *(float(v / jump) for v in shifted))
+
+
+class _PolynomialPotential(Potential):
+    """A polynomial force law (see :func:`polynomial_potential`)."""
+
+    def __init__(self, coeffs: tuple, r_plus: float, r_minus: float, name: str):
+        c = np.asarray(coeffs)
+        ci = tuple(map(float, npoly.polyint(c)))
+        cd = tuple(map(float, npoly.polyder(c))) if c.size > 1 else (0.0,)
+        cg = _gap_coefficients(coeffs, r_minus)
+        super().__init__(
+            lambda r: _horner(ci, r),
+            lambda r: _horner(coeffs, r),
+            lambda r: _horner(cd, r),
+            r_plus,
+            r_minus,
+            name=name,
+            gap_core=lambda d: d * _horner(cg, d),
+        )
+        self._coeffs = coeffs
+
+    def _unit_form(self) -> Potential:
+        """The unit force is again a polynomial, shifted exactly to r_plus."""
+        g = _unit_coefficients(self._coeffs, self.r_plus, self.r_minus)
+        return _PolynomialPotential(g, 0.0, 1.0, name=f"{self.name} (normalized)")
 
 
 def polynomial_potential(
@@ -396,24 +496,14 @@ def polynomial_potential(
     """Potential whose force law is a polynomial in the monomial basis.
 
     ``coeffs[j]`` multiplies ``r**j`` in the force law.  The potential is the
-    antiderivative vanishing at 0.
+    antiderivative vanishing at 0.  Its unit form (:meth:`Potential.renormalize`)
+    is again a polynomial, with the force Taylor-shifted to ``r_plus`` exactly.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise PotentialError("polynomial force law needs a 1-d coefficient list")
-    ci = tuple(map(float, npoly.polyint(c)))
-    cd = tuple(map(float, npoly.polyder(c))) if c.size > 1 else (0.0,)
     cf = tuple(map(float, c))
-    cg = _gap_coefficients(cf, r_minus)
-    return Potential(
-        lambda r: _horner(ci, r),
-        lambda r: _horner(cf, r),
-        lambda r: _horner(cd, r),
-        r_plus,
-        r_minus,
-        name=f"polynomial{list(cf)}",
-        gap_core=lambda d: d * _horner(cg, d),
-    )
+    return _PolynomialPotential(cf, r_plus, r_minus, name=f"polynomial{list(cf)}")
 
 
 def quadratic_force_potential() -> Potential:

@@ -385,10 +385,7 @@ class TestStepperOracle:
     @pytest.mark.parametrize("name", list(_ORACLE_POTENTIALS))
     def test_tables_are_bitwise_equal(self, name, branch):
         pot = _ORACLE_POTENTIALS[name]()
-        # the renormalized degree-4 force (raw dphi(r_plus) != 0) keeps
-        # only about 8 digits below R = 1e-8, past x = 22, where the step
-        # collapses; both branches stop at 20 for it
-        L = 20.0 if name == "degree4" else solver_grid(pot).L
+        L = solver_grid(pot).L
         if branch == "gap":
             rhs, t_bound = _gap_rhs(pot), -L
         else:
@@ -406,6 +403,25 @@ class TestStepperOracle:
                 stepper(rhs, 5.0, 0.0)
             errors.append((str(exc.value), exc.value.suggested_L))
         assert errors[0] == errors[1]
+
+
+class TestRenormalizedPolynomial:
+    def test_right_branch_keeps_its_step_to_L(self):
+        # raw dphi(r_plus) != 0: the unit force must still keep its relative
+        # accuracy as R goes to 0, or the right branch's step collapses
+        # past x = 22 (millions of evaluations to L = 40)
+        pot = polynomial_potential([0.1, 0.7, 1.3, 0.4, 0.2], r_plus=0.2, r_minus=1.7)
+        pot = pot.renormalize()[0]
+        assert pot.is_normalized
+        L = solver_grid(pot).L
+        assert L == 40.0
+
+        def rhs(r):
+            return pot.dphi(r) - r
+
+        assert _dop853(rhs, L, 0.5).nfev <= 3 * _dop853(rhs, 20.0, 0.5).nfev
+        sol = solve_R0(pot)
+        assert sol(L) <= 1e-8 and sol.gap(-L) <= 1e-8
 
 
 class TestUserCoreFallback:

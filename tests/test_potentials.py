@@ -18,7 +18,7 @@ from fput_fronts import (
     polynomial_potential,
     quadratic_force_potential,
 )
-from fput_fronts.potentials import _horner
+from fput_fronts.potentials import IN_PLACE_MAX_BYTES, _horner
 
 
 def chord_area_oracle(pot):
@@ -110,6 +110,19 @@ class TestExtension:
         assert pot.dphi(-0.5) == 0.0
         assert pot.phi(-0.5) == 0.0
 
+    def test_beyond_the_ends_both_paths_use_the_end_data(self):
+        # a core whose array form disagrees with its float form: beyond the
+        # core ends both paths evaluate the Taylor data the floats gave
+        def core(r):
+            return 3.0 if type(r) is float else np.full(np.shape(r), 5.0)
+
+        pot = Potential(core, core, core)
+        r = np.array([-1.0, 0.5, 2.0])
+        for f in (pot.phi, pot.dphi, pot.d2phi):
+            out = f(r)
+            assert out[1] == 5.0
+            assert [f(-1.0), f(2.0)] == [out[0], out[2]]
+
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_hertz_signed_zero_strain_gives_positive_zero(self, alpha):
         # odd integer powers would keep the sign of -0.0 without the
@@ -145,6 +158,7 @@ class TestArrayEvaluation:
         assert values.shape == r.shape
         assert values.tobytes() == scalars.tobytes()
 
+    @pytest.mark.parametrize("copies", [1, IN_PLACE_MAX_BYTES // 32], ids=["in-place", "np.where"])
     @pytest.mark.parametrize(
         "method, r",
         [
@@ -156,9 +170,9 @@ class TestArrayEvaluation:
         ],
     )
     @pytest.mark.parametrize("make", [quadratic_force_potential, hertz_potential])
-    def test_each_side_sees_only_its_own_strains(self, make, method, r):
+    def test_each_side_sees_only_its_own_strains(self, make, method, r, copies):
         f = getattr(make(), method)
-        r = np.array(r)
+        r = np.tile(r, copies)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = f(r)
@@ -207,6 +221,49 @@ class TestScalarPath:
                 scalars = [f(kind(x)) for x in r]
                 assert all(type(v) is float for v in scalars)
                 assert np.array(scalars).tobytes() == values.tobytes(), kind
+
+    @staticmethod
+    def large_probe(pot, n):
+        """n strains: both sides of the core, its ends, ±0.0, NaN and ±inf.
+
+        The special values sit at both ends of the array and in its middle,
+        where vector loops take their edges.
+        """
+        a, b = pot.r_plus, pot.r_minus
+        w = b - a
+        rng = np.random.default_rng(0)
+        special = [a, b, 0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+        special += [np.nextafter(e, t) for e in (a, b) for t in (-np.inf, np.inf)]
+        body = np.concatenate(
+            [
+                rng.uniform(a - 2.0 * w, b + 2.0 * w, n // 2),
+                a + 1e-6 * w * rng.uniform(-1.0, 1.0, n // 8),
+                b + 1e-6 * w * rng.uniform(-1.0, 1.0, n // 8),
+            ]
+        )
+        body = np.concatenate([body, rng.uniform(a, b, n - 3 * len(special) - body.size)])
+        rng.shuffle(body)
+        half = body.size // 2
+        return np.concatenate([special, body[:half], special, body[half:], special])
+
+    # the largest array written in place, and the front solver's 32768
+    # points, which take np.where
+    @pytest.mark.parametrize("n", [IN_PLACE_MAX_BYTES // 8 - 1, 32768])
+    @pytest.mark.parametrize("norm", [False, True], ids=["raw", "renormalized"])
+    @pytest.mark.parametrize("name", list(_FORCE_LAWS))
+    def test_large_array_matches_floats_bitwise(self, name, norm, n):
+        pot = _FORCE_LAWS[name]()
+        if norm:
+            pot = pot.renormalize()[0]
+        r = self.large_probe(pot, n)
+        assert r.size == n
+        points = r.tolist()
+        for method in ("phi", "dphi", "d2phi"):
+            f = getattr(pot, method)
+            with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+                values = f(r)
+                scalars = np.array([f(x) for x in points])
+            assert values.tobytes() == scalars.tobytes(), method
 
     @staticmethod
     def gap_reference(pot, d):
@@ -278,6 +335,70 @@ class TestCoreOutput:
             assert out.tobytes() == np.clip(r, lo, 1.0).tobytes()
             assert np.array([f(float(x)) for x in r]).tobytes() == out.tobytes()
 
+    @pytest.mark.parametrize(
+        "core",
+        [
+            lambda x: x,
+            lambda x: np.asarray(x)[...],
+            lambda x: np.broadcast_to(np.asarray(x, dtype=float), np.shape(x)),
+        ],
+        ids=["identity", "view", "read-only"],
+    )
+    def test_extension_leaves_the_strains_alone(self, core):
+        # the core's output may be the clip result, a view of it or
+        # read-only: the extension goes into an array of the call's own
+        r = np.array([-2.0, -1e-6, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-6, 3.0, np.inf, -np.inf, np.nan])
+        r_before = r.tobytes()
+        pot = Potential(core, core, core, r_plus=0.0, r_minus=1.0)
+        for f in (pot.phi, pot.dphi, pot.d2phi):
+            # zero curvature times an infinite distance is NaN on both paths
+            with np.errstate(invalid="ignore"):
+                out = f(r)
+                scalars = np.array([f(float(x)) for x in r])
+            assert not np.shares_memory(out, r)
+            assert out.flags.writeable
+            assert r.tobytes() == r_before
+            assert scalars.tobytes() == out.tobytes()
+
+    def test_extension_leaves_a_cached_core_output_alone(self):
+        # a core that hands out an array it keeps (a memo, a table) must
+        # find it as it was on the next call
+        cache = {}
+
+        def core(x):
+            if type(x) is float:
+                return 0.5 * x
+            return cache.setdefault(x.size, 0.5 * x)
+
+        r = np.array([-2.0, 0.25, 0.5, 3.0])
+        pot = Potential(core, core, core, r_plus=0.0, r_minus=1.0)
+        for f in (pot.phi, pot.dphi, pot.d2phi):
+            cache.clear()
+            first = f(r)
+            kept = cache[r.size].copy()
+            assert f(r).tobytes() == first.tobytes()
+            assert cache[r.size].tobytes() == kept.tobytes()
+            assert not np.shares_memory(first, cache[r.size])
+            assert first.tobytes() == np.array([f(float(x)) for x in r]).tobytes()
+
+    @pytest.mark.parametrize("copies", [1, IN_PLACE_MAX_BYTES // 16], ids=["in-place", "np.where"])
+    def test_infinite_end_curvature_warns_alike_on_every_size(self, copies):
+        # the side terms are formed over every strain, as the float path
+        # forms them at one, so an infinite curvature at r_plus times the
+        # zero distance of the other strains warns on every array size
+        def d2(x):
+            return np.where(np.asarray(x) == 0.0, np.inf, 1.0)
+
+        pot = Potential(lambda x: 0.5 * x * x, lambda x: x, d2, r_plus=0.0, r_minus=1.0)
+        r = np.tile([-0.5, 0.25, 2.0], copies)
+        for f in (pot.phi, pot.dphi):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = f(r)
+            assert [str(w.message) for w in caught] == ["invalid value encountered in multiply"]
+            assert out[:3].tolist() == [f(-0.5), f(0.25), f(2.0)]
+            assert np.isinf(out[0])
+
     def test_scalar_core_gives_full_shape(self):
         pot = Potential(lambda r: 0.5 * r * r, lambda r: r, lambda r: 1.0)
         r = np.array([[0.25, 0.5, 1.0], [0.75, 0.1, 0.2]])
@@ -328,6 +449,25 @@ class TestRenormalize:
         r = np.linspace(0.1, 2.0, 17)
         back = fmap.strain_from_normalized(fmap.normalized_from_strain(r))
         assert np.max(np.abs(back - r)) <= 1e-12
+
+    def test_polynomial_unit_force_is_exact_near_zero(self):
+        # the unit force of a polynomial is a polynomial with no constant
+        # term, so it keeps its relative accuracy as R goes to 0
+        coeffs = [0.1, 0.7, 1.3, 0.4, 0.2]
+        raw = polynomial_potential(coeffs, r_plus=0.2, r_minus=1.7)
+        norm = raw.renormalize()[0]
+        assert norm.is_normalized
+        assert norm.dphi(0.0) == 0.0 and norm.phi(0.0) == 0.0
+
+        def force(r):
+            return sum(Fraction(c) * r**j for j, c in enumerate(coeffs))
+
+        a, s = Fraction(0.2), Fraction(1.7 - 0.2)
+        jump = force(a + s) - force(a)
+        for R in np.geomspace(1e-300, 1.0, 60):
+            exact = (force(a + s * Fraction(R)) - force(a)) / jump
+            assert abs(Fraction(norm.dphi(R)) - exact) <= 1e-14 * exact
+        assert abs(norm.dphi(1.0) - 1.0) <= 4e-16
 
     def test_rejects_decreasing_force(self):
         with pytest.raises(PotentialError):
