@@ -28,11 +28,15 @@ dW = M^{-1} y.  The inverse is pinned, z(x_c) = 0 at the center grid point
 x_c = 0 (index N // 2), so its range leaves out the translation mode and
 carries the phase condition (Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3
 (2004)) without a border unknown or a second solver.  J M^{-1} =
-I + (a0 - a_eps) * P M^{-1} is then close to the identity, and a handful of
-inner iterations suffice.  Since R0(0) = 1/2 and no step moves W at x_c,
-every iterate crosses 1/2 at x = 0 exactly: the pin is the solver's only
-phase rule.  W2 vanishes at x_c, so both starts are on phase; a start
-passed in by the caller is re-centered once, before the first step.
+I + (a0 - a_eps) * P M^{-1} is then close to the identity.  LSMR stops
+once the step's linear residual is small against NEWTON_TOL, not against
+|F| (an inexact-Newton forcing term: Eisenstat & Walker, SIAM J. Sci.
+Comput. 17 (1996)), so a step near the fixed point takes a few inner
+iterations and the outer test on the true residual decides convergence.
+Since R0(0) = 1/2 and no step moves W at x_c, every iterate crosses 1/2 at
+x = 0 exactly: the pin is the solver's only phase rule.  W2 vanishes at
+x_c, so both starts are on phase; a start passed in by the caller is
+re-centered once, before the first step.
 
 dphi(R0) does not decay (it tends to 1 on the left), but the continuum ODE
 writes it as dphi(R0) = R0 + R0', and R0' decays at both ends.  With
@@ -83,11 +87,16 @@ from .potentials import Potential
 from .spectral import symbol_a, tent_symbol
 
 # Newton stops once the sup residual falls below NEWTON_TOL or the sup step
-# below STEP_TOL, and gives up after MAX_NEWTON steps; each step's LSMR
-# solve runs to KRYLOV_TOL (relative) within KRYLOV_MAXITER iterations.
+# below STEP_TOL, and gives up after MAX_NEWTON steps.  Each step's LSMR
+# solve gets atol = btol = max(KRYLOV_TOL, KRYLOV_FORCING * NEWTON_TOL / |F|_2)
+# and at most KRYLOV_MAXITER iterations: it asks for a linear residual of
+# KRYLOV_FORCING * NEWTON_TOL = 1e-12 in the 2-norm, which bounds the sup
+# norm (an inexact-Newton forcing term: Dembo, Eisenstat & Steihaug, SIAM J.
+# Numer. Anal. 19 (1982)), or KRYLOV_TOL relative to |F|_2 when |F| is large.
 NEWTON_TOL = 1e-10
 STEP_TOL = 1e-12
 KRYLOV_TOL = 1e-13
+KRYLOV_FORCING = 0.01
 KRYLOV_MAXITER = 400
 MAX_NEWTON = 30
 
@@ -144,13 +153,19 @@ class FrontSolution:
     S: np.ndarray
     residual_fp: float
     iterations: int
-    krylov_iterations: int = 0
     warm_started: bool = False
+    # one record per Newton step: sup residual after it, damping factor,
+    # LSMR stop code, iterations and the tolerance it was given
+    steps: list[dict] = field(default_factory=list)
     _tent_residual: float | None = field(default=None, repr=False)
 
     @property
     def x(self) -> np.ndarray:
         return self.grid.x
+
+    @property
+    def krylov_iterations(self) -> int:
+        return sum(rec["itn"] for rec in self.steps)
 
     @property
     def h1_dist_to_R0(self) -> float:
@@ -364,8 +379,9 @@ def solve_front(
     below ``NEWTON_TOL`` or the step below ``STEP_TOL``; five consecutive
     non-improving steps, or ``MAX_NEWTON`` steps, raise
     ``NewtonDivergenceError``, whose diagnostics hold one record per Newton
-    step (sup residual after the step, damping factor, LSMR stop code and
-    iterations), as does a non-finite residual; a non-finite ``initial``
+    step (sup residual after the step, damping factor, LSMR stop code,
+    iterations and tolerance), as does a non-finite residual; a converged
+    solution keeps the same records in ``steps``.  A non-finite ``initial``
     is a ``ConfigError``.  A ``continuum`` is reused only if it was solved
     for this potential on this grid; otherwise R0 is solved afresh.
     """
@@ -420,7 +436,9 @@ def solve_front(
         op = LinearOperator(
             (grid.N, grid.N), matvec=matvec, rmatvec=rmatvec, dtype=float
         )
-        out = lsmr(op, -F, atol=KRYLOV_TOL, btol=KRYLOV_TOL, maxiter=KRYLOV_MAXITER)
+        # no cap: the loop runs only while |F|_2 >= |F|_inf > NEWTON_TOL
+        krylov_tol = max(KRYLOV_TOL, KRYLOV_FORCING * NEWTON_TOL / float(np.linalg.norm(F)))
+        out = lsmr(op, -F, atol=krylov_tol, btol=krylov_tol, maxiter=KRYLOV_MAXITER)
         y, istop, itn, normr, normar, norma, conda, _ = out
         dW = M.solve(y)
         if istop == 7:
@@ -432,6 +450,7 @@ def solve_front(
                     "normal_residual_norm": float(normar),
                     "condition_estimate": float(conda),
                     "iterations": int(itn),
+                    "krylov_tol": krylov_tol,
                     "curvature_min": float(np.min(P)),
                     "curvature_max": float(np.max(P)),
                 },
@@ -452,7 +471,15 @@ def solve_front(
             F = residual(W)
             res_norm = float(np.max(np.abs(F)))
             bad_streak += 1
-        steps.append({"residual": res_norm, "damping": step, "istop": int(istop), "itn": int(itn)})
+        steps.append(
+            {
+                "residual": res_norm,
+                "damping": step,
+                "istop": int(istop),
+                "itn": int(itn),
+                "krylov_tol": krylov_tol,
+            }
+        )
         if bad_streak >= 5:
             raise NewtonDivergenceError(
                 f"residual grew over {bad_streak} consecutive steps at "
@@ -482,8 +509,8 @@ def solve_front(
         S=S,
         residual_fp=res_norm,
         iterations=iteration,
-        krylov_iterations=sum(rec["itn"] for rec in steps),
         warm_started=initial is not None,
+        steps=steps,
     )
 
 
