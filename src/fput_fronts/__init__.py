@@ -14,7 +14,6 @@ from .analysis import (
     DecayReport,
     consolidated_report,
     fit_decay_rates,
-    h1_distance,
     monotonicity_check,
     normalization_check,
 )
@@ -41,7 +40,7 @@ from .front_solver import (
     derivative_consistency,
     solve_front,
 )
-from .grids import GridProfile, UniformGrid, grid_for
+from .grids import UniformGrid, grid_for
 from .lattice_sim import (
     LatticeState,
     Trajectory,
@@ -72,7 +71,6 @@ __all__ = [
     "DomainTooSmallError",
     "FrontConstants",
     "FrontSolution",
-    "GridProfile",
     "InsufficientDataError",
     "KrylovStagnationError",
     "LatticeState",
@@ -92,7 +90,6 @@ __all__ = [
     "find_pole",
     "fit_decay_rates",
     "grid_for",
-    "h1_distance",
     "hertz_potential",
     "init_chain",
     "linear_force_potential",

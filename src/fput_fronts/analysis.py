@@ -1,4 +1,4 @@
-"""Post-processing: tail-rate fits, monotonicity, norms, and reports.
+"""Post-processing: tail-rate fits, monotonicity, and reports.
 
 The slope profile S of a solved front decays like e^{+mu_minus x} far to
 the left and e^{-mu_plus x} far to the right, with rates given by the
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import decay_rates
-from .errors import ConfigError, NumericsError
+from .errors import NumericsError
 from .front_solver import FrontSolution
-from .grids import GridProfile, spectral_derivative
 
 WINDOW_LO = 1e-10
 WINDOW_HI = 1e-3
@@ -105,15 +104,6 @@ def monotonicity_check(S: np.ndarray) -> tuple[bool, float]:
     """(min S >= -1e-8, min S) for the slope array S."""
     m = float(np.min(S))
     return m >= -1e-8, m
-
-
-def h1_distance(a: GridProfile, b: GridProfile) -> float:
-    """Trapezoid H^1 distance with spectral differentiation of the difference."""
-    if a.grid.L != b.grid.L or a.grid.N != b.grid.N:
-        raise ConfigError("profiles live on different grids")
-    d = a.values - b.values
-    dp = spectral_derivative(d, a.grid)
-    return float(np.sqrt(np.trapezoid(d**2 + dp**2, dx=a.grid.h)))
 
 
 def normalization_check(sol: FrontSolution) -> float:

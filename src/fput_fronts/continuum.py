@@ -40,6 +40,9 @@ from .potentials import Potential
 from .spectral import find_pole
 
 SETTLE_TOL = 1e-8
+# decay_rates samples the force at the interior points of this many on [0, 1]
+CHORD_SAMPLES = 2048
+_CHORD_R = np.linspace(0.0, 1.0, CHORD_SAMPLES)[1:-1]
 _CHUNK = 16384  # points per evaluation pass
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -117,11 +120,15 @@ def _gap_rhs(potential: Potential):
 def decay_rates(potential: Potential, eps: float = 0.0) -> tuple[float, float]:
     """Tail rates (left, right) of the front's slope at tent half-width eps.
 
-    At eps = 0 these are the continuum's linearized rates: the right tail
+    This is also the one rule that admits a normalized force law.  The
+    continuum front, the heteroclinic of R' = dphi(R) - R from 1 to 0,
+    exists when p_plus < 1 < p_minus and dphi(r) < r on (0, 1), sampled at
+    the interior points of ``np.linspace(0, 1, CHORD_SAMPLES)``; otherwise
+    ``ConfigError`` names the first sample where the force meets its chord.
+    At eps = 0 the rates are the continuum's linearized ones: the right tail
     decays like exp(-(1 - p_plus) x) and the left gap 1 - R0 like
-    exp((p_minus - 1) x).  Both exponents must be positive for a monotone
-    front between nondegenerate states.  At eps > 0 they are the kernel pole
-    rates ``find_pole(eps, p).mu_rate`` at p_minus and p_plus.
+    exp((p_minus - 1) x).  At eps > 0 they are the kernel pole rates
+    ``find_pole(eps, p).mu_rate`` at p_minus and p_plus.
     """
     m_minus = potential.p_minus - 1.0
     m_plus = 1.0 - potential.p_plus
@@ -129,6 +136,13 @@ def decay_rates(potential: Potential, eps: float = 0.0) -> tuple[float, float]:
         raise ConfigError(
             f"potential has p_plus={potential.p_plus}, p_minus={potential.p_minus}; "
             "front tail rates require p_plus < 1 < p_minus"
+        )
+    above = ~(potential.dphi(_CHORD_R) < _CHORD_R)  # NaN counts as above
+    if above.any():
+        r = float(_CHORD_R[above.argmax()])
+        raise ConfigError(
+            f"force law meets its chord at r = {r:.6g} (dphi(r) - r = "
+            f"{float(potential.dphi(r)) - r:.3g}); a front needs dphi(r) < r on (0, 1)"
         )
     if eps == 0.0:
         return m_minus, m_plus
@@ -488,13 +502,15 @@ class ContinuumSolution:
 def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> ContinuumSolution:
     """Integrate the continuum front outward from R0(0) = 1/2.
 
-    The potential must be normalized.  The grid defaults to
+    The potential must be normalized and pass ``decay_rates``' rule, which
+    is checked before any ODE step.  The grid defaults to
     ``solver_grid(potential)``.  Raises ``DomainTooSmallError`` with a
     suggested half-length, from the solution's tail rates, if either tail
     has not settled to within 1e-8 at the window ends.
     """
     if not potential.is_normalized:
         raise ConfigError("continuum front solve requires a normalized potential")
+    m_minus, m_plus = decay_rates(potential)
     if grid is None:
         grid = solver_grid(potential)
     L = grid.L
@@ -511,9 +527,9 @@ def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> Continuum
     if end_r > SETTLE_TOL or end_l > SETTLE_TOL:
         need = L
         if end_r > SETTLE_TOL:
-            need = max(need, L + np.log(end_r / 1e-9) / sol.m_plus)
+            need = max(need, L + np.log(end_r / 1e-9) / m_plus)
         if end_l > SETTLE_TOL:
-            need = max(need, L + np.log(end_l / 1e-9) / sol.m_minus)
+            need = max(need, L + np.log(end_l / 1e-9) / m_minus)
         suggested = float(np.ceil(need / 10.0) * 10.0)
         raise DomainTooSmallError(
             f"tails have not settled at x = +-{L}: "

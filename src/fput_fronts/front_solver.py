@@ -76,7 +76,6 @@ from .errors import (
     NumericsError,
 )
 from .grids import (
-    GridProfile,
     UniformGrid,
     apply_symbol,
     interpolate_local,
@@ -101,14 +100,15 @@ KRYLOV_MAXITER = 400
 MAX_NEWTON = 30
 
 
-def background_term(eps: float, continuum: ContinuumSolution) -> GridProfile:
+def background_term(eps: float, continuum: ContinuumSolution) -> np.ndarray:
     """The forcing F1 = (a0 - a_eps) * dphi(R0) on the continuum's grid.
 
     Through R0' = dphi(R0) - R0 it is the multiplier (1 - T)/(ik (1 + ik T))
     on the decaying R0' (0 at k = 0).  At eps = 0, T = 1 exactly, so the
-    multiplier and F1 are exactly 0.  F1 decays at both ends; raises if the
-    computed end values exceed 1e-4 (domain or bandwidth problem), and
-    ``ConfigError`` if the grid spacing exceeds ``max_spacing(eps)``.
+    multiplier and F1 are exactly 0.  F1 decays at both ends; raises
+    ``NumericsError`` if the computed end values exceed 1e-4 or are not
+    finite (domain or bandwidth problem), and ``ConfigError`` if the grid
+    spacing exceeds ``max_spacing(eps)``.
     """
     grid = continuum.grid
     require_bandwidth(grid, eps)
@@ -118,13 +118,13 @@ def background_term(eps: float, continuum: ContinuumSolution) -> GridProfile:
     # applied to the slope S0 = -R0', hence T - 1
     symbol[1:] = (T - 1.0) / (ik * (1.0 + ik * T))
     F1 = apply_symbol(continuum.slope_profile(), grid, symbol)
-    ends = max(abs(F1[0]), abs(F1[-1]))
-    if ends > 1e-4:
+    ends = float(np.max(np.abs(F1[[0, -1]])))  # NaN if either end is
+    if not ends <= 1e-4:
         raise NumericsError(
             f"background term has not settled at the ends (|F1| = {ends:.2e}); "
             "increase the domain half-length"
         )
-    return GridProfile(grid, F1)
+    return F1
 
 
 def fixed_point_residual(
@@ -391,7 +391,7 @@ def solve_front(
     if continuum is None or continuum.grid is not grid or continuum.potential is not potential:
         continuum = solve_R0(potential, grid=grid)
 
-    F1 = background_term(eps, continuum).values
+    F1 = background_term(eps, continuum)
     a_hat = symbol_a(eps, grid.k)
     a_adj = np.conj(a_hat)
     pot = potential

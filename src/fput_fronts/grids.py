@@ -82,35 +82,6 @@ def require_bandwidth(grid: UniformGrid, eps: float) -> None:
         )
 
 
-@dataclass
-class GridProfile:
-    """Sampled profile: values[j] at x_j = -L + j*(2L/N)."""
-
-    grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.N,):
-            raise ConfigError(
-                f"profile has {self.values.shape} values for an N={self.grid.N} grid"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("profile contains non-finite values")
-
-    @property
-    def L(self) -> float:
-        return self.grid.L
-
-    @property
-    def N(self) -> int:
-        return self.grid.N
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
-
 def apply_symbol(values: np.ndarray, grid: UniformGrid, symbol_values: np.ndarray) -> np.ndarray:
     """Apply a Fourier multiplier, given on the grid's rfft frequencies, to real samples.
 

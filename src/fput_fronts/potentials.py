@@ -11,13 +11,16 @@ and read by the float and the array path alike.
 
 The normalized setting used throughout the solver modules has
 ``r_plus = 0``, ``r_minus = 1``, ``dphi(0) = 0``, ``dphi(1) = 1``; any
-monotone convex force law can be brought to it with :meth:`Potential.renormalize`.
+force law whose chord increases can be brought to it with
+:meth:`Potential.renormalize`.  Whether a front exists is the solver's rule
+(``continuum.decay_rates``): the unit force lies below its chord on (0, 1),
+with p_plus < 1 < p_minus.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -35,8 +38,6 @@ ENDPOINT_TOL = 1e-12
 # process (perfbench front-sweep) on 256 KiB grids took about a sixth
 # longer in place.  The switch sits one doubling below that size
 IN_PLACE_MAX_BYTES = 128 * 1024
-# points of the core interval that Potential.validate samples
-VALIDATE_SAMPLES = 2048
 
 
 class PotentialError(ConfigError):
@@ -82,22 +83,6 @@ class RenormalizationMap:
 
     def normalized_from_strain(self, r):
         return (np.asarray(r) - self.r_plus) / self.scale
-
-
-@dataclass
-class ValidationReport:
-    endpoints_normalized: bool
-    monotone: bool
-    convex: bool
-    strictly_convex: bool
-    p_plus: float
-    p_minus: float
-    holder_exponent: float
-    messages: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.monotone and self.convex
 
 
 class Potential:
@@ -276,20 +261,16 @@ class Potential:
         jump_r = self.r_plus - self.r_minus
         return jump_phi - jump_r * 0.5 * (self._dp_b + self._dp_a)
 
-    # -- transforms and checks ----------------------------------------------
+    # -- transforms ---------------------------------------------------------
 
     def renormalize(self) -> tuple["Potential", RenormalizationMap]:
         """Return the unit form of this potential plus the affine map to it.
 
         The unit form has far fields 0 and 1, dphi(0) = 0, dphi(1) = 1 and
-        phi(0) = 0.  Raises if the force law is non-monotone or non-convex
-        on the core interval.
+        phi(0) = 0.  Raises ``PotentialError`` if the chord of the force law
+        does not increase (see :meth:`front_constants`); whether the unit
+        form has a front is left to the solver (``continuum.decay_rates``).
         """
-        rep = self.validate()
-        if not rep.monotone:
-            raise PotentialError("force law is not increasing on the core interval")
-        if not rep.convex:
-            raise PotentialError("force law is not convex on the core interval")
         fc = self.front_constants()
         fmap = RenormalizationMap(
             r_plus=self.r_plus, r_minus=self.r_minus, speed=fc.speed, offset=fc.offset
@@ -324,53 +305,6 @@ class Potential:
             1.0,
             name=f"{self.name} (normalized)",
             gap_core=None if self.gap_core is None else gap_n,
-        )
-
-    def validate(self) -> ValidationReport:
-        """Structural checks on ``VALIDATE_SAMPLES`` points of the core interval.
-
-        Monotone / convex failures make ``ok`` false; the Hoelder exponent of
-        the curvature near ``r_plus`` is estimated by log-log regression of
-        sup-increments at dyadic scales and reported without being enforced.
-        """
-        a, b = self.r_plus, self.r_minus
-        grid = np.linspace(a, b, VALIDATE_SAMPLES)
-        dp = self.dphi(grid)
-        d2 = self.d2phi(grid)
-        messages = []
-
-        monotone = bool(np.all(np.diff(dp) > -1e-14 * max(1.0, abs(self._dp_b))))
-        convex = bool(np.all(np.diff(d2) > -1e-12 * max(1.0, abs(self._p_b))))
-        strictly = bool(np.all(np.diff(d2) > 0) and np.all(d2[1:] > 0))
-        if not monotone:
-            messages.append("force law decreases somewhere on the core interval")
-        if not convex:
-            messages.append("curvature decreases somewhere on the core interval")
-
-        # Hoelder exponent of the curvature near the leading end: Hertz-type
-        # laws give alpha - 1, smooth laws give 1.
-        scales = 2.0 ** -np.arange(4, 15)
-        incs = []
-        for h in scales:
-            base = a + (b - a) * h * np.linspace(0.0, 1.0, 64)
-            step = (b - a) * h
-            incs.append(np.max(np.abs(self.d2phi(base + step) - self.d2phi(base))))
-        incs = np.asarray(incs)
-        mask = incs > 0
-        if mask.sum() >= 3:
-            slope = np.polyfit(np.log(scales[mask]), np.log(incs[mask]), 1)[0]
-        else:
-            slope = np.inf  # curvature is constant at this resolution
-            messages.append("curvature increments vanish near r_plus")
-        return ValidationReport(
-            endpoints_normalized=self.is_normalized,
-            monotone=monotone,
-            convex=convex,
-            strictly_convex=strictly,
-            p_plus=self._p_a,
-            p_minus=self._p_b,
-            holder_exponent=float(slope),
-            messages=messages,
         )
 
     def __repr__(self):

@@ -1,16 +1,13 @@
-"""Tail-rate fits, monotonicity, H1 distances, and the consolidated report."""
+"""Tail-rate fits, monotonicity, and the consolidated report."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fput_fronts import (
-    ConfigError,
-    GridProfile,
     hertz_potential,
+    polynomial_potential,
     quadratic_force_potential,
     solve_front,
 )
@@ -19,7 +16,6 @@ from fput_fronts.analysis import (
     WINDOW_LO,
     consolidated_report,
     fit_decay_rates,
-    h1_distance,
     monotonicity_check,
     normalization_check,
 )
@@ -47,6 +43,13 @@ def hertz_sol():
 @pytest.fixture(scope="module")
 def logistic_sol(quad):
     return solve_front(quad, 0.0)
+
+
+@pytest.fixture(scope="module")
+def nonconvex_sol():
+    """The unit form of a law whose force is not convex: 0.5r + 0.8r^2 - 0.3r^3."""
+    raw = polynomial_potential([0.0, 0.75, 0.6, -0.1125], r_plus=0.0, r_minus=2.0)
+    return solve_front(raw.renormalize()[0], 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -153,42 +156,6 @@ class TestMonotonicity:
         assert smin < -0.1
 
 
-class TestH1Distance:
-    def test_identical_profiles(self, quad_sol):
-        p = GridProfile(quad_sol.grid, quad_sol.R)
-        assert h1_distance(p, p) == 0.0
-
-    def test_unit_gaussian_bump(self, quad_sol):
-        # f = A x exp(-x^2/2) has H1 norm A sqrt(5 sqrt(pi) / 4) in closed
-        # form, decays far below machine precision at the window ends, and is
-        # effectively band-limited, so both quadrature and the spectral
-        # derivative are exact for it
-        g = quad_sol.grid
-        A = 1.0 / np.sqrt(5.0 * np.sqrt(np.pi) / 4.0)
-        bump = A * g.x * np.exp(-0.5 * g.x**2)
-        delta = 0.37
-        a = GridProfile(g, quad_sol.R)
-        b = GridProfile(g, quad_sol.R + delta * bump)
-        assert abs(h1_distance(a, b) - delta) <= 1e-6
-
-    def test_grid_mismatch_rejected(self, quad_sol):
-        g = quad_sol.grid
-        other = UniformGrid(g.L, 2 * g.N)
-        a = GridProfile(g, quad_sol.R)
-        b = GridProfile(other, np.interp(other.x, g.x, quad_sol.R))
-        with pytest.raises(ConfigError):
-            h1_distance(a, b)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_triangle_inequality(self, seed):
-        rng = np.random.default_rng(seed)
-        grid = UniformGrid(10.0, 256)
-        profiles = [GridProfile(grid, rng.standard_normal(256)) for _ in range(3)]
-        a, b, c = profiles
-        assert h1_distance(a, c) <= h1_distance(a, b) + h1_distance(b, c) + 1e-12
-
-
 class TestNormalization:
     def test_logistic_integral_is_one(self, logistic_sol):
         assert normalization_check(logistic_sol) <= 1e-10
@@ -204,6 +171,7 @@ HEALTHY = {
     "hertz": ("hertz_sol", None),
     "logistic": ("logistic_sol", None),
     "hertz-zero": ("hertz_zero", None),
+    "nonconvex": ("nonconvex_sol", None),
     **{f"hertz-fine-{N}": ("hertz_fine", N) for N in FINE_N},
     **{f"hertz-sweep-{e}": ("hertz_sweep", e) for e in SWEEP_EPS},
 }

@@ -447,6 +447,9 @@ class TestNumberFields:
 
     QUAD = {"kind": "quadratic"}
     PINNED = {"L": 40.0, "N": 4096}
+    # its force meets its chord at r = 0.3 and 0.6: no front joins 1 and 0
+    QUARTIC = {"kind": "polynomial", "coeffs": [0.0, 0.82, 1.08, -1.9, 1.0]}
+    WIDE = {"L": 240.0, "N": 131072}
 
     @pytest.mark.parametrize(
         "command, cfg",
@@ -482,6 +485,16 @@ class TestNumberFields:
             (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": 3}),
             (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40, "N": 256}}),
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0, 2, -1]}}),
+            (["ode"], {"potential": QUARTIC}),
+            (["front", "solve"], {"potential": QUARTIC, "epsilon": 0.1}),
+            (["front", "sweep"], {"potential": QUARTIC, "epsilon_list": [0.2, 0.1]}),
+            (["report"], {"potential": QUARTIC, "epsilon": 0.1}),
+            (["lattice", "run"], {"potential": QUARTIC, "lattice": {"M": 400, "T": 5.0, "gamma": 10.0}}),
+            (["ode"], {"potential": QUARTIC, "grid": WIDE}),
+            (["front", "solve"], {"potential": QUARTIC, "epsilon": 0.1, "grid": WIDE}),
+            (["front", "sweep"], {"potential": QUARTIC, "epsilon_list": [0.2, 0.1], "grid": WIDE}),
+            (["report"], {"potential": QUARTIC, "epsilon": 0.1, "grid": WIDE}),
+            (["lattice", "run"], {"potential": QUARTIC, "lattice": {"M": 400, "T": 5.0, "gamma": 10.0}, "grid": WIDE}),
         ],
         ids=[
             "poles_p",
@@ -513,6 +526,16 @@ class TestNumberFields:
             "symbol_eta_plus_inadmissible",
             "solve_grid_too_coarse",
             "polynomial_tail_rates",
+            "ode_no_front",
+            "solve_no_front",
+            "sweep_no_front",
+            "report_no_front",
+            "lattice_no_front",
+            "ode_no_front_pinned_grid",
+            "solve_no_front_pinned_grid",
+            "sweep_no_front_pinned_grid",
+            "report_no_front_pinned_grid",
+            "lattice_no_front_pinned_grid",
         ],
     )
     def test_config_error(self, runner, tmp_path, command, cfg):
@@ -523,6 +546,8 @@ class TestNumberFields:
         assert res.exit_code == 2
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+        if cfg.get("potential") == self.QUARTIC:
+            assert "meets its chord at r = 0.30044 " in lines[0]
         assert not out.exists()
 
 

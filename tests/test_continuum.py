@@ -19,6 +19,7 @@ from fput_fronts import (
     solve_R0,
     suggest_half_length,
 )
+from fput_fronts import continuum
 from fput_fronts.continuum import (
     _ATOL,
     _ERROR_EXPONENT,
@@ -31,8 +32,10 @@ from fput_fronts.continuum import (
     _gap_rhs,
     _initial_step,
     _tableau,
+    decay_rates,
     solver_grid,
 )
+from fput_fronts.grids import grid_for, max_spacing
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +102,18 @@ class TestContract:
         assert end_l <= max(100.0 * np.exp(-sol.m_minus * sol.L), 1e-14)
 
     def test_domain_too_small_reports_suggestion(self):
-        with pytest.raises(DomainTooSmallError) as exc:
-            solve_R0(quadratic_force_potential(), grid=UniformGrid(10.0, 512))
-        assert exc.value.suggested_L > 15.0
+        # one retry at the suggested half-length settles, for a fast tail
+        # (quad) and for hertz 1.1, whose left rate is 0.1
+        for pot, grid in (
+            (quadratic_force_potential(), UniformGrid(10.0, 512)),
+            (hertz_potential(1.1), UniformGrid(60.0, 4096)),
+        ):
+            with pytest.raises(DomainTooSmallError) as exc:
+                solve_R0(pot, grid=grid)
+            L = exc.value.suggested_L
+            assert L > grid.L + 5.0
+            sol = solve_R0(pot, grid=grid_for(L, max_spacing(0.0)))
+            assert sol(L) <= 1e-8 and sol.gap(-L) <= 1e-8
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ConfigError):
@@ -110,6 +122,24 @@ class TestContract:
     def test_rejects_degenerate_rates(self):
         with pytest.raises(ConfigError):
             solve_R0(linear_force_potential())
+
+    @pytest.mark.parametrize("grid", [None, UniformGrid(240.0, 131072)], ids=["auto", "pinned"])
+    def test_rejects_force_meeting_its_chord_before_any_ode_step(self, grid, monkeypatch):
+        # dphi(r) - r = r (r - 0.3)(r - 0.6)(r - 1): the end slopes pass
+        # (p_plus 0.82, p_minus 1.28) but no front joins 1 and 0
+        quartic = polynomial_potential([0.0, 0.82, 1.08, -1.9, 1.0])
+
+        def no_ode(*args):
+            raise AssertionError("an ODE step ran")
+
+        monkeypatch.setattr(continuum, "_dop853", no_ode)
+        with pytest.raises(ConfigError, match=r"meets its chord at r = 0\.30044 "):
+            solve_R0(quartic, grid=grid)
+
+    def test_admits_a_force_just_below_its_chord(self):
+        # dphi(r) - r = -1e-3 r (1 - r): nearly linear, but below the chord
+        pot = polynomial_potential([0.0, 0.999, 0.001])
+        assert decay_rates(pot) == pytest.approx((0.001, 0.001), abs=1e-15)
 
 
 class TestQuadratureInversion:

@@ -10,6 +10,7 @@ from fput_fronts import (
     ConfigError,
     KrylovStagnationError,
     NewtonDivergenceError,
+    NumericsError,
     hertz_potential,
     quadratic_force_potential,
     solve_R0,
@@ -81,7 +82,7 @@ class TestBackgroundTerm:
         eps = 0.1
         grid = solver_grid(quad, eps)
         cont = solve_R0(quad, grid=grid)
-        F1 = background_term(eps, cont).values
+        F1 = background_term(eps, cont)
 
         ker = kernel_physical(eps, L=grid.L, N=grid.N)
         yk, ak = ker.grid.x, ker.a_eps
@@ -103,7 +104,7 @@ class TestBackgroundTerm:
         eps = 0.1
         grid = solver_grid(quad, eps)
         cont = solve_R0(quad, grid=grid)
-        F1 = background_term(eps, cont).values
+        F1 = background_term(eps, cont)
         assert np.max(np.abs(F1[:8])) <= 1e-6
         assert np.max(np.abs(F1[-8:])) <= 1e-6
 
@@ -111,18 +112,23 @@ class TestBackgroundTerm:
         grid = solver_grid(quad, 0.05)
         cont = solve_R0(quad, grid=grid)
         eps_list = [0.2, 0.1, 0.05]
-        sups = [
-            float(np.max(np.abs(background_term(e, cont).values)))
-            for e in eps_list
-        ]
+        sups = [float(np.max(np.abs(background_term(e, cont)))) for e in eps_list]
         slope = np.polyfit(np.log(eps_list), np.log(sups), 1)[0]
         assert 1.8 <= slope <= 2.2
 
     def test_zero_eps_is_zero(self, quad):
         grid = solver_grid(quad, 0.0)
         cont = solve_R0(quad, grid=grid)
-        F1 = background_term(0.0, cont).values
+        F1 = background_term(0.0, cont)
         assert np.all(F1 == 0.0)
+
+    def test_non_finite_ends_are_numerical_failures(self, quad, monkeypatch):
+        cont = solve_R0(quad, grid=solver_grid(quad, 0.1))
+        S0 = cont.slope_profile()
+        S0[cont.grid.N // 2] = np.nan  # the FFT spreads it to both ends
+        monkeypatch.setattr(cont, "slope_profile", lambda: S0)
+        with pytest.raises(NumericsError, match="has not settled"):
+            background_term(0.1, cont)
 
 
 class TestGridGuards:
@@ -225,7 +231,7 @@ class TestInvariances:
         sol = quad_sol
         a_hat = symbol_a(sol.eps, sol.grid.k)
         cont = sol.continuum
-        F1 = background_term(sol.eps, cont).values
+        F1 = background_term(sol.eps, cont)
         F = fixed_point_residual(cont, sol.W, F1, a_hat)
         assert np.max(np.abs(F)) <= 1e-9 * sol.grid.N
 

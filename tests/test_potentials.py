@@ -49,6 +49,11 @@ class TestNormalization:
         for pot in (quadratic_force_potential(), hertz_potential(), linear_force_potential()):
             assert pot.phi(0.0) == 0.0
 
+    def test_curvature_limits(self):
+        pot = hertz_potential()
+        assert pot.p_plus == pytest.approx(0.0, abs=1e-14)
+        assert pot.p_minus == pytest.approx(1.5, abs=1e-14)
+
 
 class TestFrontConstants:
     def test_normalized_unit_speed(self):
@@ -407,32 +412,6 @@ class TestCoreOutput:
         assert np.all(out == 1.0)
 
 
-class TestValidate:
-    def test_curvature_strictly_increasing(self):
-        for pot in (quadratic_force_potential(), hertz_potential()):
-            rep = pot.validate()
-            assert rep.strictly_convex
-            assert rep.ok
-
-    def test_linear_force_degenerate(self):
-        rep = linear_force_potential().validate()
-        assert rep.ok
-        assert not rep.strictly_convex
-
-    def test_holder_exponent_hertz(self):
-        rep = hertz_potential(alpha=1.5).validate()
-        assert 0.4 <= rep.holder_exponent <= 0.6
-
-    def test_holder_exponent_smooth(self):
-        rep = quadratic_force_potential().validate()
-        assert 0.9 <= rep.holder_exponent <= 1.1
-
-    def test_curvature_limits(self):
-        pot = hertz_potential()
-        assert pot.p_plus == pytest.approx(0.0, abs=1e-14)
-        assert pot.p_minus == pytest.approx(1.5, abs=1e-14)
-
-
 class TestRenormalize:
     def test_hertz_is_scale_invariant(self):
         raw = hertz_potential(r_minus=4.0)
@@ -472,6 +451,21 @@ class TestRenormalize:
     def test_rejects_decreasing_force(self):
         with pytest.raises(PotentialError):
             polynomial_potential([1.0, -1.0]).renormalize()
+
+    def test_nonconvex_force_renormalizes(self):
+        # the force's curvature 0.5 + 1.6R - 0.9R^2 falls past R = 8/9; the
+        # solver, not renormalize, decides whether the law has a front
+        raw = polynomial_potential([0.0, 0.75, 0.6, -0.1125], r_plus=0.0, r_minus=2.0)
+        norm, fmap = raw.renormalize()
+        assert norm.is_normalized
+        assert fmap.speed == pytest.approx(np.sqrt(1.5), abs=1e-15)
+        R = np.linspace(0.0, 1.0, 101)
+        assert np.max(np.abs(norm.dphi(R) - (0.5 * R + 0.8 * R**2 - 0.3 * R**3))) <= 1e-15
+
+    def test_linear_force_renormalizes(self):
+        norm, fmap = linear_force_potential().renormalize()
+        assert norm.is_normalized
+        assert fmap.speed == 1.0 and fmap.offset == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
