@@ -4,14 +4,26 @@ In the normalized setting the continuum profile solves the scalar ODE
 
     R0'(x) = dphi(R0(x)) - R0(x),   R0(0) = 1/2,
 
-connecting 1 at -infinity to 0 at +infinity.  It is integrated outward
-from the midpoint in both directions by the module's own DOP853 stepper
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.5) on Python floats:
-scipy's tableau from ``scipy.integrate._ivp.dop853_coefficients``, written
-out once at import as straight-line stage code, and scipy's step-size
-controller (rtol 1e-13, atol 1e-300).  Each accepted step
-becomes one segment of a packed dense-output table, kept for off-grid
-evaluation.
+connecting 1 at -infinity to 0 at +infinity.  Each branch, the gap
+Q = 1 - R0 on [-L, 0] and R0 on [0, L], is kept as one packed table of
+degree-7 segment polynomials in DOP853's dense-output layout, read by every
+evaluation and by the tent defect.  The tables have two sources.
+
+For a unit power law dphi = r^alpha (``Potential.power``: Hertz, and the
+quadratic law as alpha = 2) the ODE is of Bernoulli type: with k = alpha - 1
+and w = R0^-k it reads w' = k (w - 1), so
+
+    R0(x) = (1 + B e^(k x))^(-1/k),   B = 2^k - 1,
+
+and the tables and the grid values come from this closed form
+(``_PowerFront``).
+
+Every other law is integrated outward from the midpoint in both directions
+by the module's own DOP853 stepper (Hairer, Norsett & Wanner, *Solving ODEs
+I*, II.5) on Python floats: scipy's tableau from
+``scipy.integrate._ivp.dop853_coefficients``, written out once at import as
+straight-line stage code, and scipy's step-size controller (rtol 1e-13,
+atol 1e-300).  Each accepted step becomes one segment of the table.
 
 A precaution keeps the exponential tails meaningful in double precision.
 The left branch is integrated in the gap variable Q = 1 - R0 with purely
@@ -29,6 +41,7 @@ right branch has no such cancellation and is integrated directly.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -173,33 +186,27 @@ def solver_grid(potential: Potential, *eps: float) -> UniformGrid:
 
 
 class _DenseTable:
-    """One branch's DOP853 dense output packed into per-segment arrays.
+    """One branch's segment polynomials packed into per-segment arrays.
 
-    Built from the stepper's knots, the solution values at the knots and
-    the 16 stages of each accepted step, all in integration order; ``nfev``
-    counts the right-hand side evaluations the branch cost.  The dense rows
-    are scipy's ``Dop853DenseOutput`` F: the step difference, two Hermite
-    terms and the four rows of ``h * D @ K``.  Segments are stored in
-    ascending knot order.  A knot belongs to the segment nearer the branch
-    start (``side``, scipy's ``OdeSolution`` rule), and each segment is
-    evaluated in ``Dop853DenseOutput``'s Horner order: F[6] .. F[0] with
-    alternating factors x and 1 - x, then y_old.  Query points need not be
-    sorted, but sorted ones search fastest.
+    Built from the knots, the solution values at the knots and the seven
+    Horner rows F[6] .. F[0] of each segment (scipy's ``Dop853DenseOutput``
+    layout), all in integration order; ``nfev`` counts the right-hand side
+    evaluations the branch cost.  Segments are stored in ascending knot
+    order.  A knot belongs to the segment nearer the branch start (``side``,
+    scipy's ``OdeSolution`` rule), and each segment is evaluated in
+    ``Dop853DenseOutput``'s Horner order: F[6] .. F[0] with alternating
+    factors x and 1 - x, then y_old.  Query points need not be sorted, but
+    sorted ones search fastest.
     """
 
-    def __init__(self, knots, y, K, nfev: int):
+    def __init__(self, knots, y, horner, nfev: int):
         knots, y = np.array(knots), np.array(y)
-        h = np.diff(knots)  # t_new - t_old, as the stepper took it
-        dy = np.diff(y)
-        f_old, f_new = K[:, 0], K[:, _N_STAGES]
-        hermite = [2.0 * dy - h * (f_new + f_old), h * f_old - dy, dy]  # F[2], F[1], F[0]
-        horner = np.vstack([h * (_tableau.D[::-1] @ K.T), hermite])
         ascending = knots[-1] > knots[0]
         self.side = "left" if ascending else "right"
         order = slice(None) if ascending else slice(None, None, -1)
         self.knots = knots[order].copy()
         self.t_old = knots[:-1][order].copy()
-        self.h = h[order].copy()
+        self.h = np.diff(knots)[order].copy()  # t_new - t_old, in integration order
         self.y_old = y[:-1][order].copy()
         self.horner = horner[:, order].copy()
         self.nfev = nfev
@@ -233,6 +240,26 @@ class _DenseTable:
         if self.side == "right":  # descending steps: x = (t - t_old) / h = 1 - u
             c = (_TAYLOR_1 @ c) * ((-1.0) ** _POWERS)[:, None]
         return c
+
+
+def _hermite_rows(h, dy, f_old, f_new) -> list:
+    """F[2], F[1], F[0] of segments with step h, step difference dy and end slopes.
+
+    The cubic Hermite part of the dense output: with the higher rows zero,
+    a segment matches the values and the slopes f_old, f_new at both knots.
+    """
+    return [2.0 * dy - h * (f_new + f_old), h * f_old - dy, dy]
+
+
+def _dense_rows(knots, y, K) -> np.ndarray:
+    """The Horner rows F[6] .. F[0] of DOP853's dense output, one column per step.
+
+    From the knots, the values at the knots and the 16 stages of each
+    accepted step: the four rows of ``h * D @ K`` and the Hermite terms.
+    """
+    h = np.diff(knots)
+    hermite = _hermite_rows(h, np.diff(y), K[:, 0], K[:, _N_STAGES])
+    return np.vstack([h * (_tableau.D[::-1] @ K.T), hermite])
 
 
 def _initial_step(fun, y0: float, f0: float, direction: float, interval: float) -> float:
@@ -320,7 +347,118 @@ def _dop853(fun, t_bound: float, y0: float) -> _DenseTable:
         args = y_old + (K[:, :s] @ _tableau.A[s, :s]) * h
         K[:, s] = [fun(v) for v in args.tolist()]
     nfev += (_tableau.N_STAGES_EXTENDED - _N_STAGES - 1) * h.size
-    return _DenseTable(knots, ys, K, nfev)
+    return _DenseTable(knots, ys, _dense_rows(np.array(knots), np.array(ys), K), nfev)
+
+
+class _PowerFront:
+    """The continuum front of the unit power law dphi = r^alpha, alpha > 1.
+
+    R0 = (1 + e^t)^(-1/k) with k = alpha - 1 and t = k (x - x0), where x0 =
+    -log(B) / k is the point where B e^(k x) = 1.  Each formula keeps full
+    relative accuracy: x0 is held as a double-double from 40-digit decimal
+    arithmetic, so t carries only its own rounding, which is smallest where
+    R0 is most sensitive to it (t near 0); beyond x0 the decay is the factor
+    e^(n - x) e^(x0 - n), with n >= 0 the integer nearest x0 (0 if x0 < 0),
+    so that n - x is exact there, and e^(x0 - n) one correctly rounded
+    constant; (1 + v)^(-1/k) is a power of the exactly split sum 1 + v; and
+    the gap is -expm1(-log1p(e^t) / k).  Both branches also give their
+    slope, from the ODE: R0' = -R0 e^t / (1 + e^t).
+    """
+
+    def __init__(self, alpha: float):
+        self.k = alpha - 1.0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            k = Decimal(alpha) - 1
+            x0 = -((k * Decimal(2).ln()).exp() - 1).ln() / k
+            self.n = max(round(x0), 0)
+            self.e_rest = float((x0 - self.n).exp())
+        self.x0 = float(x0)
+        self.x0_lo = float(x0 - Decimal(self.x0))
+
+    def _t(self, x):
+        return self.k * ((x - self.x0) - self.x0_lo)
+
+    def right(self, x):
+        """R0 and R0' on x >= 0."""
+        t = self._t(x)
+        v = np.exp(-np.abs(t))
+        one_v = 1.0 + v
+        lo = v - (one_v - 1.0)  # 1 + v = one_v + lo exactly
+        m = -1.0 / self.k
+        f = one_v**m * (1.0 + m * (lo / one_v))  # (1 + v)^(-1/k)
+        past = t > 0.0  # v = e^-t: R0 = e^(x0 - x) (1 + e^-t)^(-1/k)
+        decay = np.exp(self.n - x, out=np.zeros_like(x), where=past)
+        R = np.where(past, self.e_rest * decay * f, f)
+        return R, -R * np.where(past, 1.0, v) / one_v
+
+    def _log_r(self, x):
+        """-log R0 and e^t on x <= 0, where e^t <= B."""
+        v = np.exp(self._t(x))
+        return np.log1p(v) / self.k, v
+
+    def gap(self, x):
+        """Q = 1 - R0 and Q' on x <= 0."""
+        s, v = self._log_r(x)
+        return -np.expm1(-s), np.exp(-s) * v / (1.0 + v)
+
+    def profile(self, x):
+        """R0 on ascending x."""
+        zero = np.searchsorted(x, 0.0)
+        return np.concatenate([np.exp(-self._log_r(x[:zero])[0]), self.right(x[zero:])[0]])
+
+
+# Closed-form tables: segments of width _SEGMENT / rate on each branch, with
+# rate the branch's largest e-folding rate (left k, right max(1, k)).  The
+# degree-7 interpolation error is then about _SEGMENT^8 / 5e8, 1e-16
+# relative, below rounding; the four interior nodes of each segment
+# complete the Hermite data
+_SEGMENT = 0.125
+_INTERIOR = np.array([0.2, 0.4, 0.6, 0.8])
+
+
+def _remainder_rows(u, K) -> list:
+    """F[6] .. F[3] of the cubic F3 + u F4 + u (1 - u) F5 + u^2 (1 - u) F6 through (u, K).
+
+    One cubic per row of the (n, 4) arrays.  Newton's divided differences
+    give it as K0 + (u - u0)(K01 + (u - u1)(K012 + (u - u2) K0123)); its
+    power coefficients a then give F3 = a0, F4 = a1 + a2 + a3,
+    F5 = -(a2 + a3) and F6 = -a3.  No LAPACK call: a first one faults in
+    about half a megabyte of library code.
+    """
+    d = list(K.T)
+    for j in range(1, 4):
+        for i in range(3, j - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (u[:, i] - u[:, i - j])
+    a = [d[3]]  # power coefficients, ascending, of the Newton form from the inside out
+    for i in (2, 1, 0):
+        c = u[:, i]
+        a = [d[i] - c * a[0], *(a[m] - c * a[m + 1] for m in range(len(a) - 1)), a[-1]]
+    return [-a[3], -(a[2] + a[3]), a[1] + a[2] + a[3], a[0]]
+
+
+def _closed_form_table(branch, t_bound: float, rate: float) -> _DenseTable:
+    """The degree-7 table of ``branch`` (values and slopes) on [0, t_bound].
+
+    Each segment matches the values and slopes at its knots (``_hermite_rows``,
+    as DOP853's dense output does) and the values at four interior nodes;
+    F[3] .. F[6] interpolate the interior remainder, whose factor
+    u^2 (1 - u)^2 keeps the knot data.  The node positions u are the ones
+    the table itself computes for the rounded nodes, so every node is
+    interpolated where it is evaluated.
+    """
+    n = math.ceil(abs(t_bound) * rate / _SEGMENT)
+    knots = np.linspace(0.0, t_bound, n + 1)
+    h, t_old = np.diff(knots), knots[:-1]
+    nodes = t_old[:, None] + h[:, None] * _INTERIOR
+    u = (nodes - t_old[:, None]) / h[:, None]
+    y, f = branch(np.concatenate([knots, nodes.ravel()]))
+    y_knot, y_node = y[: n + 1], y[n + 1 :].reshape(u.shape)
+    hermite = _hermite_rows(h, np.diff(y_knot), f[:n], f[1 : n + 1])
+    F2, F1, F0 = (row[:, None] for row in hermite)
+    cubic = y_knot[:-1, None] + u * (F0 + (1.0 - u) * (F1 + u * F2))
+    remainder = (y_node - cubic) / (u * (1.0 - u)) ** 2
+    return _DenseTable(knots, y_knot, np.vstack([*_remainder_rows(u, remainder), *hermite]), 0)
 
 
 def _evaluate(f, x):
@@ -354,7 +492,11 @@ def _split(x: np.ndarray, first: np.ndarray, f_first, f_rest) -> np.ndarray:
 
 
 class ContinuumSolution:
-    """Dense continuum front with grid samples and tail extension."""
+    """Dense continuum front with grid samples and tail extension.
+
+    ``rates`` are the tail rates (left, right) of ``decay_rates(potential)``;
+    ``values`` are R0 on the grid, by default read from the tables.
+    """
 
     def __init__(
         self,
@@ -362,15 +504,17 @@ class ContinuumSolution:
         grid: UniformGrid,
         gap_table: _DenseTable,
         right_table: _DenseTable,
+        rates: tuple[float, float],
+        values: np.ndarray | None = None,
     ):
         self.potential = potential
         self.grid = grid
         self._gap_table = gap_table  # dense Q = 1 - R0 on [-L, 0]
         self._right_table = right_table  # dense R0 on [0, L]
-        self.m_minus, self.m_plus = decay_rates(potential)
+        self.m_minus, self.m_plus = rates  # decay_rates(potential), for the tails
         self._qL = float(self._gap_table(np.array([-grid.L]))[0])
         self._rL = float(self._right_table(np.array([grid.L]))[0])
-        self.values = self(grid.x)
+        self.values = self(grid.x) if values is None else values
 
     @property
     def L(self) -> float:
@@ -500,28 +644,33 @@ class ContinuumSolution:
 
 
 def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> ContinuumSolution:
-    """Integrate the continuum front outward from R0(0) = 1/2.
+    """The continuum front through R0(0) = 1/2 on the grid's window.
 
     The potential must be normalized and pass ``decay_rates``' rule, which
-    is checked before any ODE step.  The grid defaults to
-    ``solver_grid(potential)``.  Raises ``DomainTooSmallError`` with a
-    suggested half-length, from the solution's tail rates, if either tail
-    has not settled to within 1e-8 at the window ends.
+    is checked before any ODE step.  A unit power law (``potential.power``
+    set) takes its tables and grid values from the closed form; every other
+    law is integrated outward from the midpoint by ``_dop853``.  The grid
+    defaults to ``solver_grid(potential)``.  Raises ``DomainTooSmallError``
+    with a suggested half-length, from the solution's tail rates, if either
+    tail has not settled to within 1e-8 at the window ends.
     """
     if not potential.is_normalized:
         raise ConfigError("continuum front solve requires a normalized potential")
-    m_minus, m_plus = decay_rates(potential)
+    rates = m_minus, m_plus = decay_rates(potential)
     if grid is None:
         grid = solver_grid(potential)
     L = grid.L
 
-    dphi = potential.dphi
-    sol = ContinuumSolution(
-        potential,
-        grid,
-        _dop853(_gap_rhs(potential), -L, 0.5),
-        _dop853(lambda r: dphi(r) - r, L, 0.5),
-    )
+    if potential.power is None:
+        dphi = potential.dphi
+        gap = _dop853(_gap_rhs(potential), -L, 0.5)
+        right = _dop853(lambda r: dphi(r) - r, L, 0.5)
+        sol = ContinuumSolution(potential, grid, gap, right, rates)
+    else:
+        front = _PowerFront(potential.power)
+        gap = _closed_form_table(front.gap, -L, m_minus)
+        right = _closed_form_table(front.right, L, max(rates))
+        sol = ContinuumSolution(potential, grid, gap, right, rates, front.profile(grid.x))
     end_r = sol(L)
     end_l = sol.gap(-L)
     if end_r > SETTLE_TOL or end_l > SETTLE_TOL:

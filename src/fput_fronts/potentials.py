@@ -95,7 +95,12 @@ class Potential:
     into what a core returns.  ``gap_core``, when given, is the gap force
     ``d -> dphi(r_minus) - dphi(r_minus - d)`` on plain floats d in
     ``[0, r_minus - r_plus]``, evaluated without cancellation at small d
-    (see :meth:`gap_force`); the built-in factories supply it.
+    (see :meth:`gap_force`); the built-in factories supply it.  ``power``
+    is the tag alpha of a unit power law, None for any other law: the force
+    is exactly r^alpha on [0, 1], with r_plus = 0 and r_minus >= 1.  Only
+    the factories set it (:func:`hertz_potential`, and
+    :func:`polynomial_potential` for a unit monomial r^n, n >= 2); a
+    normalized law that carries it has its continuum front in closed form.
     """
 
     def __init__(
@@ -110,6 +115,7 @@ class Potential:
     ):
         if not r_minus > r_plus:
             raise PotentialError(f"need r_minus > r_plus, got [{r_plus}, {r_minus}]")
+        self.power: float | None = None
         self._phi = phi_core
         self._dphi = dphi_core
         self._d2phi = d2phi_core
@@ -417,6 +423,10 @@ class _PolynomialPotential(Potential):
             gap_core=lambda d: d * _horner(cg, d),
         )
         self._coeffs = coeffs
+        # a unit monomial r^n, n >= 2, on a core that holds [0, 1]
+        n = int(np.flatnonzero(c)[0]) if np.count_nonzero(c) == 1 else 0
+        if n >= 2 and c[n] == 1.0 and r_plus == 0.0 and r_minus >= 1.0:
+            self.power = float(n)
 
     def _unit_form(self) -> Potential:
         """The unit force is again a polynomial, shifted exactly to r_plus."""
@@ -466,6 +476,7 @@ def hertz_potential(alpha: float = 1.5, r_minus: float = 1.0) -> Potential:
     The gap force is
     ``r_minus**alpha * (1 - (1 - d/r_minus)**alpha)``, written with
     ``expm1``/``log1p`` so it keeps its relative accuracy as d goes to 0.
+    With r_minus >= 1 the law carries the power tag alpha.
     """
     if alpha <= 1:
         raise PotentialError("hertz exponent must exceed 1")
@@ -489,4 +500,7 @@ def hertz_potential(alpha: float = 1.5, r_minus: float = 1.0) -> Potential:
     def d2phi(r):
         return a * np.power(r + 0.0, e_d2phi)
 
-    return Potential(phi, dphi, d2phi, 0.0, rm, name=f"hertz(alpha={a})", gap_core=gap)
+    pot = Potential(phi, dphi, d2phi, 0.0, rm, name=f"hertz(alpha={a})", gap_core=gap)
+    if rm >= 1.0:
+        pot.power = a
+    return pot

@@ -1,6 +1,7 @@
 """Continuum front profile against closed-form and quadrature oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fput_fronts.continuum import (
     _RTOL,
     _SAFETY,
     _DenseTable,
+    _dense_rows,
     _dop853,
     _gap_rhs,
     _initial_step,
@@ -48,6 +50,21 @@ def hertz_solution():
     return solve_R0(hertz_potential())
 
 
+def _untagged(pot):
+    """The same cores without the power tag: its R0 takes the DOP853 stepper."""
+    return Potential(pot._phi, pot._dphi, pot._d2phi, pot.r_plus, pot.r_minus, gap_core=pot.gap_core)
+
+
+@pytest.fixture(scope="module")
+def logistic_stepper():
+    return solve_R0(_untagged(quadratic_force_potential()))
+
+
+@pytest.fixture(scope="module")
+def hertz_stepper():
+    return solve_R0(_untagged(hertz_potential()))
+
+
 class TestLogisticOracle:
     """For force law R^2 the continuum front is exactly 1/(1 + exp(x))."""
 
@@ -63,6 +80,79 @@ class TestLogisticOracle:
 
     def test_midpoint(self, logistic_solution):
         assert abs(logistic_solution(0.0) - 0.5) <= 1e-10
+
+
+def _closed_form(alpha, x):
+    """R0 and Q = 1 - R0 of dphi = r^alpha at each x, in 60-digit decimal arithmetic.
+
+    R0 = (1 + B e^(k x))^(-1/k) with k = alpha - 1 and B = 2^k - 1; at 60
+    digits both round to the nearest double, the gap included, which falls
+    to about 1e-35 at x = -40 for alpha = 3.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k = Decimal(alpha) - 1
+        B = (k * Decimal(2).ln()).exp() - 1
+        R = [(-(1 + B * (k * Decimal(v)).exp()).ln() / k).exp() for v in np.asarray(x).tolist()]
+    return np.array([float(r) for r in R]), np.array([float(1 - r) for r in R])
+
+
+# the unit power laws r^alpha, with quadratic_force_potential as alpha = 2
+_POWER_LAWS = {
+    1.1: lambda: hertz_potential(1.1),
+    1.2: lambda: hertz_potential(1.2),
+    1.5: lambda: hertz_potential(1.5),
+    2.0: quadratic_force_potential,
+    3.0: lambda: hertz_potential(3.0),
+}
+_GRID_STRIDE = 8  # every 8th grid point: the decimal reference costs about 0.15 ms a point
+
+
+def _closed_form_errors(sol, alpha):
+    """sup |R0 - exact|, and the relative errors of R0 on x >= 0 and of Q on x <= 0.
+
+    Taken over every 8th grid point and every knot midpoint of both tables.
+    """
+    x = sol.grid.x[::_GRID_STRIDE]
+    gap_knots, right_knots = sol._gap_table.knots, sol._right_table.knots
+    left = np.concatenate([x[x <= 0.0], 0.5 * (gap_knots[1:] + gap_knots[:-1])])
+    right = np.concatenate([x[x >= 0.0], 0.5 * (right_knots[1:] + right_knots[:-1])])
+    _, Q = _closed_form(alpha, left)
+    R, _ = _closed_form(alpha, right)
+    sup_abs = max(np.max(np.abs(sol.gap(left) - Q)), np.max(np.abs(sol(right) - R)))
+    return sup_abs, np.max(np.abs(sol(right) / R - 1.0)), np.max(np.abs(sol.gap(left) / Q - 1.0))
+
+
+class TestClosedForm:
+    """R0 of dphi = r^alpha against (1 + B e^(k x))^(-1/k), for both table sources."""
+
+    @pytest.mark.parametrize("alpha", list(_POWER_LAWS))
+    def test_stepper_within_its_global_error(self, alpha):
+        # the same cores without the tag: DOP853 at rtol 1e-13
+        sol = solve_R0(_untagged(_POWER_LAWS[alpha]()))
+        assert sol._right_table.nfev > 0
+        sup_abs, right_rel, gap_rel = _closed_form_errors(sol, alpha)
+        assert sup_abs <= 4e-13
+        assert right_rel <= 3.5e-11
+        assert gap_rel <= 4e-12
+
+    @pytest.mark.parametrize("alpha", list(_POWER_LAWS))
+    def test_tables_from_the_closed_form(self, alpha, monkeypatch):
+        def no_ode(*args):
+            raise AssertionError("an ODE step ran")
+
+        monkeypatch.setattr(continuum, "_dop853", no_ode)
+        pot = _POWER_LAWS[alpha]()
+        assert pot.power == alpha
+        sol = solve_R0(pot)
+        sup_abs, right_rel, gap_rel = _closed_form_errors(sol, alpha)
+        # segments of width 0.125 / rate interpolate to rounding (about 1e-16
+        # relative at degree 7), beside the closed form's own few ulp
+        assert sup_abs <= 1e-15
+        assert right_rel <= 1.5e-15
+        assert gap_rel <= 4e-15
+        R, _ = _closed_form(alpha, sol.grid.x[::_GRID_STRIDE])
+        assert np.max(np.abs(sol.values[::_GRID_STRIDE] / R - 1.0)) <= 1e-15
 
 
 class TestContract:
@@ -190,9 +280,16 @@ def _same_bits(a, b) -> bool:
 class TestPackedEvaluator:
     """The packed segment tables reproduce scipy's dense output bit for bit."""
 
-    @pytest.fixture(params=["quadratic", "hertz"])
-    def sol(self, request, logistic_solution, hertz_solution):
-        return logistic_solution if request.param == "quadratic" else hertz_solution
+    SOURCES = {
+        "quadratic": "logistic_solution",
+        "hertz": "hertz_solution",
+        "quadratic-stepper": "logistic_stepper",
+        "hertz-stepper": "hertz_stepper",
+    }
+
+    @pytest.fixture(params=list(SOURCES))
+    def sol(self, request):
+        return request.getfixturevalue(self.SOURCES[request.param])
 
     @staticmethod
     def probe(sol):
@@ -259,8 +356,8 @@ class TestRightHandSide:
         assert np.max(np.abs(evaluate(x) - want) / np.abs(want)) <= 1e-13
 
     @pytest.mark.parametrize("name", ["quadratic", "hertz"])
-    def test_right_branch_matches_array_rhs(self, name, logistic_solution, hertz_solution):
-        sol = logistic_solution if name == "quadratic" else hertz_solution
+    def test_right_branch_matches_array_rhs(self, name, logistic_stepper, hertz_stepper):
+        sol = logistic_stepper if name == "quadratic" else hertz_stepper
         pot = sol.potential
         self.check_against_solve_ivp(
             sol._right_table,
@@ -271,8 +368,8 @@ class TestRightHandSide:
         )
 
     @pytest.mark.parametrize("name", ["quadratic", "hertz"])
-    def test_gap_branch_matches_solve_ivp(self, name, logistic_solution, hertz_solution):
-        sol = logistic_solution if name == "quadratic" else hertz_solution
+    def test_gap_branch_matches_solve_ivp(self, name, logistic_stepper, hertz_stepper):
+        sol = logistic_stepper if name == "quadratic" else hertz_stepper
         self.check_against_solve_ivp(
             sol._gap_table,
             _gap_rhs(sol.potential),
@@ -386,7 +483,7 @@ def _reference_dop853(fun, t_bound, y0):
         args = y_old + (K[:, :s] @ _tableau.A[s, :s]) * h
         K[:, s] = [fun(v) for v in args.tolist()]
     nfev += (_tableau.N_STAGES_EXTENDED - n_stages - 1) * h.size
-    return _DenseTable(knots, ys, K, nfev)
+    return _DenseTable(knots, ys, _dense_rows(np.array(knots), np.array(ys), K), nfev)
 
 
 _ORACLE_POTENTIALS = {
@@ -457,7 +554,7 @@ class TestRenormalizedPolynomial:
 class TestUserCoreFallback:
     """A core without a closed-form gap force integrates through quadrature."""
 
-    def test_user_core_matches_builtin(self, logistic_solution, monkeypatch):
+    def test_user_core_matches_builtin(self, logistic_stepper, monkeypatch):
         pot = Potential(lambda r: r**3 / 3.0, lambda r: r * r, lambda r: 2.0 * r)
         assert pot.gap_core is None
         calls = []
@@ -468,5 +565,5 @@ class TestUserCoreFallback:
         sol = solve_R0(pot)
         assert set(calls) == {12}  # the 12-node quadrature, nothing else
         x = np.linspace(-sol.L, 0.0, 4001)
-        ref = logistic_solution.gap(x)
+        ref = logistic_stepper.gap(x)
         assert np.max(np.abs(sol.gap(x) - ref) / ref) <= 1e-11

@@ -17,7 +17,7 @@ from fput_fronts import (
     solve_front,
 )
 from fput_fronts import front_solver
-from fput_fronts.continuum import ContinuumSolution, _DenseTable
+from fput_fronts.continuum import ContinuumSolution, _DenseTable, decay_rates
 from fput_fronts.front_solver import (
     _ContinuumInverse,
     _recenter,
@@ -619,7 +619,7 @@ def _synthetic_continuum(potential, knots, pieces, grid):
     zero = int(np.flatnonzero(knots == 0.0)[0])
     gap = _table(knots[: zero + 1], [1.0 - p for p in pieces[:zero]], descending=True)
     right = _table(knots[zero:], pieces[zero:], descending=False)
-    return ContinuumSolution(potential, grid, gap, right)
+    return ContinuumSolution(potential, grid, gap, right, decay_rates(potential))
 
 
 def _uneven_knots(rng, L):

@@ -572,3 +572,45 @@ class TestGapForce:
 
     def test_user_core_has_none(self):
         assert Potential(lambda r: r, lambda r: r, lambda r: 1.0).gap_core is None
+
+
+class TestPowerTag:
+    """A law is tagged alpha exactly when its force is r^alpha on [0, 1]."""
+
+    @pytest.mark.parametrize(
+        "make, power",
+        [
+            (quadratic_force_potential, 2.0),
+            (lambda: hertz_potential(1.5), 1.5),
+            (lambda: hertz_potential(1.2, r_minus=3.0), 1.2),
+            (lambda: polynomial_potential([0.0, 0.0, 0.0, 1.0]), 3.0),
+            (lambda: polynomial_potential([0.0, 0.0, 1.0, 0.0]), 2.0),
+            (lambda: polynomial_potential([0.0, 0.0, 1.0], r_minus=2.0), 2.0),
+            # unit forms that are unit monomials
+            (lambda: polynomial_potential([0.0, 0.0, 2.0]).renormalize()[0], 2.0),
+            (lambda: polynomial_potential([0.0, 0.0, 1.0], r_minus=2.0).renormalize()[0], 2.0),
+        ],
+    )
+    def test_tagged(self, make, power):
+        assert make().power == power
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: hertz_potential(1.5, r_minus=0.5),
+            linear_force_potential,
+            lambda: polynomial_potential([0.0, 0.0, 2.0]),
+            lambda: polynomial_potential([0.0, 0.5, 0.8, -0.3]),
+            lambda: polynomial_potential([0.0, 0.0, 1.0], r_plus=-0.5),
+            lambda: polynomial_potential([0.0, 0.0, 1.0], r_minus=0.9),
+            lambda: polynomial_potential([0.0, 0.0, 1.0], r_plus=0.2, r_minus=1.7).renormalize()[0],
+            lambda: polynomial_potential(
+                [0.1, 0.7, 1.3, 0.4, 0.2], r_plus=0.2, r_minus=1.7
+            ).renormalize()[0],
+            # the generic unit form wraps the cores, which then no longer give r^alpha exactly
+            lambda: hertz_potential(1.5, r_minus=2.0).renormalize()[0],
+            lambda: Potential(lambda r: r**3 / 3.0, lambda r: r * r, lambda r: 2.0 * r),
+        ],
+    )
+    def test_untagged(self, make):
+        assert make().power is None
