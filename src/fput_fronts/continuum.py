@@ -178,7 +178,8 @@ def solver_grid(potential: Potential, *eps: float) -> UniformGrid:
     Spacing: the smallest ``max_spacing`` over ``eps``, so every tent scale
     is resolved (and every eps is checked against the cap before any pole
     search); half-length: the largest ``suggest_half_length``, so every
-    tail settles.  With no eps given, eps = 0.
+    tail settles; N: the smallest that ``grid_for`` admits.  With no eps
+    given, eps = 0.
     """
     eps = eps or (0.0,)
     h = min(max_spacing(e) for e in eps)
@@ -240,6 +241,18 @@ class _DenseTable:
         if self.side == "right":  # descending steps: x = (t - t_old) / h = 1 - u
             c = (_TAYLOR_1 @ c) * ((-1.0) ** _POWERS)[:, None]
         return c
+
+    def derivative(self, t: np.ndarray) -> np.ndarray:
+        """The segment polynomials' own derivative at t (in the table's span)."""
+        c = self.ascending_monomials()
+        seg = np.searchsorted(self.knots, t, side=self.side) - 1
+        seg = seg.clip(0, c.shape[1] - 1)
+        width = np.diff(self.knots)[seg]
+        u = (t - self.knots[seg]) / width
+        slope = np.zeros_like(u)
+        for k in range(7, 0, -1):
+            slope = slope * u + k * c[k, seg]
+        return slope / width
 
 
 def _hermite_rows(h, dy, f_old, f_new) -> list:
@@ -631,16 +644,16 @@ class ContinuumSolution:
     def residual(self) -> float:
         """Sup over grid points of |R0' + R0 - dphi(R0)|.
 
-        The derivative is taken by high-order differencing of the dense
-        output, so this probes interpolation quality between integrator
-        steps rather than restating the ODE.
+        R0' is the derivative of the tables' own segment polynomials (minus
+        the gap's on the left), so this measures how well the tables solve
+        the ODE, down to roundoff, rather than restating the ODE.
         """
-        d = 5e-3
         x = self.grid.x
-        num = (
-            self(x - 2 * d) - 8 * self(x - d) + 8 * self(x + d) - self(x + 2 * d)
-        ) / (12 * d)
-        return float(np.max(np.abs(num + self.values - self.potential.dphi(self.values))))
+        left = x < 0.0
+        slope = np.empty_like(x)
+        slope[left] = -self._gap_table.derivative(x[left])
+        slope[~left] = self._right_table.derivative(x[~left])
+        return float(np.max(np.abs(slope + self.values - self.potential.dphi(self.values))))
 
 
 def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> ContinuumSolution:

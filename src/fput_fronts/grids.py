@@ -1,7 +1,10 @@
 """Uniform periodic grids and spectral helpers.
 
 All profile computations live on a uniform grid of N points covering
-[-L, L) with spacing h = 2L/N, x_j = -L + j*h.  The Fourier convention is
+[-L, L) with spacing h = 2L/N, x_j = -L + j*h and the center x_{N/2} = 0.
+N is even and N/2 has no prime factor above 5, so every FFT length is a
+fast mixed-radix one; the default grid (``grid_for``) takes the smallest
+such N within the spacing rule ``max_spacing``.  The Fourier convention is
 fhat(k) = integral of exp(-2*pi*i*k*x) f(x) dx, so DFT bins sit at the
 cyclic frequencies returned by ``numpy.fft.fftfreq(N, h)`` and symbol
 multipliers are evaluated there directly.
@@ -13,14 +16,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.interpolate import BarycentricInterpolator
 
 from .errors import ConfigError
 
 
+MIN_POINTS = 256
+
+
 @dataclass(frozen=True)
 class UniformGrid:
-    """Periodic grid on [-L, L) with N points, N a power of two >= 256."""
+    """Periodic grid on [-L, L) with N points: N = 2m >= 256, m = 2^a 3^b 5^c.
+
+    Any other N raises ``ConfigError``.  Every power of two qualifies and
+    keeps its x_j = -L + j*h bits; the center point x_{N/2} is the front's
+    pin and is 0 exactly on every grid, where (N/2)*h can round away from L.
+    """
 
     L: float
     N: int
@@ -29,8 +41,10 @@ class UniformGrid:
         if not self.L > 0:
             raise ConfigError(f"half-length must be positive, got {self.L}")
         n = self.N
-        if n < 256 or (n & (n - 1)) != 0:
-            raise ConfigError(f"N must be a power of two >= 256, got {n}")
+        if n < MIN_POINTS or n % 2 or next_fast_len(n // 2, real=True) != n // 2:
+            raise ConfigError(
+                f"N must be 2m >= {MIN_POINTS} with m = 2^a 3^b 5^c, got {n}"
+            )
 
     @cached_property
     def h(self) -> float:
@@ -38,7 +52,9 @@ class UniformGrid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.N)
+        x = -self.L + self.h * np.arange(self.N)
+        x[self.N // 2] = 0.0
+        return x
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -46,16 +62,22 @@ class UniformGrid:
         return np.fft.rfftfreq(self.N, d=self.h)
 
     def index_of(self, x0: float) -> int:
-        """Index of the grid point at or just left of x0."""
-        return int(np.floor((x0 + self.L) / self.h))
+        """Index of the grid point at or just left of x0 (by the values of ``x``)."""
+        return int(np.searchsorted(self.x, x0, side="right")) - 1
 
 
 def grid_for(L: float, h_max: float) -> UniformGrid:
-    """Smallest power-of-two grid on [-L, L) with spacing at most h_max."""
-    n = 256
-    while 2.0 * L / n > h_max:
-        n *= 2
-    return UniformGrid(L, n)
+    """Smallest ``UniformGrid`` on [-L, L) with spacing 2L/N at most h_max.
+
+    N = 2m with m the smallest 5-smooth number (``next_fast_len``) that
+    meets the spacing in floating point, and N >= 256.
+    """
+    m = max(MIN_POINTS // 2, int(L / h_max))
+    while True:
+        m = next_fast_len(m, real=True)
+        if 2.0 * L / (2 * m) <= h_max:
+            return UniformGrid(L, 2 * m)
+        m += 1
 
 
 # Largest tent half-width: the kernel symbols and their poles stay well

@@ -33,10 +33,12 @@ ENDPOINT_TOL = 1e-12
 # arrays of this many bytes or more (glibc's default mmap threshold) get the
 # force-law extension in fresh arrays selected with np.where; smaller ones
 # get it written in place, which makes a 16 KB lattice field (M = 2000)
-# step faster.  Cold front solves at 64 and 128 KiB and sweeps at 128 and
-# 256 KiB, run on their own, took the same time either way, but a benchmark
-# process (perfbench front-sweep) on 256 KiB grids took about a sixth
-# longer in place.  The switch sits one doubling below that size
+# step faster.  The front solver's default grids hold 100, 200 and 500 KB
+# arrays (N = 12800, 25600, 64000 at eps 0.1, 0.05, 0.02).  Run on their
+# own, cold solves and sweeps took the same time with every size in place;
+# in benchmark processes op_s_p50 was unchanged too, but front-cold's
+# op_s_p90 (its 500 KB solves) rose 3-5 % in 3 of 3 alternating pairs and
+# set-up time in 5 of 6.  The switch sits between 100 KB and 200 KB
 IN_PLACE_MAX_BYTES = 128 * 1024
 
 

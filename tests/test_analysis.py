@@ -66,14 +66,14 @@ SWEEP_EPS = (0.2, 0.1, 0.05)
 
 @pytest.fixture(scope="module")
 def hertz_fine():
-    """Hertz eps 0.2 on pinned L = 40 grids, from its default N up."""
+    """Hertz eps 0.2 on pinned L = 40 grids, from the power of two above its default 6400 up."""
     pot = hertz_potential(1.5)
     return {N: solve_front(pot, 0.2, grid=UniformGrid(40.0, N)) for N in FINE_N}
 
 
 @pytest.fixture(scope="module")
 def hertz_sweep():
-    """The benchmark's Hertz sweep, every member on its shared N = 32768 grid."""
+    """The benchmark's Hertz sweep, every member on its shared N = 25600 grid."""
     sols = continuation_sweep(hertz_potential(1.5), SWEEP_EPS)
     return {s.eps: s for s in sols}
 

@@ -124,6 +124,25 @@ class TestFrontSolve:
         data = json.loads((out / "front_eps0p1.json").read_text())
         assert data["N"] == 16384
 
+    def test_pinned_fast_grid_and_default_size(self, runner, tmp_path):
+        """A pinned N = 2 * 12800 and the auto grid at eps 0.1 (N = 12800,
+        the smallest 2m with m 5-smooth within spacing 0.1/16 on L = 40)
+        both put a row at x = 0 with R = 1/2."""
+        for name, grid, n in (("pinned", {"L": 40.0, "N": 25600}, 25600), ("auto", "auto", 12800)):
+            cfg = write_cfg(
+                tmp_path,
+                {"potential": {"kind": "quadratic"}, "epsilon": 0.1, "grid": grid},
+                f"{name}.json",
+            )
+            out = tmp_path / name
+            res = runner.invoke(main, ["front", "solve", "--config", cfg, "--out", str(out)])
+            assert res.exit_code == 0
+            assert json.loads((out / "front_eps0p1.json").read_text())["N"] == n
+            _, rows = read_csv_rows(out / "front_eps0p1.csv")
+            assert len(rows) == n
+            assert float(rows[n // 2][0]) == 0.0
+            assert abs(float(rows[n // 2][1]) - 0.5) <= 1e-12
+
     def test_unknown_key_rejected(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path, {"potential": {"kind": "quadratic"}, "epsilon": 0.1, "epsylon": 1}
@@ -495,6 +514,9 @@ class TestNumberFields:
             (["front", "sweep"], {"potential": QUARTIC, "epsilon_list": [0.2, 0.1], "grid": WIDE}),
             (["report"], {"potential": QUARTIC, "epsilon": 0.1, "grid": WIDE}),
             (["lattice", "run"], {"potential": QUARTIC, "lattice": {"M": 400, "T": 5.0, "gamma": 10.0}, "grid": WIDE}),
+            # a pinned N must be 2m >= 256 with m 5-smooth
+            (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40.0, "N": 1400}}),
+            (["ode"], {"potential": QUAD, "grid": {"L": 40.0, "N": 12801}}),
         ],
         ids=[
             "poles_p",
@@ -536,6 +558,8 @@ class TestNumberFields:
             "sweep_no_front_pinned_grid",
             "report_no_front_pinned_grid",
             "lattice_no_front_pinned_grid",
+            "solve_grid_N_factor_7",
+            "ode_grid_N_odd",
         ],
     )
     def test_config_error(self, runner, tmp_path, command, cfg):
@@ -548,6 +572,8 @@ class TestNumberFields:
         assert len(lines) == 1 and lines[0].startswith("config error:")
         if cfg.get("potential") == self.QUARTIC:
             assert "meets its chord at r = 0.30044 " in lines[0]
+        if cfg.get("grid", {}).get("N") in (1400, 12801):
+            assert lines[0].startswith("config error: N must be 2m >= 256 with m = 2^a 3^b 5^c")
         assert not out.exists()
 
 

@@ -156,10 +156,31 @@ class TestClosedForm:
 
 
 class TestContract:
-    @pytest.mark.parametrize("name", ["quadratic", "hertz"])
-    def test_residual(self, name, logistic_solution, hertz_solution):
-        sol = logistic_solution if name == "quadratic" else hertz_solution
-        assert sol.residual() <= 1e-10
+    # the residual differentiates the tables' own polynomials: the closed
+    # form's tables solve the ODE to a few 1e-14, the stepper's dense output
+    # to its tolerance.  1e-12 fails a 5-point difference quotient, whose
+    # truncation error at d = 5e-3 is 5e-12 on the logistic front
+    @pytest.mark.parametrize(
+        "fixture, bound",
+        [("logistic_solution", 1e-12), ("hertz_solution", 1e-12),
+         ("logistic_stepper", 1e-10), ("hertz_stepper", 1e-10)],
+        ids=["quadratic", "hertz", "quadratic-stepper", "hertz-stepper"],
+    )
+    def test_residual(self, fixture, bound, request):
+        assert request.getfixturevalue(fixture).residual() <= bound
+
+    def test_table_derivative_is_the_logistic_slope(self, logistic_solution):
+        """R0' = -R0 (1 - R0) for the logistic front, from either table."""
+        sol = logistic_solution
+        x = np.linspace(-sol.L, sol.L, 2001)
+        R = 1.0 / (1.0 + np.exp(x))
+        left = x < 0.0
+        slope = np.where(
+            left,
+            -sol._gap_table.derivative(np.minimum(x, 0.0)),
+            sol._right_table.derivative(np.maximum(x, 0.0)),
+        )
+        assert np.max(np.abs(slope + R * (1.0 - R))) <= 1e-13
 
     @pytest.mark.parametrize("name", ["quadratic", "hertz"])
     def test_strictly_decreasing_and_bounded(self, name, logistic_solution, hertz_solution):

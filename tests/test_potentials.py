@@ -251,8 +251,8 @@ class TestScalarPath:
         half = body.size // 2
         return np.concatenate([special, body[:half], special, body[half:], special])
 
-    # the largest array written in place, and the front solver's 32768
-    # points, which take np.where
+    # the largest array written in place, and 32768 points (256 KiB, above
+    # the 200 KB of the front solver's N = 25600 grids), which take np.where
     @pytest.mark.parametrize("n", [IN_PLACE_MAX_BYTES // 8 - 1, 32768])
     @pytest.mark.parametrize("norm", [False, True], ids=["raw", "renormalized"])
     @pytest.mark.parametrize("name", list(_FORCE_LAWS))
