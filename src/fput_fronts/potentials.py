@@ -7,7 +7,8 @@ constant curvature, so solver iterates that overshoot the physical range
 still see a C^1 force law.  The extension is each law's Taylor polynomial
 at the nearer core end (value, slope and half the curvature of phi; value
 and curvature of dphi; the curvature of d2phi), kept once per potential
-and read by the float and the array path alike.
+and read by the float and the array path alike.  The data are the cores'
+array values at the two ends, and must be finite.
 
 The normalized setting used throughout the solver modules has
 ``r_plus = 0``, ``r_minus = 1``, ``dphi(0) = 0``, ``dphi(1) = 1``; any
@@ -30,16 +31,6 @@ from numpy.polynomial import polynomial as npoly
 from .errors import ConfigError
 
 ENDPOINT_TOL = 1e-12
-# arrays of this many bytes or more (glibc's default mmap threshold) get the
-# force-law extension in fresh arrays selected with np.where; smaller ones
-# get it written in place, which makes a 16 KB lattice field (M = 2000)
-# step faster.  The front solver's default grids hold 100, 200 and 500 KB
-# arrays (N = 12800, 25600, 64000 at eps 0.1, 0.05, 0.02).  Run on their
-# own, cold solves and sweeps took the same time with every size in place;
-# in benchmark processes op_s_p50 was unchanged too, but front-cold's
-# op_s_p90 (its 500 KB solves) rose 3-5 % in 3 of 3 alternating pairs and
-# set-up time in 5 of 6.  The switch sits between 100 KB and 200 KB
-IN_PLACE_MAX_BYTES = 128 * 1024
 
 
 class PotentialError(ConfigError):
@@ -93,8 +84,9 @@ class Potential:
     Parameters are callables for the potential, force, and curvature on the
     core interval; all evaluation methods accept scalars or arrays and apply
     the extension automatically.  A core gets strains in the core interval
-    (or NaN); the array path writes the extension into arrays it made, never
-    into what a core returns.  ``gap_core``, when given, is the gap force
+    (or NaN), must not write into it and must give NaN at NaN; the array
+    path writes the extension into arrays it made, never into what a core
+    returns.  ``gap_core``, when given, is the gap force
     ``d -> dphi(r_minus) - dphi(r_minus - d)`` on plain floats d in
     ``[0, r_minus - r_plus]``, evaluated without cancellation at small d
     (see :meth:`gap_force`); the built-in factories supply it.  ``power``
@@ -125,13 +117,16 @@ class Potential:
         self.r_minus = float(r_minus)
         self.name = name
         self.gap_core = gap_core
-        # one-sided values at the core ends, reused by the extension
-        self._phi_a = float(phi_core(self.r_plus))
-        self._phi_b = float(phi_core(self.r_minus))
-        self._dp_a = float(dphi_core(self.r_plus))
-        self._dp_b = float(dphi_core(self.r_minus))
-        self._p_a = float(d2phi_core(self.r_plus))
-        self._p_b = float(d2phi_core(self.r_minus))
+        # each core's values at the ends, from its array form: what the
+        # array path's core gives at a strain clipped to an end
+        ends = []
+        for law, core in (("phi", phi_core), ("dphi", dphi_core), ("d2phi", d2phi_core)):
+            with np.errstate(all="ignore"):  # a non-finite value is the error below
+                v = np.broadcast_to(core(np.array([self.r_plus, self.r_minus])), 2).astype(float)
+            if not np.isfinite(v).all():
+                raise PotentialError(f"{name}: {law} at the core ends is {v.tolist()}, not finite")
+            ends.append(v.tolist())
+        (self._phi_a, self._phi_b), (self._dp_a, self._dp_b), (self._p_a, self._p_b) = ends
         # each law as (core, Taylor data at r_plus, Taylor data at r_minus):
         # the value and the derivatives over k! that the constant-curvature
         # extension keeps, read by the float and the array path alike
@@ -162,12 +157,14 @@ class Potential:
         return float(core(r))
 
     def _eval_array(self, r, core, below, above):
-        # the core sees r clipped to the core interval.  Each occupied side
-        # forms its Taylor terms over the whole field on r clamped to its own
-        # half-line, so the other side's strains give it distance 0 and raise
-        # no warning the subset would not, and selects them in at its own
-        # strains.  NaN is skipped by both reductions and both masks and
-        # keeps the core's value, as clip passes it through
+        # the core sees r clipped to the core interval, so at a strain beyond
+        # an end it gives the end value the Taylor data start from (they are
+        # the cores' array values).  When strains leave the core, every
+        # strain adds its own side's terms in d = r - c, which is +0.0 in
+        # the core and NaN at NaN.  Each term is formed to be -0.0 at core
+        # strains, so the core's value there stays as it is, -0.0 included:
+        # a coefficient that core strains see as >= 0 is negated and
+        # multiplies c - r, which gives the same product elsewhere
         a, b = self.r_plus, self.r_minus
         c = r.clip(a, b)
         out = np.asarray(core(c), dtype=float)
@@ -178,22 +175,23 @@ class Potential:
         hi = np.fmax.reduce(r, axis=None, initial=-np.inf) > b
         if not (lo or hi):
             return out
-        if r.nbytes >= IN_PLACE_MAX_BYTES:
-            if lo:
-                out = np.where(r < a, _taylor(below, np.minimum(r, a) - a), out)
-            if hi:
-                out = np.where(r > b, _taylor(above, np.maximum(r, b) - b), out)
-            return out
-        # the call writes only into arrays it made: the clip result takes
-        # each side's distance and terms, and a copy of the core's output
-        # (which may be its argument, a view of it or an array the core
-        # keeps) takes the result
-        out = out.copy()
-        if lo:
-            _put_taylor(out, np.less(r, a), below, np.subtract(np.minimum(r, a, out=c), a, out=c))
-        if hi:
-            _put_taylor(out, np.greater(r, b), above, np.subtract(np.maximum(r, b, out=c), b, out=c))
-        return out
+        if len(below) == 1:
+            # the end values themselves, in an array of the call's own
+            return out.copy()
+        side = np.less(r, c) if lo and hi else None
+        t1, flip1 = _coefficient(below[1], above[1], lo, hi, side)
+        d = c - r if flip1 else r - c
+        if len(below) == 3:
+            t2, flip2 = _coefficient(below[2], above[2], lo, hi, side)
+            # (c - r) * (r - c) is +0.0 at core strains and -(d*d) elsewhere
+            q = d * (r - c if flip1 else c - r) if flip2 else d * d
+            q *= t2
+        # (out + t1*d) + t2*(d*d), as the float path adds, in arrays made here
+        d *= t1
+        np.add(out, d, out=d)
+        if len(below) == 3:
+            d += q
+        return d
 
     def phi(self, r):
         """Potential energy of a bond at strain ``r``."""
@@ -323,29 +321,28 @@ class Potential:
 
 
 def _taylor(terms, d):
-    """``(value + t1*d) + t2*(d*d)`` over the given Taylor data, on a float or an array."""
+    """``(value + t1*d) + t2*(d*d)`` over the given Taylor data, on a float."""
     if len(terms) == 1:
         return terms[0]
     y = terms[0] + terms[1] * d
     return y if len(terms) == 2 else y + terms[2] * (d * d)
 
 
-def _put_taylor(out, side, terms, d) -> None:
-    """Put :func:`_taylor` of ``d`` into ``out`` where ``side`` holds; ``d`` is overwritten.
+def _coefficient(t_below, t_above, lo, hi, side):
+    """Each strain's coefficient, and whether both were negated.
 
-    The terms are formed over the whole of ``d`` in the float path's
-    operation order, as the ``np.where`` path forms them, so each value is
-    the float path's and both array paths raise the same warnings.
+    Core strains see ``t_above`` when strains lie above the core, else
+    ``t_below``; both are negated when that one is >= 0 by its sign bit
+    (+0.0 is, -0.0 is not).  ``side`` marks the strains below the core.
     """
-    if len(terms) == 1:
-        np.putmask(out, side, terms[0])
-        return
-    q = terms[2] * (d * d) if len(terms) == 3 else None
-    np.multiply(terms[1], d, out=d)
-    np.add(terms[0], d, out=d)
-    if q is not None:
-        np.add(d, q, out=d)
-    np.putmask(out, side, d)
+    flip = math.copysign(1.0, t_above if hi else t_below) > 0.0
+    if flip:
+        t_below, t_above = -t_below, -t_above
+    if not hi:
+        return t_below, flip
+    if not lo:
+        return t_above, flip
+    return np.where(side, t_below, t_above), flip
 
 
 # -- factories --------------------------------------------------------------

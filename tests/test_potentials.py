@@ -1,5 +1,6 @@
 """Potential structure, jump constants, and renormalization."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from fput_fronts import (
     polynomial_potential,
     quadratic_force_potential,
 )
-from fput_fronts.potentials import IN_PLACE_MAX_BYTES, _horner
+from fput_fronts.potentials import _horner
 
 
 def chord_area_oracle(pot):
@@ -117,7 +118,7 @@ class TestExtension:
 
     def test_beyond_the_ends_both_paths_use_the_end_data(self):
         # a core whose array form disagrees with its float form: beyond the
-        # core ends both paths evaluate the Taylor data the floats gave
+        # core ends both paths evaluate the Taylor data the arrays gave
         def core(r):
             return 3.0 if type(r) is float else np.full(np.shape(r), 5.0)
 
@@ -163,21 +164,23 @@ class TestArrayEvaluation:
         assert values.shape == r.shape
         assert values.tobytes() == scalars.tobytes()
 
-    @pytest.mark.parametrize("copies", [1, IN_PLACE_MAX_BYTES // 32], ids=["in-place", "np.where"])
+    @pytest.mark.parametrize("n", [None, 2000, 16383, 32768])
     @pytest.mark.parametrize(
         "method, r",
         [
-            # -1e308 and -1.7e308 overflow the upper side's slope term, and
-            # +inf turns the lower side's zero slope into 0 * inf
+            # -1e308 and -1.7e308 would overflow the upper side's slope
+            # term, and +inf would turn the lower side's zero slope into
+            # 0 * inf
             ("dphi", [-1.7e308, -1e308, 0.5, 1.5, np.inf]),
             # r * r overflows on both sides alike, so phi only has +inf
             ("phi", [-1e150, 0.5, 1.5, np.inf]),
         ],
     )
     @pytest.mark.parametrize("make", [quadratic_force_potential, hertz_potential])
-    def test_each_side_sees_only_its_own_strains(self, make, method, r, copies):
+    def test_each_side_sees_only_its_own_strains(self, make, method, r, n):
+        # each strain takes its own side's coefficients, at every size
         f = getattr(make(), method)
-        r = np.tile(r, copies)
+        r = np.resize(r, n or len(r))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = f(r)
@@ -251,9 +254,9 @@ class TestScalarPath:
         half = body.size // 2
         return np.concatenate([special, body[:half], special, body[half:], special])
 
-    # the largest array written in place, and 32768 points (256 KiB, above
-    # the 200 KB of the front solver's N = 25600 grids), which take np.where
-    @pytest.mark.parametrize("n", [IN_PLACE_MAX_BYTES // 8 - 1, 32768])
+    # a lattice field (M = 2000), 16383 points, and 32768 points (256 KiB,
+    # above the 200 KB of the front solver's N = 25600 grids): one path
+    @pytest.mark.parametrize("n", [2000, 16383, 32768])
     @pytest.mark.parametrize("norm", [False, True], ids=["raw", "renormalized"])
     @pytest.mark.parametrize("name", list(_FORCE_LAWS))
     def test_large_array_matches_floats_bitwise(self, name, norm, n):
@@ -386,23 +389,33 @@ class TestCoreOutput:
             assert not np.shares_memory(first, cache[r.size])
             assert first.tobytes() == np.array([f(float(x)) for x in r]).tobytes()
 
-    @pytest.mark.parametrize("copies", [1, IN_PLACE_MAX_BYTES // 16], ids=["in-place", "np.where"])
-    def test_infinite_end_curvature_warns_alike_on_every_size(self, copies):
-        # the side terms are formed over every strain, as the float path
-        # forms them at one, so an infinite curvature at r_plus times the
-        # zero distance of the other strains warns on every array size
-        def d2(x):
-            return np.where(np.asarray(x) == 0.0, np.inf, 1.0)
+    def test_non_finite_end_data_are_rejected(self):
+        # the extension starts from each law's values at the core ends, so
+        # a law whose phi, dphi or d2phi is not finite there is rejected
+        # when it is built, with one line
+        def bad_at(end, value):
+            def core(x):
+                return np.where(np.asarray(x) == end, value, 1.0)
 
-        pot = Potential(lambda x: 0.5 * x * x, lambda x: x, d2, r_plus=0.0, r_minus=1.0)
-        r = np.tile([-0.5, 0.25, 2.0], copies)
-        for f in (pot.phi, pot.dphi):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out = f(r)
-            assert [str(w.message) for w in caught] == ["invalid value encountered in multiply"]
-            assert out[:3].tolist() == [f(-0.5), f(0.25), f(2.0)]
-            assert np.isinf(out[0])
+            return core
+
+        def good(x):
+            return 0.5 * x
+
+        for end in (0.0, 1.0):
+            for value in (np.inf, -np.inf, np.nan):
+                for k, law in enumerate(("phi", "dphi", "d2phi")):
+                    cores = [good, good, good]
+                    cores[k] = bad_at(end, value)
+                    with pytest.raises(PotentialError) as info:
+                        Potential(*cores, r_plus=0.0, r_minus=1.0, name="bad")
+                    message = str(info.value)
+                    values = [value, 1.0] if end == 0.0 else [1.0, value]
+                    assert message == f"bad: {law} at the core ends is {values}, not finite"
+                    assert "\n" not in message
+        # a factory law whose potential and force overflow at r_minus
+        with pytest.raises(PotentialError, match=r"phi at the core ends is \[0\.0, inf\]"):
+            polynomial_potential([0.0, 0.0, 1.0], r_minus=1e160)
 
     def test_scalar_core_gives_full_shape(self):
         pot = Potential(lambda r: 0.5 * r * r, lambda r: r, lambda r: 1.0)
@@ -410,6 +423,106 @@ class TestCoreOutput:
         out = pot.d2phi(r)
         assert out.shape == r.shape
         assert np.all(out == 1.0)
+
+
+def _signed_zero_law(coeffs, zeros, returned):
+    """The polynomial force law ``coeffs`` on [0, 1] whose cores give -0.0 at ``zeros``.
+
+    Every array a core returns is appended to ``returned``.
+    """
+    c = tuple(map(float, coeffs))
+    polys = [tuple(map(float, npoly.polyint(c))), c, tuple(map(float, npoly.polyder(c)))]
+
+    def core(poly):
+        def f(x):
+            y = np.where(np.isin(x, zeros), -0.0, _horner(poly, x))
+            returned.append(y)
+            return y
+
+        return f
+
+    return Potential(*map(core, polys), r_plus=0.0, r_minus=1.0, name=f"{list(c)} with -0.0")
+
+
+class TestOnePath:
+    """Every array size takes one path: each strain adds its own side's terms."""
+
+    ZEROS = (0.25, 0.5, 0.75)
+
+    @staticmethod
+    def lattice_field(m=2000):
+        """Strains of a front across the core, perturbed by 1e-6 past both ends."""
+        rng = np.random.default_rng(4242)
+        r = 1.0 / (1.0 + np.exp(np.linspace(-20.0, 20.0, m))) + 1e-6 * rng.standard_normal(m)
+        return r
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            # end slopes of dphi: p_plus -0.1 < 0, p_minus 2.1 > 0;
+            # of phi: dphi(0) = +0.0, dphi(1) = 1
+            [0.0, -0.1, 1.1],
+            # as above with dphi(0) = -0.0
+            [-0.0, -0.1, 1.1],
+            # p_plus 1.5 > 0, p_minus -0.5 < 0; phi's curvature terms
+            # 0.75 > 0 at r_plus, -0.25 < 0 at r_minus
+            [0.0, 1.5, 0.5, -1.0],
+        ],
+    )
+    @pytest.mark.parametrize("sides", ["below", "above", "both"])
+    def test_core_signed_zeros_survive(self, coeffs, sides):
+        returned = []
+        pot = _signed_zero_law(coeffs, self.ZEROS, returned)
+        r = self.lattice_field()
+        if sides == "below":
+            r = np.minimum(r, 1.0)
+        elif sides == "above":
+            r = np.maximum(r, 0.0)
+        at = np.arange(5, r.size, 200)
+        r[at] = np.resize(self.ZEROS, at.size)
+        assert (r.min() < 0.0) == (sides != "above") and (r.max() > 1.0) == (sides != "below")
+        r_before = r.tobytes()
+        for method in ("phi", "dphi", "d2phi"):
+            f = getattr(pot, method)
+            returned.clear()
+            values = f(r)
+            assert returned and not any(np.shares_memory(values, y) for y in returned)
+            assert not np.shares_memory(values, r)
+            assert values[at].tolist() == [0.0] * at.size and np.signbit(values[at]).all()
+            scalars = np.array([f(x) for x in r.tolist()])
+            assert values.tobytes() == scalars.tobytes(), method
+        assert r.tobytes() == r_before
+
+    def test_signed_zero_laws_cover_every_end_slope(self):
+        # the coefficients the core strains see in the test above: the
+        # slope terms of phi and dphi and the curvature term of phi
+        signs = set()
+        for coeffs in ([0.0, -0.1, 1.1], [-0.0, -0.1, 1.1], [0.0, 1.5, 0.5, -1.0]):
+            pot = _signed_zero_law(coeffs, self.ZEROS, [])
+            for law in (pot._phi_law, pot._dphi_law):
+                for _, *terms in law[1:]:
+                    signs.update((t != 0.0, math.copysign(1.0, t)) for t in terms)
+        assert signs == {(True, 1.0), (False, 1.0), (False, -1.0), (True, -1.0)}
+
+    @pytest.mark.parametrize("norm", [False, True], ids=["raw", "renormalized"])
+    @pytest.mark.parametrize("name", list(_FORCE_LAWS))
+    def test_end_data_are_the_array_cores_values(self, name, norm):
+        # at a strain beyond an end the clipped core gives its array value
+        # at the end, which the Taylor data must start from; for the
+        # factory laws the float cores give the same bits
+        pot = _FORCE_LAWS[name]()
+        if norm:
+            pot = pot.renormalize()[0]
+        ends = [pot.r_plus, pot.r_minus]
+        phi, dphi, d2phi = pot._phi_law, pot._dphi_law, pot._d2phi_law
+        for core, below, above in (phi, dphi, d2phi):
+            data = np.array([below[0], above[0]])
+            assert data.tobytes() == core(np.array(ends)).tobytes()
+            assert data.tobytes() == np.array([float(core(e)) for e in ends]).tobytes()
+        # the higher terms are the next law's end values
+        for law, nxt in ((phi, dphi), (dphi, d2phi)):
+            assert [law[1][1], law[2][1]] == [nxt[1][0], nxt[2][0]]
+        assert [phi[1][2], phi[2][2]] == [0.5 * d2phi[1][0], 0.5 * d2phi[2][0]]
 
 
 class TestRenormalize:
