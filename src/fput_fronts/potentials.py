@@ -409,9 +409,16 @@ class _PolynomialPotential(Potential):
 
     def __init__(self, coeffs: tuple, r_plus: float, r_minus: float, name: str):
         c = np.asarray(coeffs)
-        ci = tuple(map(float, npoly.polyint(c)))
-        cd = tuple(map(float, npoly.polyder(c))) if c.size > 1 else (0.0,)
-        cg = _gap_coefficients(coeffs, r_minus)
+        with np.errstate(all="ignore"):  # a non-finite coefficient is the error below
+            ci = tuple(map(float, npoly.polyint(c)))
+            cd = tuple(map(float, npoly.polyder(c))) if c.size > 1 else (0.0,)
+        try:
+            cg = _gap_coefficients(coeffs, r_minus)
+        except OverflowError:  # a rational beyond the largest double
+            cg = (math.inf,)
+        for what, derived in (("antiderivative", ci), ("derivative", cd), ("gap Taylor shift", cg)):
+            if not all(map(math.isfinite, derived)):
+                raise PotentialError(f"{name}: the force law's {what} has a non-finite coefficient")
         super().__init__(
             lambda r: _horner(ci, r),
             lambda r: _horner(coeffs, r),

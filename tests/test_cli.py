@@ -517,6 +517,9 @@ class TestNumberFields:
             # a pinned N must be 2m >= 256 with m 5-smooth
             (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40.0, "N": 1400}}),
             (["ode"], {"potential": QUAD, "grid": {"L": 40.0, "N": 12801}}),
+            # derived coefficients beyond the double range
+            (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0.0, 0.0, 1e308]}}),
+            (["front", "solve"], {"potential": {"kind": "polynomial", "coeffs": [0.0, 1e308, 1e308]}, "epsilon": 0.1}),
         ],
         ids=[
             "poles_p",
@@ -560,6 +563,8 @@ class TestNumberFields:
             "lattice_no_front_pinned_grid",
             "solve_grid_N_factor_7",
             "ode_grid_N_odd",
+            "ode_polynomial_overflow",
+            "solve_polynomial_overflow",
         ],
     )
     def test_config_error(self, runner, tmp_path, command, cfg):

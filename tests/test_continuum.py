@@ -1,6 +1,5 @@
 """Continuum front profile against closed-form and quadrature oracles."""
 
-import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -22,18 +21,8 @@ from fput_fronts import (
 )
 from fput_fronts import continuum
 from fput_fronts.continuum import (
-    _ATOL,
-    _ERROR_EXPONENT,
-    _MAX_FACTOR,
-    _MIN_FACTOR,
-    _RTOL,
-    _SAFETY,
-    _DenseTable,
-    _dense_rows,
     _dop853,
     _gap_rhs,
-    _initial_step,
-    _tableau,
     decay_rates,
     solver_grid,
 )
@@ -51,7 +40,7 @@ def hertz_solution():
 
 
 def _untagged(pot):
-    """The same cores without the power tag: its R0 takes the DOP853 stepper."""
+    """The same cores without the power tag: its R0 takes solve_ivp's DOP853."""
     return Potential(pot._phi, pot._dphi, pot._d2phi, pot.r_plus, pot.r_minus, gap_core=pot.gap_core)
 
 
@@ -63,6 +52,42 @@ def logistic_stepper():
 @pytest.fixture(scope="module")
 def hertz_stepper():
     return solve_R0(_untagged(hertz_potential()))
+
+
+def _renormalized_quartic():
+    return polynomial_potential([0.1, 0.7, 1.3, 0.4, 0.2], r_plus=0.2, r_minus=1.7).renormalize()[0]
+
+
+@pytest.fixture(scope="module")
+def cubic_stepper():
+    # 0.5 r + 0.8 r^2 - 0.3 r^3: normalized, nonconvex, with no power tag
+    return solve_R0(polynomial_potential([0.0, 0.5, 0.8, -0.3]))
+
+
+@pytest.fixture(scope="module")
+def quartic_stepper():
+    return solve_R0(_renormalized_quartic())
+
+
+@pytest.fixture(scope="module")
+def user_stepper():
+    # no gap_core: the gap branch takes the quadrature right-hand side
+    return solve_R0(Potential(lambda r: r**3 / 3.0, lambda r: r * r, lambda r: 2.0 * r))
+
+
+_SOLUTIONS = {
+    "quadratic": "logistic_solution",
+    "hertz": "hertz_solution",
+    "cubic": "cubic_stepper",
+    "quartic": "quartic_stepper",
+}
+_STEPPERS = {
+    "quadratic": "logistic_stepper",
+    "hertz": "hertz_stepper",
+    "cubic": "cubic_stepper",
+    "quartic": "quartic_stepper",
+    "user": "user_stepper",
+}
 
 
 class TestLogisticOracle:
@@ -254,11 +279,15 @@ class TestContract:
 
 
 class TestQuadratureInversion:
-    """x(R) by quadrature of 1/(dphi - id) must land back on the profile."""
+    """x(R) by quadrature of 1/(dphi - id) must land back on the profile.
 
-    @pytest.mark.parametrize("name", ["quadratic", "hertz"])
-    def test_twenty_interior_levels(self, name, logistic_solution, hertz_solution):
-        sol = logistic_solution if name == "quadratic" else hertz_solution
+    The quadrature uses no ODE integrator, so it checks the closed form
+    (quadratic, hertz) and solve_ivp's tables (cubic, quartic) alike.
+    """
+
+    @pytest.mark.parametrize("name", list(_SOLUTIONS))
+    def test_twenty_interior_levels(self, name, request):
+        sol = request.getfixturevalue(_SOLUTIONS[name])
         for level in np.linspace(0.05, 0.95, 20):
             x = position_of_level(sol.potential, level)
             assert abs(sol(x) - level) <= 1e-8
@@ -354,10 +383,10 @@ class TestPackedEvaluator:
 
 
 class TestRightHandSide:
-    """The float DOP853 stepper integrates as ``solve_ivp`` does on the same RHS.
+    """The tables are ``solve_ivp``'s DOP853 run on the same right-hand side.
 
-    Same tableau and controller, so the accepted steps and evaluation counts
-    agree; the sums are in a different order, so values agree to rounding.
+    Same knots and evaluation count, and the tables give its dense output
+    bit for bit, at every knot and between.
     """
 
     @staticmethod
@@ -371,14 +400,15 @@ class TestRightHandSide:
             atol=1e-300,
             dense_output=True,
         )
-        assert abs(table.knots.size - ref.t.size) <= 0.01 * ref.t.size
-        assert abs(table.nfev - ref.nfev) <= 0.01 * ref.nfev
-        want = ref.sol(x)[0]
-        assert np.max(np.abs(evaluate(x) - want) / np.abs(want)) <= 1e-13
+        assert table.knots.size == ref.t.size
+        assert table.nfev == ref.nfev
+        for points in (ref.t, x):
+            assert _same_bits(table(points), ref.sol(points)[0])
+            assert _same_bits(evaluate(points), ref.sol(points)[0])
 
-    @pytest.mark.parametrize("name", ["quadratic", "hertz"])
-    def test_right_branch_matches_array_rhs(self, name, logistic_stepper, hertz_stepper):
-        sol = logistic_stepper if name == "quadratic" else hertz_stepper
+    @pytest.mark.parametrize("name", list(_STEPPERS))
+    def test_right_branch_matches_array_rhs(self, name, request):
+        sol = request.getfixturevalue(_STEPPERS[name])
         pot = sol.potential
         self.check_against_solve_ivp(
             sol._right_table,
@@ -388,9 +418,9 @@ class TestRightHandSide:
             np.linspace(0.0, sol.L, 20001),
         )
 
-    @pytest.mark.parametrize("name", ["quadratic", "hertz"])
-    def test_gap_branch_matches_solve_ivp(self, name, logistic_stepper, hertz_stepper):
-        sol = logistic_stepper if name == "quadratic" else hertz_stepper
+    @pytest.mark.parametrize("name", list(_STEPPERS))
+    def test_gap_branch_matches_solve_ivp(self, name, request):
+        sol = request.getfixturevalue(_STEPPERS[name])
         self.check_against_solve_ivp(
             sol._gap_table,
             _gap_rhs(sol.potential),
@@ -401,19 +431,13 @@ class TestRightHandSide:
 
 
 class TestStepper:
-    def test_tableau_is_consistent(self):
-        """A scipy upgrade that moves or changes the DOP853 tableau fails here."""
-        assert _tableau.N_STAGES == 12 and _tableau.N_STAGES_EXTENDED == 16
-        assert _tableau.A.shape == (16, 16) and _tableau.D.shape == (4, 16)
-        assert _tableau.B.shape == (12,) and _tableau.E3.shape == _tableau.E5.shape == (13,)
-        assert np.allclose(_tableau.C, _tableau.A.sum(axis=1), rtol=0.0, atol=4e-15)
-        assert abs(_tableau.B.sum() - 1.0) <= 4e-15
-        assert np.array_equal(_tableau.A[_tableau.N_STAGES, :12], _tableau.B)
-
-    def test_step_too_small_raises(self):
-        # y' = 1/(1 - y) blows up at t = 1/2: the step size collapses
+    # y' = 1/(1 - y) has no solution past y = 1.  From 0 the controller's
+    # error norm overflows at the first step; from 0.5 the solution blows
+    # up at t = 1/8 and the step size collapses there
+    @pytest.mark.parametrize("y0", [0.0, 0.5])
+    def test_step_too_small_raises(self, y0):
         with pytest.raises(DomainTooSmallError) as exc:
-            _dop853(lambda y: 1.0 / (1.0 - y), 5.0, 0.0)
+            _dop853(lambda y: 1.0 / (1.0 - y), 5.0, y0)
         assert exc.value.suggested_L == 10.0
 
     def test_dense_output_of_exponential(self):
@@ -423,143 +447,12 @@ class TestStepper:
         assert table.knots[0] == 0.0 and table.knots[-1] == 30.0
 
 
-def _dot(row, K):
-    """sum(map(mul, row, K)) as Python 3.11 adds it: from 0, left to right.
-
-    Written as a loop because ``sum`` compensates from Python 3.12 on.
-    """
-    total = 0
-    for a, k in zip(row, K):
-        total += a * k
-    return total
-
-
-def _reference_dop853(fun, t_bound, y0):
-    """The loop-form DOP853 stepper: every stage sum over the full tableau row.
-
-    The reference for ``continuum._dop853``, which writes the same sums as
-    straight-line code without the zero terms; the two must agree bitwise.
-    """
-    n_stages = _tableau.N_STAGES
-    A = [tuple(map(float, _tableau.A[s, :s])) for s in range(1, n_stages)]
-    B, E3, E5 = (tuple(map(float, row)) for row in (_tableau.B, _tableau.E3, _tableau.E5))
-    direction = 1.0 if t_bound > 0 else -1.0
-    t, y = 0.0, y0
-    f = fun(y)
-    h_abs = _initial_step(fun, y, f, direction, abs(t_bound))
-    nfev = 2
-    knots, ys, stages = [t], [y], []
-    while direction * (t - t_bound) < 0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise DomainTooSmallError(
-                    f"continuum integration failed: step size below {min_step:.3g} "
-                    f"at x = {t}",
-                    suggested_L=2 * abs(t_bound),
-                )
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            K = [f]
-            for a in A:
-                K.append(fun(y + _dot(a, K) * h))
-            y_new = y + h * _dot(B, K)
-            f_new = fun(y_new)
-            K.append(f_new)
-            nfev += n_stages
-            scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
-            err5 = _dot(E5, K) / scale
-            err3 = _dot(E3, K) / scale
-            err5_2, err3_2 = err5 * err5, err3 * err3
-            if err5_2 == 0.0 and err3_2 == 0.0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5_2 / math.sqrt(err5_2 + 0.01 * err3_2)
-            if error_norm < 1.0:
-                if error_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-            rejected = True
-
-        stages.append(K)
-        knots.append(t_new)
-        ys.append(y_new)
-        t, y, f = t_new, y_new, f_new
-
-    h, y_old = np.diff(knots), np.array(ys[:-1])
-    K = np.zeros((h.size, _tableau.N_STAGES_EXTENDED))
-    K[:, : n_stages + 1] = stages
-    for s in range(n_stages + 1, _tableau.N_STAGES_EXTENDED):
-        args = y_old + (K[:, :s] @ _tableau.A[s, :s]) * h
-        K[:, s] = [fun(v) for v in args.tolist()]
-    nfev += (_tableau.N_STAGES_EXTENDED - n_stages - 1) * h.size
-    return _DenseTable(knots, ys, _dense_rows(np.array(knots), np.array(ys), K), nfev)
-
-
-_ORACLE_POTENTIALS = {
-    "quadratic": quadratic_force_potential,
-    "hertz1.1": lambda: hertz_potential(1.1),
-    "hertz1.5": hertz_potential,
-    "degree4": lambda: polynomial_potential(
-        [0.1, 0.7, 1.3, 0.4, 0.2], r_plus=0.2, r_minus=1.7
-    ).renormalize()[0],
-    # no gap_core: the gap branch takes the quadrature right-hand side
-    "user": lambda: Potential(lambda r: r**3 / 3.0, lambda r: r * r, lambda r: 2.0 * r),
-}
-
-
-class TestStepperOracle:
-    """The straight-line stepper gives the loop-form reference's tables bit for bit."""
-
-    @staticmethod
-    def assert_same_table(table, ref):
-        assert table.side == ref.side
-        assert table.nfev == ref.nfev
-        for name in ("knots", "t_old", "h", "y_old", "horner"):
-            assert getattr(table, name).tobytes() == getattr(ref, name).tobytes(), name
-
-    @pytest.mark.parametrize("branch", ["gap", "right"])
-    @pytest.mark.parametrize("name", list(_ORACLE_POTENTIALS))
-    def test_tables_are_bitwise_equal(self, name, branch):
-        pot = _ORACLE_POTENTIALS[name]()
-        L = solver_grid(pot).L
-        if branch == "gap":
-            rhs, t_bound = _gap_rhs(pot), -L
-        else:
-            rhs, t_bound = (lambda r: pot.dphi(r) - r), L
-        self.assert_same_table(_dop853(rhs, t_bound, 0.5), _reference_dop853(rhs, t_bound, 0.5))
-
-    def test_blow_up_raises_the_same_error(self):
-        # y' = 1/(1 - y) blows up at t = 1/2
-        def rhs(y):
-            return 1.0 / (1.0 - y)
-
-        errors = []
-        for stepper in (_dop853, _reference_dop853):
-            with pytest.raises(DomainTooSmallError) as exc:
-                stepper(rhs, 5.0, 0.0)
-            errors.append((str(exc.value), exc.value.suggested_L))
-        assert errors[0] == errors[1]
-
-
 class TestRenormalizedPolynomial:
     def test_right_branch_keeps_its_step_to_L(self):
         # raw dphi(r_plus) != 0: the unit force must still keep its relative
         # accuracy as R goes to 0, or the right branch's step collapses
         # past x = 22 (millions of evaluations to L = 40)
-        pot = polynomial_potential([0.1, 0.7, 1.3, 0.4, 0.2], r_plus=0.2, r_minus=1.7)
-        pot = pot.renormalize()[0]
+        pot = _renormalized_quartic()
         assert pot.is_normalized
         L = solver_grid(pot).L
         assert L == 40.0

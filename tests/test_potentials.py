@@ -417,6 +417,26 @@ class TestCoreOutput:
         with pytest.raises(PotentialError, match=r"phi at the core ends is \[0\.0, inf\]"):
             polynomial_potential([0.0, 0.0, 1.0], r_minus=1e160)
 
+    @pytest.mark.parametrize(
+        "coeffs, r_minus, what",
+        [
+            ([0.0, 0.0, 1e308], 1.0, "derivative"),
+            ([0.0, 1e308, 1e308], 1.0, "derivative"),
+            # dphi'(r_minus) = 2e310: only the Taylor shift to r_minus overflows
+            ([0.0, 0.0, 1e300], 1e10, "gap Taylor shift"),
+            ([0.0, 1.0, np.inf], 1.0, "antiderivative"),
+        ],
+    )
+    def test_non_finite_derived_coefficients_are_rejected(self, coeffs, r_minus, what):
+        # one line, and no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PotentialError) as info:
+                polynomial_potential(coeffs, r_minus=r_minus)
+        message = str(info.value)
+        assert message.endswith(f"the force law's {what} has a non-finite coefficient")
+        assert "\n" not in message
+
     def test_scalar_core_gives_full_shape(self):
         pot = Potential(lambda r: 0.5 * r * r, lambda r: r, lambda r: 1.0)
         r = np.array([[0.25, 0.5, 1.0], [0.75, 0.1, 0.2]])
