@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .continuum import (
     ContinuumSolution,
-    position_of_level,
     solve_R0,
     solver_grid,
     suggest_half_length,
@@ -97,7 +96,6 @@ __all__ = [
     "monotonicity_check",
     "normalization_check",
     "polynomial_potential",
-    "position_of_level",
     "quadratic_force_potential",
     "run",
     "run_free_chain",

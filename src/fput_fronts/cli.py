@@ -186,30 +186,6 @@ EPSILON = {"epsilon": (_positive, REQUIRED)}
 EPSILON_LIST = {"epsilon_list": (_list_of(_positive), REQUIRED)}
 
 
-def _require_normalized(potential) -> None:
-    """Commands that solve a front need the normalized setting; name what is off."""
-    if potential.is_normalized:
-        return
-    # values are printed with repr, so a value off in its last digits shows
-    wrong = [
-        f"field {key} must be {want}, got {value!r}"
-        for key, value, want in (
-            ("r_plus", potential.r_plus, 0),
-            ("r_minus", potential.r_minus, 1),
-        )
-        if value != want
-    ]
-    if not wrong:
-        wrong.append(
-            "field coeffs must give dphi(0) = 0 and dphi(1) = 1, got "
-            f"{potential.dphi(0.0)!r} and {potential.dphi(1.0)!r}"
-        )
-    raise ConfigError(
-        f"front commands solve the normalized front: {'; '.join(wrong)} "
-        "(renormalize the potential from Python with Potential.renormalize())"
-    )
-
-
 def _read_config(path: str):
     """The JSON value in the file at ``path``."""
     p = Path(path)
@@ -455,8 +431,6 @@ def main():
 def ode(cfg, out):
     """Solve the continuum front R' + R = dphi(R) and write its profile."""
     potential = cfg["potential"]
-    _require_normalized(potential)
-
     cont = solve_R0(potential, grid=cfg["grid"])
     S = cont.slope_profile()
     out_path = _out_dir(out)
@@ -508,7 +482,6 @@ def front():
 @command(front, "solve", {**FRONT, **EPSILON})
 def front_solve(cfg, out):
     """Solve one front profile and write CSV + JSON."""
-    _require_normalized(cfg["potential"])
     eps = cfg["epsilon"]
 
     sol = solve_front(cfg["potential"], eps, grid=cfg["grid"])
@@ -522,7 +495,6 @@ def front_solve(cfg, out):
 @command(front, "sweep", {**FRONT, **EPSILON_LIST})
 def front_sweep(cfg, out):
     """Solve a list of epsilons with warm starts; one CSV per epsilon."""
-    _require_normalized(cfg["potential"])
     eps_list = cfg["epsilon_list"]
     tagged = {}
     for e in eps_list:
@@ -566,19 +538,10 @@ def poles(cfg, out):
     click.echo(f"wrote {out_path / 'poles.json'}")
 
 
-@command(
-    main,
-    "symbol-check",
-    {**EPSILON_LIST, "s": (_finite, 0.5), "eta_minus": (_finite, 0.5), "eta_plus": (_finite, 0.5)},
-)
+@command(main, "symbol-check", EPSILON_LIST)
 def symbol_check(cfg, out):
     """Fit the epsilon-order of the kernel symbol differences on a strip."""
-    report = verify_symbol_bounds(
-        eps_list=tuple(cfg["epsilon_list"]),
-        s=cfg["s"],
-        eta_minus=cfg["eta_minus"],
-        eta_plus=cfg["eta_plus"],
-    )
+    report = verify_symbol_bounds(tuple(cfg["epsilon_list"]))
     out_path = _out_dir(out)
     write_json(out_path / "symbol_check.json", report.as_dict())
     click.echo(f"wrote {out_path / 'symbol_check.json'}")
@@ -598,8 +561,6 @@ def lattice():
 def lattice_run(cfg, out, seed):
     """Integrate the chain, track the half-level crossing, fit the speed."""
     potential, lat, perturb = cfg["potential"], cfg["lattice"], cfg["perturb"]
-    if lat["source"] == "front":
-        _require_normalized(potential)
     if perturb is not None and seed is None:
         raise ConfigError("perturb requests need --seed for reproducibility")
 
@@ -642,7 +603,6 @@ def lattice_run(cfg, out, seed):
 @command(main, "report", {**FRONT, **EPSILON})
 def report(cfg, out):
     """Solve one front and write the consolidated pass/fail check list."""
-    _require_normalized(cfg["potential"])
     eps = cfg["epsilon"]
 
     sol = solve_front(cfg["potential"], eps, grid=cfg["grid"])

@@ -43,7 +43,7 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, DomainTooSmallError
 from .grids import UniformGrid, grid_for, max_spacing
@@ -88,16 +88,38 @@ def _gap_rhs(potential: Potential):
 def decay_rates(potential: Potential, eps: float = 0.0) -> tuple[float, float]:
     """Tail rates (left, right) of the front's slope at tent half-width eps.
 
-    This is also the one rule that admits a normalized force law.  The
-    continuum front, the heteroclinic of R' = dphi(R) - R from 1 to 0,
-    exists when p_plus < 1 < p_minus and dphi(r) < r on (0, 1), sampled at
-    the interior points of ``np.linspace(0, 1, CHORD_SAMPLES)``; otherwise
-    ``ConfigError`` names the first sample where the force meets its chord.
+    This is also the one rule that admits a force law.  The law must be
+    normalized (``Potential.is_normalized``: r_plus = 0, r_minus = 1,
+    dphi(0) = 0 and dphi(1) = 1); otherwise ``ConfigError`` names the field
+    that is off.  The continuum front, the heteroclinic of R' = dphi(R) - R
+    from 1 to 0, then exists when p_plus < 1 < p_minus and dphi(r) < r on
+    (0, 1), sampled at the interior points of ``np.linspace(0, 1,
+    CHORD_SAMPLES)``; otherwise ``ConfigError`` names the first sample where
+    the force meets its chord.
     At eps = 0 the rates are the continuum's linearized ones: the right tail
     decays like exp(-(1 - p_plus) x) and the left gap 1 - R0 like
     exp((p_minus - 1) x).  At eps > 0 they are the kernel pole rates
     ``find_pole(eps, p).mu_rate`` at p_minus and p_plus.
     """
+    if not potential.is_normalized:
+        # values are printed with repr, so a value off in its last digits shows
+        wrong = [
+            f"field {key} must be {want}, got {value!r}"
+            for key, value, want in (
+                ("r_plus", potential.r_plus, 0),
+                ("r_minus", potential.r_minus, 1),
+            )
+            if value != want
+        ]
+        if not wrong:
+            wrong.append(
+                "field coeffs must give dphi(0) = 0 and dphi(1) = 1, got "
+                f"{potential.dphi(0.0)!r} and {potential.dphi(1.0)!r}"
+            )
+        raise ConfigError(
+            f"front commands solve the normalized front: {'; '.join(wrong)} "
+            "(renormalize the potential from Python with Potential.renormalize())"
+        )
     m_minus = potential.p_minus - 1.0
     m_plus = 1.0 - potential.p_plus
     if m_plus <= 0 or m_minus <= 0:
@@ -534,16 +556,14 @@ class ContinuumSolution:
 def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> ContinuumSolution:
     """The continuum front through R0(0) = 1/2 on the grid's window.
 
-    The potential must be normalized and pass ``decay_rates``' rule, which
-    is checked before any ODE step.  A unit power law (``potential.power``
-    set) takes its tables and grid values from the closed form; every other
-    law is integrated outward from the midpoint by ``_dop853``.  The grid
+    The potential must pass ``decay_rates``' rule, which is checked before
+    any ODE step.  A unit power law (``potential.power`` set) takes its
+    tables and grid values from the closed form; every other law is
+    integrated outward from the midpoint by ``_dop853``.  The grid
     defaults to ``solver_grid(potential)``.  Raises ``DomainTooSmallError``
     with a suggested half-length, from the solution's tail rates, if either
     tail has not settled to within 1e-8 at the window ends.
     """
-    if not potential.is_normalized:
-        raise ConfigError("continuum front solve requires a normalized potential")
     rates = m_minus, m_plus = decay_rates(potential)
     if grid is None:
         grid = solver_grid(potential)
@@ -575,19 +595,3 @@ def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> Continuum
             suggested_L=suggested,
         )
     return sol
-
-
-def position_of_level(potential: Potential, level: float) -> float:
-    """Quadrature inversion x(R) = integral_{1/2}^{R} drho / (dphi(rho) - rho).
-
-    Independent of the ODE integrator; used to cross-check solve_R0.  Valid
-    for levels strictly inside (0, 1).
-    """
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"level must lie in (0, 1), got {level}")
-
-    def integrand(rho):
-        return 1.0 / (potential.dphi(rho) - rho)
-
-    val, _ = quad(integrand, 0.5, level, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return float(val)

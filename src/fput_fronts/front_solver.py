@@ -153,7 +153,6 @@ class FrontSolution:
     S: np.ndarray
     residual_fp: float
     iterations: int
-    warm_started: bool = False
     # one record per Newton step: sup residual after it, damping factor,
     # LSMR stop code, iterations and the tolerance it was given
     steps: list[dict] = field(default_factory=list)
@@ -509,7 +508,6 @@ def solve_front(
         S=S,
         residual_fp=res_norm,
         iterations=iteration,
-        warm_started=initial is not None,
         steps=steps,
     )
 

@@ -87,8 +87,6 @@ def init_chain(
     Step source jumps from r_minus to r_plus at site M // 2 with zero
     velocities (the ghosts follow the far fields in both cases).
     """
-    if M < 200:
-        raise ConfigError(f"chain too short: M = {M} < 200")
     if eps <= 0:
         raise ConfigError("eps must be positive")
     if c <= 0:
@@ -105,7 +103,7 @@ def init_chain(
         )
     if source == "step":
         r = np.where(n < n_center, r_minus, r_plus).astype(float)
-        v = np.zeros(M)
+        v = np.zeros_like(r)
         return LatticeState(
             r=r, v=v, t=0.0, gamma=c / eps, r_left=r_minus, r_right=r_plus
         )

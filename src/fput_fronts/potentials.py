@@ -57,25 +57,16 @@ class FrontConstants:
 class RenormalizationMap:
     """Affine change of variables between a raw potential and its normalized form.
 
-    Strains map by ``r = r_plus + scale * R``; the raw front moves with
-    ``speed``, so a unit-speed normalized profile ``R(eps*(n - t))``
-    corresponds to the raw profile ``r_plus + scale * R(eps*(n - speed*t))``.
+    Strains map by ``r = r_plus + (r_minus - r_plus) * R``; the raw front
+    moves with ``speed``, so a unit-speed normalized profile
+    ``R(eps*(n - t))`` corresponds to the raw profile
+    ``r_plus + (r_minus - r_plus) * R(eps*(n - speed*t))``.
     """
 
     r_plus: float
     r_minus: float
     speed: float
     offset: float
-
-    @property
-    def scale(self) -> float:
-        return self.r_minus - self.r_plus
-
-    def strain_from_normalized(self, R):
-        return self.r_plus + self.scale * np.asarray(R)
-
-    def normalized_from_strain(self, r):
-        return (np.asarray(r) - self.r_plus) / self.scale
 
 
 class Potential:
@@ -436,7 +427,12 @@ class _PolynomialPotential(Potential):
 
     def _unit_form(self) -> Potential:
         """The unit force is again a polynomial, shifted exactly to r_plus."""
-        g = _unit_coefficients(self._coeffs, self.r_plus, self.r_minus)
+        try:
+            g = _unit_coefficients(self._coeffs, self.r_plus, self.r_minus)
+        except OverflowError:  # a rational beyond the largest double
+            raise PotentialError(
+                f"{self.name}: the unit form's force has a coefficient beyond the double range"
+            ) from None
         return _PolynomialPotential(g, 0.0, 1.0, name=f"{self.name} (normalized)")
 
 

@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError, PoleProximityError, PoleSearchError
-from .grids import EPS_HARD_MAX, UniformGrid, grid_for, max_spacing, require_bandwidth
+from .grids import EPS_HARD_MAX
 
 EPS0_DEFAULT = 0.5
 POLE_BALL = 0.9 * np.pi
@@ -37,9 +36,15 @@ _SMALL_ARG = 1e-2
 POLE_TOL = 1e-13
 POLE_MAX_ITER = 50
 # verify_symbol_bounds samples the strip for the quadratic force law's
-# far-field curvatures on STRIP_LINES lines, STRIP_N_K magnitudes per range
+# far-field curvatures on STRIP_LINES lines, STRIP_N_K magnitudes per range.
+# The strip's half-widths STRIP_ETA_PLUS < 1 - STRIP_P_PLUS and
+# STRIP_ETA_MINUS < STRIP_P_MINUS - 1 are admissible for those curvatures,
+# and the weighted sup takes the weight (1 + |k|^(1 - STRIP_S))
 STRIP_P_PLUS = 0.0
 STRIP_P_MINUS = 2.0
+STRIP_ETA_PLUS = 0.5
+STRIP_ETA_MINUS = 0.5
+STRIP_S = 0.5
 STRIP_N_K = 2048
 STRIP_LINES = 5
 
@@ -130,11 +135,6 @@ class PoleData:
     def family(self) -> int:
         return 1 if self.mu < 1.0 else -1
 
-    @property
-    def pole_k(self) -> complex:
-        """Root position in the unscaled frequency variable."""
-        return self.z / (self.eps * np.pi)
-
 
 def find_pole(eps: float, mu: float) -> PoleData:
     """Damped Newton search for the imaginary-axis root of D.
@@ -214,53 +214,12 @@ def _check_eps_mu(eps: float, mu: float):
 
 
 @dataclass
-class KernelSamples:
-    """Physical-space kernel samples on a uniform grid.
-
-    ``a_eps`` and ``a0`` are inverse DFTs of their symbols (hence the
-    periodized, band-limited kernels; ``a0`` shows Gibbs wiggles at its jump),
-    ``b = a0 - a_eps``, and ``B`` is the right-to-left cumulative trapezoid
-    of ``b``, i.e. B(x) = integral_x^L b, vanishing at the right end.
-    """
-
-    grid: UniformGrid
-    a_eps: np.ndarray
-    a0: np.ndarray
-    b: np.ndarray
-    B: np.ndarray
-
-    @property
-    def mass_a(self) -> float:
-        return float(np.trapezoid(self.a_eps, dx=self.grid.h))
-
-    @property
-    def mass_b(self) -> float:
-        return float(np.trapezoid(self.b, dx=self.grid.h))
-
-
-def kernel_physical(eps: float, L: float = 40.0, N: int | None = None) -> KernelSamples:
-    """Sample the kernels on a grid resolving the tent scale.
-
-    Requires spacing at most ``max_spacing(eps)``, so the Nyquist frequency
-    reaches 8/eps.
-    """
-    _check_eps_mu(eps, 0.0)
-    grid = grid_for(L, max_spacing(eps)) if N is None else UniformGrid(L, N)
-    require_bandwidth(grid, eps)
-    a_eps = np.fft.fftshift(np.fft.irfft(symbol_a(eps, grid.k), n=grid.N)) / grid.h
-    a0 = np.fft.fftshift(np.fft.irfft(symbol_a(0.0, grid.k), n=grid.N)) / grid.h
-    b = a0 - a_eps
-    C = cumulative_trapezoid(b, dx=grid.h, initial=0.0)
-    B = C[-1] - C
-    return KernelSamples(grid=grid, a_eps=a_eps, a0=a0, b=b, B=B)
-
-
-@dataclass
 class SymbolBoundsReport:
     """Strip-sampled sup norms of kernel symbol differences, with fit orders.
 
     ``sup_diff`` holds sup |a_hat_eps - a_hat_0| per eps, ``sup_weighted``
-    the same with weight (1 + |k|^(1-s)); ``order_*`` are log-log slopes.
+    the same with weight (1 + |k|^(1-s)), s = ``STRIP_S``; ``order_*`` are
+    log-log slopes.
     ``bulk`` and ``tail`` are normalized sups per curvature family:
     sup |A - B| / eps^2 over |z| <= 0.8*pi and sup |z A| / eps over
     |Re z| >= 0.8*pi.  ``*_ratios_ok`` states that consecutive normalized
@@ -268,7 +227,6 @@ class SymbolBoundsReport:
     """
 
     eps_list: tuple
-    s: float
     sup_diff: np.ndarray
     sup_weighted: np.ndarray
     order_diff: float
@@ -281,7 +239,7 @@ class SymbolBoundsReport:
     def as_dict(self) -> dict:
         return {
             "eps_list": list(self.eps_list),
-            "s": self.s,
+            "s": STRIP_S,
             "sup_diff": [float(v) for v in self.sup_diff],
             "sup_weighted": [float(v) for v in self.sup_weighted],
             "order_diff": float(self.order_diff),
@@ -299,18 +257,13 @@ def _ratios_within_factor_two(values) -> bool:
     return bool(np.all((r >= 0.5) & (r <= 2.0)))
 
 
-def verify_symbol_bounds(
-    eps_list=(0.2, 0.1, 0.05),
-    eta_minus: float = 0.5,
-    eta_plus: float = 0.5,
-    s: float = 0.5,
-) -> SymbolBoundsReport:
+def verify_symbol_bounds(eps_list=(0.2, 0.1, 0.05)) -> SymbolBoundsReport:
     """Sample symbol estimates on a strip and fit their orders in eps.
 
-    The strip half-widths must be admissible for the far-field curvatures
-    p_plus = ``STRIP_P_PLUS`` and p_minus = ``STRIP_P_MINUS`` (eta_plus <
-    1 - p_plus, eta_minus < p_minus - 1); sampling uses the midpoint
-    between the requested and the critical width, n_k = ``STRIP_N_K``
+    The strip half-widths are ``STRIP_ETA_PLUS`` and ``STRIP_ETA_MINUS``,
+    admissible for the far-field curvatures p_plus = ``STRIP_P_PLUS`` and
+    p_minus = ``STRIP_P_MINUS``; sampling uses the midpoint between each
+    and the critical width (1 - p_plus, p_minus - 1), n_k = ``STRIP_N_K``
     log-spaced magnitudes |k| in [1e-3, 10/eps] plus n_k linearly spaced
     ones in [0.8/eps, 1.2/eps] around the first tent-symbol zero, with both
     signs, on ``STRIP_LINES`` horizontal lines.
@@ -325,20 +278,11 @@ def verify_symbol_bounds(
     resolves it with ``STRIP_N_K`` (orders 1.00 and 0.51 at eps
     2e-4-5e-5).
     """
-    eta_plus_max, eta_minus_max = 1.0 - STRIP_P_PLUS, STRIP_P_MINUS - 1.0
-    if not 0.0 < eta_plus < eta_plus_max:
-        raise ConfigError(
-            f"eta_plus={eta_plus} not admissible for p_plus={STRIP_P_PLUS}"
-        )
-    if not 0.0 < eta_minus < eta_minus_max:
-        raise ConfigError(
-            f"eta_minus={eta_minus} not admissible for p_minus={STRIP_P_MINUS}"
-        )
     eps_list = tuple(sorted(eps_list, reverse=True))
     if len(set(eps_list)) < 2:
         raise ConfigError(f"fitting orders needs two distinct eps, got {list(eps_list)}")
-    eta_up = 0.5 * (eta_plus + eta_plus_max)
-    eta_dn = 0.5 * (eta_minus + eta_minus_max)
+    eta_up = 0.5 * (STRIP_ETA_PLUS + 1.0 - STRIP_P_PLUS)
+    eta_dn = 0.5 * (STRIP_ETA_MINUS + STRIP_P_MINUS - 1.0)
     offsets = np.linspace(-eta_dn, eta_up, STRIP_LINES) / (2.0 * np.pi)
 
     mus = [STRIP_P_PLUS, STRIP_P_MINUS]
@@ -354,7 +298,7 @@ def verify_symbol_bounds(
         K = (k_real[None, :] + 1j * offsets[:, None]).ravel()
         diff = symbol_a(eps, K) - symbol_a(0.0, K)
         sup_diff.append(np.max(np.abs(diff)))
-        weight = 1.0 + np.abs(K) ** (1.0 - s)
+        weight = 1.0 + np.abs(K) ** (1.0 - STRIP_S)
         sup_weighted.append(np.max(np.abs(diff) * weight))
         Z = eps * np.pi * K
         in_bulk = np.abs(Z) <= 0.8 * np.pi
@@ -371,7 +315,6 @@ def verify_symbol_bounds(
     order_weighted = float(np.polyfit(log_eps, np.log(sup_weighted), 1)[0])
     return SymbolBoundsReport(
         eps_list=eps_list,
-        s=s,
         sup_diff=np.asarray(sup_diff),
         sup_weighted=np.asarray(sup_weighted),
         order_diff=order_diff,

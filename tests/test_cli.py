@@ -476,9 +476,6 @@ class TestNumberFields:
             (["poles"], {"p_list": ["abc"], "epsilon_list": [0.1]}),
             (["poles"], {"p_list": [0.0, "x"], "epsilon_list": [0.1]}),
             (["poles"], {"p_list": "0.5", "epsilon_list": [0.1]}),
-            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "s": "x"}),
-            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_minus": None}),
-            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": "inf"}),
             (["symbol-check"], {"epsilon_list": [0.1, 0.1]}),
             (["ode"], {"potential": QUAD, "grid": {"L": "a", "N": 4096}}),
             (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40, "N": "b"}}),
@@ -501,7 +498,6 @@ class TestNumberFields:
             (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.5, 1.5], "grid": PINNED}),
             (["report"], {"potential": QUAD, "epsilon": 1.5, "grid": PINNED}),
             (["lattice", "run"], {"potential": QUAD, "lattice": {"M": 400, "T": 5.0, "gamma": 0.5}, "grid": PINNED}),
-            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": 3}),
             (["front", "solve"], {"potential": QUAD, "epsilon": 0.1, "grid": {"L": 40, "N": 256}}),
             (["ode"], {"potential": {"kind": "polynomial", "coeffs": [0, 2, -1]}}),
             (["ode"], {"potential": QUARTIC}),
@@ -525,9 +521,6 @@ class TestNumberFields:
             "poles_p",
             "poles_p_list_entry",
             "poles_p_list_not_list",
-            "symbol_s",
-            "symbol_eta_minus",
-            "symbol_eta_plus_inf",
             "symbol_repeated_eps",
             "ode_grid_L",
             "solve_grid_N",
@@ -548,7 +541,6 @@ class TestNumberFields:
             "sweep_eps_above_cap_pinned_grid",
             "report_eps_above_cap_pinned_grid",
             "lattice_gamma_below_one_pinned_grid",
-            "symbol_eta_plus_inadmissible",
             "solve_grid_too_coarse",
             "polynomial_tail_rates",
             "ode_no_front",
@@ -604,6 +596,11 @@ class TestConfigFields:
             (["front", "sweep"], {"potential": QUAD, "epsilon_list": [0.1], "s": 0.5}, "s"),
             (["front", "sweep"], {"potential": QUAD, "epsilon": 0.1}, "epsilon"),
             (["symbol-check"], {"epsilon": 0.1}, "epsilon"),
+            # the strip and the weight exponent are constants of spectral
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "s": "x"}, "s"),
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_minus": None}, "eta_minus"),
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": "inf"}, "eta_plus"),
+            (["symbol-check"], {"epsilon_list": [0.2, 0.1], "eta_plus": 3}, "eta_plus"),
             (["lattice", "run"], {"potential": QUAD, "lattice": LATTICE, "perturb": {"amplitude": 1e-3, "seed": 5}}, "seed"),
         ],
         ids=[
@@ -620,6 +617,10 @@ class TestConfigFields:
             "sweep_s",
             "sweep_epsilon",
             "symbol_epsilon",
+            "symbol_s",
+            "symbol_eta_minus",
+            "symbol_eta_plus_inf",
+            "symbol_eta_plus_inadmissible",
             "perturb_seed",
         ],
     )

@@ -14,7 +14,6 @@ from fput_fronts import (
     hertz_potential,
     linear_force_potential,
     polynomial_potential,
-    position_of_level,
     quadratic_force_potential,
     solve_R0,
     suggest_half_length,
@@ -26,7 +25,9 @@ from fput_fronts.continuum import (
     decay_rates,
     solver_grid,
 )
+from fput_fronts.front_solver import continuation_sweep, solve_front
 from fput_fronts.grids import grid_for, max_spacing
+from oracles import position_of_level
 
 
 @pytest.fixture(scope="module")
@@ -251,9 +252,20 @@ class TestContract:
             sol = solve_R0(pot, grid=grid_for(L, max_spacing(0.0)))
             assert sol(L) <= 1e-8 and sol.gap(-L) <= 1e-8
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ConfigError):
-            solve_R0(hertz_potential(r_minus=4.0))
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            solve_R0,
+            lambda pot: solve_front(pot, 0.1),
+            lambda pot: continuation_sweep(pot, [0.2, 0.1]),
+            solver_grid,
+        ],
+        ids=["solve_R0", "solve_front", "continuation_sweep", "solver_grid"],
+    )
+    def test_rejects_unnormalized(self, solve):
+        # decay_rates is the one gate: every entry point names the field
+        with pytest.raises(ConfigError, match=r"field r_minus must be 1, got 2\.0 \("):
+            solve(hertz_potential(1.5, r_minus=2.0))
 
     def test_rejects_degenerate_rates(self):
         with pytest.raises(ConfigError):

@@ -62,9 +62,12 @@ class TestInitChain:
         assert set(np.unique(state.r)) == {0.0, 1.0}
         assert np.all(state.v == 0.0)
 
-    def test_short_chain_rejected(self, quad_sol):
-        with pytest.raises(ConfigError):
-            init_chain(150, quad_sol, 0.1)
+    @pytest.mark.parametrize("M", [150, -1])
+    @pytest.mark.parametrize("source", ["front", "step"])
+    def test_short_chain_rejected(self, quad_sol, source, M):
+        # LatticeState holds the one length check, for every source
+        with pytest.raises(ConfigError, match=r"^chain too short: M = "):
+            init_chain(M, quad_sol if source == "front" else source, 0.1)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):

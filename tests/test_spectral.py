@@ -10,7 +10,6 @@ from fput_fronts.errors import ConfigError, PoleProximityError, PoleSearchError
 from fput_fronts.spectral import (
     denominator_D,
     find_pole,
-    kernel_physical,
     pole_expansion_fit,
     residue_symbol,
     sinc2,
@@ -19,6 +18,7 @@ from fput_fronts.spectral import (
     tent_symbol,
     verify_symbol_bounds,
 )
+from oracles import kernel_physical
 
 # Tail rate and residue amplitude at the kernel pole, computed to 50 digits
 # with an independent real root solve of the dispersion relation
@@ -122,7 +122,7 @@ class TestKernelSymbol:
     def test_pole_proximity_guard(self):
         pole = find_pole(0.2, 0.0)
         with pytest.raises(PoleProximityError):
-            symbol_a(0.2, pole.pole_k)
+            symbol_a(0.2, pole.z / (0.2 * np.pi))
 
 
 class TestFindPole:
@@ -283,9 +283,3 @@ class TestSymbolBounds:
     def test_needs_two_distinct_eps(self):
         with pytest.raises(ConfigError):
             verify_symbol_bounds(eps_list=(0.1, 0.1))
-
-    def test_strip_admissibility(self):
-        with pytest.raises(ConfigError):
-            verify_symbol_bounds(eta_plus=1.2)
-        with pytest.raises(ConfigError):
-            verify_symbol_bounds(eta_minus=1.2)
