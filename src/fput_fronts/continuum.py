@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -401,11 +402,19 @@ def _split(x: np.ndarray, first: np.ndarray, f_first, f_rest) -> np.ndarray:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class ContinuumSolution:
     """Dense continuum front with grid samples and tail extension.
 
     ``rates`` are the tail rates (left, right) of ``decay_rates(potential)``;
-    ``values`` are R0 on the grid, by default read from the tables.
+    ``values`` are R0 on the grid, by default read from the tables.  The
+    grid arrays that every front solve on this continuum needs are computed
+    once, on first use: ``force`` = dphi(R0), ``slope`` = S0 = -R0' and its
+    spectrum ``slope_hat``.  They and ``values`` are read-only.
     """
 
     def __init__(
@@ -424,7 +433,7 @@ class ContinuumSolution:
         self.m_minus, self.m_plus = rates  # decay_rates(potential), for the tails
         self._qL = float(self._gap_table(np.array([-grid.L]))[0])
         self._rL = float(self._right_table(np.array([grid.L]))[0])
-        self.values = self(grid.x) if values is None else values
+        self.values = _read_only(self(grid.x) if values is None else values)
 
     @property
     def L(self) -> float:
@@ -464,9 +473,26 @@ class ContinuumSolution:
             lambda v: self._rL * np.exp(-self.m_plus * (v - L)),
         )
 
-    def slope_profile(self) -> np.ndarray:
+    @cached_property
+    def force(self) -> np.ndarray:
+        """dphi(R0) on the grid."""
+        return _read_only(self.potential.dphi(self.values))
+
+    @cached_property
+    def slope(self) -> np.ndarray:
         """S0 = -R0' = R0 - dphi(R0) on the grid, through the ODE itself."""
-        return -(self.potential.dphi(self.values) - self.values)
+        # negated, not R0 - dphi(R0): where the two are equal S0 is -0.0,
+        # which the profile CSV prints with its sign
+        return _read_only(-(self.force - self.values))
+
+    @cached_property
+    def slope_hat(self) -> np.ndarray:
+        """The rfft of ``slope``."""
+        return _read_only(np.fft.rfft(self.slope))
+
+    def slope_profile(self) -> np.ndarray:
+        """S0 on the grid: ``slope``."""
+        return self.slope
 
     def tent_defect(self, eps: float, grid: UniformGrid | None = None) -> np.ndarray:
         """R0 - Lambda_eps * R0 on a grid inside [-L, L], exact on the segments.
@@ -550,7 +576,7 @@ class ContinuumSolution:
         slope = np.empty_like(x)
         slope[left] = -self._gap_table.derivative(x[left])
         slope[~left] = self._right_table.derivative(x[~left])
-        return float(np.max(np.abs(slope + self.values - self.potential.dphi(self.values))))
+        return float(np.max(np.abs(slope + self.values - self.force)))
 
 
 def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> ContinuumSolution:

@@ -36,7 +36,8 @@ iterations and the outer test on the true residual decides convergence.
 Since R0(0) = 1/2 and no step moves W at x_c, every iterate crosses 1/2 at
 x = 0 exactly: the pin is the solver's only phase rule.  W2 vanishes at
 x_c, so both starts are on phase; a start passed in by the caller is
-re-centered once, before the first step.
+re-centered once, before the first step, unless R already crosses 1/2 at
+x_c, as the sweep's predicted starts do.
 
 dphi(R0) does not decay (it tends to 1 on the left), but the continuum ODE
 writes it as dphi(R0) = R0 + R0', and R0' decays at both ends.  With
@@ -59,6 +60,11 @@ The verification residual of the tent-averaged equation needs the defect
 R0 - Lambda_eps * R0 of the continuum profile; it is integrated exactly
 against the continuum's segment polynomials and tails
 (``ContinuumSolution.tent_defect``), independent of the Fourier path.
+
+Everything that depends on R0 alone, dphi(R0), S0 = -R0' and FFT(S0), is
+computed once per continuum (``ContinuumSolution.force``, ``slope`` and
+``slope_hat``) and shared by every solve on it; the a_eps symbol is built
+once per solve and kept on the solution (``FrontSolution.a_hat``).
 """
 
 from __future__ import annotations
@@ -117,7 +123,7 @@ def background_term(eps: float, continuum: ContinuumSolution) -> np.ndarray:
     symbol = np.zeros(grid.k.size, dtype=complex)
     # applied to the slope S0 = -R0', hence T - 1
     symbol[1:] = (T - 1.0) / (ik * (1.0 + ik * T))
-    F1 = apply_symbol(continuum.slope_profile(), grid, symbol)
+    F1 = np.fft.irfft(symbol * continuum.slope_hat, n=grid.N)
     ends = float(np.max(np.abs(F1[[0, -1]])))  # NaN if either end is
     if not ends <= 1e-4:
         raise NumericsError(
@@ -134,20 +140,23 @@ def fixed_point_residual(
 
     ``a_hat`` is the symbol of a_eps on the grid's rfft frequencies.
     """
-    pot = continuum.potential
-    R0 = continuum.values
-    nl = pot.dphi(R0 + W) - pot.dphi(R0)
+    nl = continuum.potential.dphi(continuum.values + W) - continuum.force
     return W + F1 - apply_symbol(nl, continuum.grid, a_hat)
 
 
 @dataclass
 class FrontSolution:
-    """Computed front profile with its correction and diagnostics."""
+    """Computed front profile with its correction and diagnostics.
+
+    ``a_hat`` is the a_eps symbol on the grid's rfft frequencies that the
+    profile was solved with.
+    """
 
     potential: Potential
     eps: float
     grid: UniformGrid
     continuum: ContinuumSolution
+    a_hat: np.ndarray = field(repr=False)
     R: np.ndarray
     W: np.ndarray
     S: np.ndarray
@@ -169,7 +178,7 @@ class FrontSolution:
     @property
     def h1_dist_to_R0(self) -> float:
         """H^1 distance of the profile to the continuum profile (W' = S0 - S)."""
-        Wp = self.continuum.slope_profile() - self.S
+        Wp = self.continuum.slope - self.S
         return float(
             np.sqrt(np.trapezoid(self.W**2 + Wp**2, dx=self.grid.h))
         )
@@ -196,7 +205,7 @@ class FrontSolution:
 def _tent_residual(sol: FrontSolution) -> float:
     grid = sol.grid
     W_hat = np.fft.rfft(sol.W)
-    dnl = sol.potential.dphi(sol.R) - sol.potential.dphi(sol.continuum.values)
+    dnl = sol.potential.dphi(sol.R) - sol.continuum.force
     # Lambda * (W' - dnl) as one Fourier multiplier
     smoothed_hat = tent_symbol(sol.eps, grid.k) * (2j * np.pi * grid.k * W_hat - np.fft.rfft(dnl))
     res = sol.W + np.fft.irfft(smoothed_hat, n=grid.N) + sol.continuum.tent_defect(sol.eps, grid)
@@ -325,7 +334,7 @@ def leading_corrector(continuum: ContinuumSolution) -> np.ndarray:
     """
     grid = continuum.grid
     ik = 2j * np.pi * grid.k
-    rhs = apply_symbol(continuum.slope_profile(), grid, -ik / (12.0 * (1.0 + ik)))
+    rhs = np.fft.irfft(-ik / (12.0 * (1.0 + ik)) * continuum.slope_hat, n=grid.N)
     P0 = continuum.potential.d2phi(continuum.values)
     return _ContinuumInverse(P0, grid.h, grid.N // 2).solve(rhs)
 
@@ -336,7 +345,14 @@ def _level(xq, continuum: ContinuumSolution, W: np.ndarray):
 
 
 def _recenter(W: np.ndarray, continuum: ContinuumSolution) -> tuple[np.ndarray, float]:
-    """Shift the profile so R crosses 1/2 at x = 0; returns (W, shift)."""
+    """Shift the profile so R crosses 1/2 at x = 0; returns (W, shift).
+
+    A profile that is 1/2 at the center grid point is returned as it is,
+    with no root search.
+    """
+    pin = continuum.grid.N // 2
+    if continuum.values[pin] + W[pin] == 0.5:
+        return W, 0.0
     from scipy.optimize import brentq
 
     x = continuum.grid.x
@@ -373,8 +389,9 @@ def solve_front(
     background term are exactly 0 there, so F = 0, no Newton step runs, and
     R is R0 bitwise.  Warm starts pass
     ``initial`` (a W profile on the same grid), which is re-centered once
-    so that R crosses 1/2 at x = 0; every Newton step then keeps R(0) = 1/2
-    (the pinned preconditioner).  Convergence when the sup residual falls
+    so that R crosses 1/2 at x = 0 unless R0 + W is already 1/2 at the
+    center grid point; every Newton step then keeps R(0) = 1/2 (the pinned
+    preconditioner).  Convergence when the sup residual falls
     below ``NEWTON_TOL`` or the step below ``STEP_TOL``; five consecutive
     non-improving steps, or ``MAX_NEWTON`` steps, raise
     ``NewtonDivergenceError``, whose diagnostics hold one record per Newton
@@ -495,14 +512,15 @@ def solve_front(
 
     R = R0 + W
     # S = -R' from R = a_eps * dphi(R), through decaying data only
-    S0_hat = np.fft.rfft(continuum.slope_profile())
-    S_hat = a_hat * (S0_hat - 2j * np.pi * grid.k * np.fft.rfft(pot.dphi(R) - R0))
+    ik_dnl_hat = 2j * np.pi * grid.k * np.fft.rfft(pot.dphi(R) - R0)
+    S_hat = a_hat * (continuum.slope_hat - ik_dnl_hat)
     S = np.fft.irfft(S_hat, n=grid.N)
     return FrontSolution(
         potential=potential,
         eps=eps,
         grid=grid,
         continuum=continuum,
+        a_hat=a_hat,
         R=R,
         W=W,
         S=S,
@@ -545,7 +563,5 @@ def continuation_sweep(
 
 def derivative_consistency(sol: FrontSolution) -> float:
     """Sup defect of the differentiated fixed point S = a_eps*(d2phi(R) S)."""
-    grid = sol.grid
-    a_hat = symbol_a(sol.eps, grid.k)
     P = sol.potential.d2phi(sol.R)
-    return float(np.max(np.abs(sol.S - apply_symbol(P * sol.S, grid, a_hat))))
+    return float(np.max(np.abs(sol.S - apply_symbol(P * sol.S, sol.grid, sol.a_hat))))

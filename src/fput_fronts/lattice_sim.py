@@ -356,13 +356,23 @@ def run_free_chain(
     Step: (I + dt gamma D^T D) u+ = u - dt D^T dphi(r), then r+ = r + dt D u+,
     with (D q)_n = q_{n+1} - q_n.  Energy sum(u^2)/2 + sum(Phi(r)) is
     non-increasing: the force term is skew in the (u, r) pairing and the
-    damping contributes -gamma |D u+|^2.
+    damping contributes -gamma |D u+|^2.  A non-positive dt or gamma, a
+    negative ``n_steps`` or a non-finite initial state is a ``ConfigError``;
+    an energy that stops being finite raises ``NumericsError``.
     """
+    if not dt > 0:
+        raise ConfigError("dt must be positive")
+    if not gamma > 0:
+        raise ConfigError("gamma must be positive")
+    if n_steps < 0:
+        raise ConfigError(f"n_steps must be non-negative, got {n_steps}")
     u = np.array(u0, dtype=float)
     r = np.array(r0, dtype=float)
     M = u.size
     if r.size != M - 1:
         raise ConfigError("free chain needs M velocities and M-1 strains")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(r))):
+        raise ConfigError("non-finite initial state")
     factor = _damping_factor(M, dt * gamma, free_ends=True)
 
     def dT(w):  # D^T: (M-1,) -> (M,)
@@ -378,6 +388,9 @@ def run_free_chain(
         rhs = u - dt * dT(potential.dphi(r))
         u = solve_banded(factor, rhs)
         r = r + dt * np.diff(u)
-        energies.append(float(np.sum(u**2) / 2 + np.sum(potential.phi(r))))
+        energy = float(np.sum(u**2) / 2 + np.sum(potential.phi(r)))
+        if not math.isfinite(energy):
+            raise NumericsError(f"blow-up at t = {s * dt:.4g}: energy {energy}")
+        energies.append(energy)
         times.append(s * dt)
     return FreeChainTrace(energies=np.array(energies), times=np.array(times))

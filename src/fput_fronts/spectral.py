@@ -53,20 +53,19 @@ def sinc2(u):
     """(sin(u)/u)^2 for real or complex arguments, with u = 0 regular.
 
     Below |u| = 1e-2 a fixed Taylor polynomial is used so tiny and exactly
-    zero arguments evaluate identically across platforms.
+    zero arguments evaluate identically across platforms.  The quotient is
+    taken on the whole array (0/0 at u = 0 is silenced) and the few small
+    arguments are overwritten.
     """
     u = np.asarray(u)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    out = np.empty(u.shape, dtype=complex if np.iscomplexobj(u) else float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.sin(u) / u) ** 2
     small = np.abs(u) < _SMALL_ARG
     if np.any(small):
         u2 = u[small] * u[small]
         out[small] = 1.0 - u2 / 3.0 + 2.0 * u2 * u2 / 45.0 - u2 * u2 * u2 / 315.0
-    big = ~small
-    if np.any(big):
-        ub = u[big]
-        out[big] = (np.sin(ub) / ub) ** 2
     if scalar:
         return out[0].item()
     return out

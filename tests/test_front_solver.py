@@ -125,9 +125,9 @@ class TestBackgroundTerm:
 
     def test_non_finite_ends_are_numerical_failures(self, quad, monkeypatch):
         cont = solve_R0(quad, grid=solver_grid(quad, 0.1))
-        S0 = cont.slope_profile()
+        S0 = cont.slope_profile().copy()
         S0[cont.grid.N // 2] = np.nan  # the FFT spreads it to both ends
-        monkeypatch.setattr(cont, "slope_profile", lambda: S0)
+        monkeypatch.setattr(cont, "slope_hat", np.fft.rfft(S0))
         with pytest.raises(NumericsError, match="has not settled"):
             background_term(0.1, cont)
 
@@ -216,6 +216,7 @@ class TestSolverContract:
             potential = sol.potential
             eps = sol.eps
             grid = sol.grid
+            a_hat = sol.a_hat
             R = sol.R
             S = fake
 
@@ -253,6 +254,39 @@ class TestRecenter:
         assert shift == pytest.approx(0.3, abs=1e-12)
 
 
+class TestR0OnlyWork:
+    """What depends on R0 alone is computed once per continuum."""
+
+    def test_sweep_forces_R0_once(self, quad, monkeypatch):
+        seen = []
+        dphi = quad.dphi
+        monkeypatch.setattr(quad, "dphi", lambda r: seen.append(r) or dphi(r))
+        sols = continuation_sweep(quad, [0.2, 0.1, 0.05])
+        cont = sols[0].continuum
+        assert all(s.continuum is cont for s in sols)
+        assert sum(r is cont.values for r in seen) == 1
+
+    def test_cached_arrays_are_read_only(self, quad_sol):
+        cont = quad_sol.continuum
+        for a in (cont.values, cont.force, cont.slope, cont.slope_hat):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert cont.slope_profile() is cont.slope
+        assert np.array_equal(cont.force, quad_sol.potential.dphi(cont.values))
+        assert np.array_equal(cont.slope, -(cont.force - cont.values))
+        assert np.array_equal(cont.slope_hat, np.fft.rfft(cont.slope))
+        assert np.array_equal(quad_sol.a_hat, symbol_a(quad_sol.eps, quad_sol.grid.k))
+
+    def test_predicted_starts_need_no_root_search(self, quad, monkeypatch):
+        def no_root_search(*args, **kwargs):
+            raise AssertionError("brentq ran")
+
+        monkeypatch.setattr("scipy.optimize.brentq", no_root_search)
+        sols = continuation_sweep(quad, [0.2, 0.1, 0.05])
+        assert all(s.R[s.grid.N // 2] == 0.5 for s in sols)
+
+
 class TestContinuation:
     def test_sweep_orders_and_warm_starts(self, quad, sweeps):
         eps_list = SWEEPS["quad"]
@@ -280,12 +314,23 @@ class TestContinuation:
         assert sols[1].iterations <= cold.iterations
 
     @pytest.mark.parametrize("shift", [0.3, 7.0])
-    def test_translated_warm_start_comes_back_on_phase(self, quad, quad_sol, shift):
+    def test_translated_warm_start_comes_back_on_phase(
+        self, quad, quad_sol, shift, monkeypatch
+    ):
         """A translated solution is already converged, so no Newton step
-        runs; the one re-centering of the warm start restores R(0) = 1/2."""
+        runs; the one re-centering of the warm start, one root search,
+        restores R(0) = 1/2."""
+        import scipy.optimize
+
+        searches = []
+        brentq = scipy.optimize.brentq
+        monkeypatch.setattr(
+            "scipy.optimize.brentq", lambda *a, **k: searches.append(a) or brentq(*a, **k)
+        )
         g, cont = quad_sol.grid, quad_sol.continuum
         moved = cont(g.x - shift) + periodic_shift(quad_sol.W, g, -shift) - cont.values
         sol = solve_front(quad, 0.1, grid=g, initial=moved, continuum=cont)
+        assert len(searches) == 1
         assert abs(sol.R[g.N // 2] - 0.5) <= 1e-13
         assert np.max(np.abs(sol.R - quad_sol.R)) <= 1e-13
 

@@ -302,3 +302,44 @@ class TestFreeChainDissipation:
         r0 = 0.5 + 0.1 * rng.standard_normal(M - 1)
         trace = run_free_chain(u0, r0, gamma=10.0, dt=0.02, n_steps=50, potential=quad)
         assert np.all(np.diff(trace.energies) < 0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"dt": -0.01}, "dt must be positive"),
+            ({"dt": 0.0}, "dt must be positive"),
+            ({"gamma": -1.0}, "gamma must be positive"),
+            ({"n_steps": -3}, "n_steps must be non-negative, got -3"),
+            ({"u0": 3}, "non-finite initial state"),
+            ({"r0": 5}, "non-finite initial state"),
+        ],
+    )
+    def test_bad_inputs_are_config_errors(self, quad, change, message):
+        rng = np.random.default_rng(7)
+        args = {
+            "u0": 0.1 * rng.standard_normal(300),
+            "r0": 0.5 + 0.1 * rng.standard_normal(299),
+            "gamma": 10.0,
+            "dt": 0.02,
+            "n_steps": 10,
+        }
+        for key, value in change.items():
+            if key in ("u0", "r0"):  # a NaN at that index
+                args[key][value] = np.nan
+            else:
+                args[key] = value
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_free_chain(potential=quad, **args)
+
+    def test_zero_steps_keep_the_initial_energy(self, quad):
+        trace = run_free_chain(np.zeros(300), np.full(299, 0.5), 10.0, 0.02, 0, quad)
+        assert trace.energies.size == 1 and trace.times.tolist() == [0.0]
+
+    def test_blow_up_is_a_numerical_failure(self, quad):
+        # dt = 5 with weak damping is unstable: the energy overflows
+        rng = np.random.default_rng(7)
+        u0 = 0.1 * rng.standard_normal(300)
+        r0 = 0.5 + 0.1 * rng.standard_normal(299)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match=r"^blow-up at t = \S+: energy (inf|nan)$"):
+                run_free_chain(u0, r0, gamma=0.01, dt=5.0, n_steps=2000, potential=quad)

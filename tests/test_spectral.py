@@ -1,5 +1,7 @@
 """Kernel symbols, pole search, and strip-sampled symbol bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,31 @@ class TestSinc2:
     def test_complex_argument(self):
         u = 0.3 + 0.2j
         assert sinc2(u) == pytest.approx((np.sin(u) / u) ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("imag", [0.0, 0.25], ids=["real", "complex"])
+    def test_whole_array_matches_subset_formula(self, imag):
+        """Bitwise equal to the Taylor polynomial on |u| < 1e-2 and the
+        quotient on the rest, each evaluated on its own subset, with no
+        warning at u = 0."""
+        seam = [np.nextafter(1e-2, 0.0), 1e-2, np.nextafter(1e-2, 1.0)]
+        u = np.concatenate(
+            [[0.0, -0.0], seam, np.negative(seam), np.linspace(-0.02, 0.02, 401),
+             np.linspace(-40.0, 40.0, 4001)]
+        )
+        if imag:
+            u = u + 1j * imag * np.cos(u)
+            u[0] = 0.0
+        small = np.abs(u) < 1e-2
+        assert small.any() and not small.all()
+        want = np.empty_like(u)
+        u2 = u[small] * u[small]
+        want[small] = 1.0 - u2 / 3.0 + 2.0 * u2 * u2 / 45.0 - u2 * u2 * u2 / 315.0
+        want[~small] = (np.sin(u[~small]) / u[~small]) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sinc2(u)
+        assert got.dtype == u.dtype
+        assert got.tobytes() == want.tobytes()
 
     @given(st.floats(-50.0, 50.0))
     def test_even_and_bounded(self, u):
