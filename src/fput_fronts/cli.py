@@ -8,10 +8,11 @@ every list field must be non-empty.  Outputs go under --out, which is made
 only once there are results to write: a config error, whether found here or
 by the library, leaves no output directory.  Floats in CSV files use a fixed
 %.17e format and JSON objects are serialized with sorted keys, so identical
-configs give bitwise-identical files.  The CSV writers format whole arrays
-at once, with the bytes of '%.17e' % x: digits from double-double integer
-arithmetic with a proven error bound, and '%' itself for zeros, non-finite
-values and ties the bound cannot decide.
+configs give bitwise-identical files.  The CSV writers format arrays with
+the bytes of '%.17e' % x (digits from double-double integer arithmetic with
+a proven error bound, '%' itself for zeros, non-finite values and ties the
+bound cannot decide) and write a profile in blocks of _CHUNK // 3 rows, so
+only one block's text is in memory.
 
 Exit codes: 0 on success, 1 on a numerical failure (solver divergence,
 blow-up, under-resolved data), 2 on a config problem.
@@ -207,7 +208,7 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-# -- %.17e on whole arrays ------------------------------------------------------
+# -- %.17e on arrays ------------------------------------------------------------
 #
 # '%.17e' % x prints the 18 significant digits of x correctly rounded, ties
 # to even.  Write |x| = M 2^(e-53) with M a 53-bit integer (np.frexp), and
@@ -297,6 +298,12 @@ def _split(a):
     return high, a - high
 
 
+def _divmod(a, d: int):
+    """np.divmod(a, d) for an int64 array: ``//`` by a scalar int is the faster ufunc."""
+    q = a // d
+    return q, a - q * d
+
+
 def _e17_fill(rows, x):
     """Lay out ``x`` in ``rows``; True where '%' must print the value instead."""
     limit, hi, lo, exp_hi, exp_lo, head, four = _e17_tables()
@@ -315,12 +322,12 @@ def _e17_fill(rows, x):
     floor = np.floor(t)
     frac = t - floor
     D = p.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
-    first, D = np.divmod(D, 10**16)
-    high, low = np.divmod(D, 10**8)
+    first, D = _divmod(D, 10**16)
+    high, low = _divmod(D, 10**8)
     words = rows.view(np.uint32)
     words[:, 0] = head[first + 100 * np.signbit(x)]
-    words[:, 1], words[:, 2] = (four[q] for q in np.divmod(high, 10**4))
-    words[:, 3], words[:, 4] = (four[q] for q in np.divmod(low, 10**4))
+    words[:, 1], words[:, 2] = (four[q] for q in _divmod(high, 10**4))
+    words[:, 3], words[:, 4] = (four[q] for q in _divmod(low, 10**4))
     words[:, 5] = exp_hi[j]
     words[:, 6] = exp_lo[j]
     return special | (np.abs(frac - 0.5) < _TIE_MARGIN)
@@ -334,8 +341,8 @@ def _e17(values) -> np.ndarray:
     """
     x = np.asarray(values, dtype=float)
     flat = x.ravel()
-    rows = np.zeros((flat.size, _ROW), dtype=np.uint8)
-    fallback = np.zeros(flat.size, dtype=bool)
+    rows = np.empty((flat.size, _ROW), dtype=np.uint8)
+    fallback = np.empty(flat.size, dtype=bool)
     for start in range(0, flat.size, _CHUNK):
         part = slice(start, start + _CHUNK)
         fallback[part] = _e17_fill(rows[part], flat[part])
@@ -352,11 +359,14 @@ def _text(rows: np.ndarray) -> bytes:
 
 def write_profile_csv(path: Path, x, R, S) -> None:
     """Header x,R,S and one %.17e row per point, as np.savetxt writes them."""
-    rows = _e17(np.column_stack([x, R, S]))
-    rows[..., _SEP] = np.frombuffer(b",,\n", dtype=np.uint8)
+    if len({len(x), len(R), len(S)}) > 1:  # before the file is opened
+        raise ValueError("x, R and S must have equal length")
     with open(path, "wb") as f:
         f.write(b"x,R,S\n")
-        f.write(_text(rows))
+        for start in range(0, len(x), _CHUNK // 3):  # blocks whose arrays stay in cache
+            rows = _e17(np.column_stack([c[start : start + _CHUNK // 3] for c in (x, R, S)]))
+            rows[..., _SEP] = np.frombuffer(b",,\n", dtype=np.uint8)
+            f.write(_text(rows))
 
 
 def write_snapshots_csv(path: Path, times, snapshots) -> None:
@@ -364,24 +374,22 @@ def write_snapshots_csv(path: Path, times, snapshots) -> None:
 
     Rows are ``%.17e,%d,%.17e``: the snapshot time, the site index from 1
     and the strain.  Each snapshot is written as one block of text, so the
-    text held in memory is one snapshot's, not the whole trajectory's.
+    text held in memory is one snapshot's; the site column is built once.
     """
+    M = np.shape(snapshots)[-1]
     stamps = _e17(times)
     stamps[:, _SEP] = ord(",")
+    sites = np.arange(1, M + 1).astype("S")
+    block = np.empty((M, 2 * _ROW + sites.itemsize + 1), dtype=np.uint8)
+    block[:, _ROW : _ROW + sites.itemsize] = sites.view(np.uint8).reshape(M, sites.itemsize)
+    block[:, _ROW + sites.itemsize] = ord(",")
+    strains = block[:, -_ROW:]
     with open(path, "wb") as f:
         f.write(b"t,n,r\n")
         for stamp, snap in zip(stamps, snapshots):
-            sites = np.arange(1, snap.size + 1).astype("S")
-            strains = _e17(snap)
+            block[:, :_ROW] = stamp
+            strains[:] = _e17(snap)
             strains[:, _SEP] = ord("\n")
-            block = np.hstack(
-                [
-                    np.broadcast_to(stamp, (snap.size, _ROW)),
-                    sites.view(np.uint8).reshape(snap.size, sites.itemsize),
-                    np.full((snap.size, 1), ord(","), dtype=np.uint8),
-                    strains,
-                ]
-            )
             f.write(_text(block))
 
 

@@ -179,8 +179,8 @@ def _ghost_forces(state: LatticeState, potential: Potential) -> tuple[float, flo
 
 def step_imex(state: LatticeState, dt: float, potential: Potential) -> LatticeState:
     """One semi-implicit step: implicit damping, explicit nonlinear force."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ConfigError("dt must be positive and finite")
     factor = _damping_factor(state.M, dt * state.gamma)
     r, v = _advance(
         state.r, state.v, state.t, dt, potential, factor,
@@ -237,8 +237,8 @@ def run(
     seeded with c = 1.  A chain seeded with c != 1 (gamma = c / eps) passes
     the normalized eps.
     """
-    if T <= 0 or dt <= 0:
-        raise ConfigError("T and dt must be positive")
+    if not (T > 0 and dt > 0 and math.isfinite(T) and math.isfinite(dt)):
+        raise ConfigError("T and dt must be positive and finite")
     if output_every < 1:
         raise ConfigError(f"output_every must be at least 1, got {output_every}")
     n_steps = int(round(T / dt))

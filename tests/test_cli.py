@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, file contracts, determinism."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -796,3 +797,58 @@ def test_front_profile_csv_matches_percent(tmp_path, name, eps):
     path = tmp_path / "front.csv"
     write_profile_csv(path, sol.x, sol.R, sol.S)
     assert path.read_bytes() == percent_profile(sol.x, sol.R, sol.S)
+
+
+BLOCK = cli._CHUNK // 3  # rows per block of write_profile_csv
+# values '%' prints itself: signed zeros, the tie 2^-27, the least subnormal,
+# infinities and NaN
+FALLBACK = [0.0, -0.0, 2.0**-27, 5e-324, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_profile_csv_blocks_match_percent(tmp_path, n):
+    rng = np.random.default_rng(n)
+    x, R, S = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
+    # fallback values in the first and last row of every block
+    edges = sorted({i for k in range(0, n, BLOCK) for i in (k, min(k + BLOCK, n) - 1)})
+    for j, i in enumerate(edges):
+        x[i], R[i], S[i] = (FALLBACK[(3 * j + c) % len(FALLBACK)] for c in range(3))
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, x, R, S)
+    assert path.read_bytes() == percent_profile(x, R, S)
+
+
+@pytest.mark.parametrize("short", ["x", "R", "S"])
+def test_profile_csv_unequal_lengths_write_nothing(tmp_path, short):
+    columns = {name: np.linspace(0.0, 1.0, 5) for name in "xRS"}
+    columns[short] = columns[short][:4]
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"old bytes\n")
+    for path in (fresh, kept):
+        with pytest.raises(ValueError, match="equal length"):
+            write_profile_csv(path, columns["x"], columns["R"], columns["S"])
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"old bytes\n"
+
+
+def test_profile_csv_rewrite_leaves_only_new_bytes(tmp_path):
+    path = tmp_path / "p.csv"
+    long = np.linspace(-1.0, 1.0, 3 * BLOCK)
+    write_profile_csv(path, long, long, long)
+    short = np.linspace(-2.0, 2.0, BLOCK + 1)
+    write_profile_csv(path, short, -short, 2 * short)
+    assert path.read_bytes() == percent_profile(short, -short, 2 * short)
+
+
+def test_profile_csv_holds_one_block_in_memory(tmp_path):
+    x = np.linspace(-40.0, 40.0, 64000, endpoint=False)
+    R, S = 0.5 * (1.0 - np.tanh(x)), 0.5 / np.cosh(x) ** 2
+    write_profile_csv(tmp_path / "warm.csv", x[:3], R[:3], S[:3])  # the formatter's tables
+    tracemalloc.start()
+    try:
+        write_profile_csv(tmp_path / "p.csv", x, R, S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole file's text, 64000 rows of at most 78 bytes, is about 5 MB
+    assert peak <= 4 * 2**20

@@ -131,6 +131,24 @@ class TestStepImex:
         with pytest.raises(ConfigError, match="output_every"):
             run(state, 1.0, 0.05, quad, output_every=0)
 
+    BAD_TIMES = [np.nan, np.inf, -np.inf, 0.0, -0.05]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    @pytest.mark.parametrize("which", ["T", "dt"])
+    def test_run_rejects_non_finite_or_non_positive_times(self, quad, quad_sol, which, bad):
+        state = init_chain(400, quad_sol, 0.1)
+        args = {"T": 1.0, "dt": 0.05, which: bad}
+        with pytest.raises(ConfigError, match=r"^T and dt must be positive and finite$"):
+            run(state, args["T"], args["dt"], quad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    def test_step_rejects_non_finite_or_non_positive_dt(self, quad, quad_sol, bad):
+        state = init_chain(400, quad_sol, 0.1)
+        with pytest.raises(ConfigError, match=r"^dt must be positive and finite$"):
+            step_imex(state, bad, quad)
+
     def test_default_dt_cap(self, quad):
         assert 0 < default_dt(quad) <= 0.05
 
