@@ -411,7 +411,8 @@ class ContinuumSolution:
     """Dense continuum front with grid samples and tail extension.
 
     ``rates`` are the tail rates (left, right) of ``decay_rates(potential)``;
-    ``values`` are R0 on the grid, by default read from the tables.  The
+    ``values`` are R0 on the grid: the closed form's when ``front`` (a
+    power law's ``_PowerFront``) is given, the tables' otherwise.  The
     grid arrays that every front solve on this continuum needs are computed
     once, on first use: ``force`` = dphi(R0), ``slope`` = S0 = -R0' and its
     spectrum ``slope_hat``.  They and ``values`` are read-only.
@@ -424,20 +425,34 @@ class ContinuumSolution:
         gap_table: _DenseTable,
         right_table: _DenseTable,
         rates: tuple[float, float],
-        values: np.ndarray | None = None,
+        front: _PowerFront | None = None,
     ):
         self.potential = potential
         self.grid = grid
         self._gap_table = gap_table  # dense Q = 1 - R0 on [-L, 0]
         self._right_table = right_table  # dense R0 on [0, L]
         self.m_minus, self.m_plus = rates  # decay_rates(potential), for the tails
+        self._front = front
         self._qL = float(self._gap_table(np.array([-grid.L]))[0])
         self._rL = float(self._right_table(np.array([grid.L]))[0])
-        self.values = _read_only(self(grid.x) if values is None else values)
+        self.values = _read_only(self(grid.x) if front is None else front.profile(grid.x))
 
     @property
     def L(self) -> float:
         return self.grid.L
+
+    def on_grid(self, grid: UniformGrid) -> ContinuumSolution:
+        """The same continuum on another grid of its half-length, from its tables.
+
+        Equal to ``solve_R0(potential, grid=grid)`` bitwise without solving
+        the tables again; a grid of another half-length is a ``ConfigError``.
+        """
+        if grid.L != self.L:
+            raise ConfigError(f"grid half-length {grid.L} differs from the continuum's {self.L}")
+        rates = (self.m_minus, self.m_plus)
+        return ContinuumSolution(
+            self.potential, grid, self._gap_table, self._right_table, rates, self._front
+        )
 
     def gap(self, x):
         """The left-side gap Q(x) = 1 - R0(x), accurate at tiny values."""
@@ -604,7 +619,7 @@ def solve_R0(potential: Potential, grid: UniformGrid | None = None) -> Continuum
         front = _PowerFront(potential.power)
         gap = _closed_form_table(front.gap, -L, m_minus)
         right = _closed_form_table(front.right, L, max(rates))
-        sol = ContinuumSolution(potential, grid, gap, right, rates, front.profile(grid.x))
+        sol = ContinuumSolution(potential, grid, gap, right, rates, front)
     end_r = sol(L)
     end_l = sol.gap(-L)
     if end_r > SETTLE_TOL or end_l > SETTLE_TOL:

@@ -84,7 +84,9 @@ from .errors import (
 from .grids import (
     UniformGrid,
     apply_symbol,
+    coarsest_decimation,
     interpolate_local,
+    max_spacing,
     periodic_shift,
     require_bandwidth,
 )
@@ -535,15 +537,21 @@ def continuation_sweep(
 ) -> list[FrontSolution]:
     """Solve a family of fronts in ascending eps with predicted warm starts.
 
-    All solves share one grid, by default ``solver_grid(potential,
-    *eps_list)`` (fine enough for the smallest eps, long enough for every
-    member), and one leading corrector W2.  Each member starts from
-    W = eps^2 W2 + eps^4 B, where B = 0 for the first member and
-    B = (W_last - eps_last^2 W2) / eps_last^4 after each converged one.
+    The R0 tables are solved once, on the sweep grid, by default
+    ``solver_grid(potential, *eps_list)`` (fine enough for the smallest
+    eps, long enough for every member).  On that default each member is
+    solved on the coarsest decimation of the member before it that meets
+    ``max_spacing(eps)`` (``grids.coarsest_decimation``); its continuum is
+    the same tables' ``on_grid``, and W2 is its ``leading_corrector``, as in
+    a cold solve.  A pinned ``grid`` is every member's grid.  Each member
+    starts from W = eps^2 W2 + eps^4 B, where B = 0 for the first member and
+    B = (W_last - eps_last^2 W2_last) / eps_last^4 after each converged one,
+    taken at every r-th point when the grid is decimated by r.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if not eps_list or eps_list[0] <= 0:
         raise ConfigError("continuation needs positive eps values")
+    pinned = grid is not None
     if grid is None:
         grid = solver_grid(potential, *eps_list)
     for e in eps_list:  # every member's eps cap and spacing, before any solve
@@ -553,8 +561,15 @@ def continuation_sweep(
     B = np.zeros(grid.N)  # eps^4 coefficient, refitted to each converged member
     out: list[FrontSolution] = []
     for e in eps_list:
+        if not pinned:
+            coarse = coarsest_decimation(continuum.grid, max_spacing(e))
+            if coarse is not continuum.grid:
+                # every r-th point, the center to the center
+                B = B[:: continuum.grid.N // coarse.N]
+                continuum = continuum.on_grid(coarse)
+                W2 = leading_corrector(continuum)
         sol = solve_front(
-            potential, e, grid=grid, initial=e**2 * W2 + e**4 * B, continuum=continuum
+            potential, e, grid=continuum.grid, initial=e**2 * W2 + e**4 * B, continuum=continuum
         )
         out.append(sol)
         B = (sol.W - e**2 * W2) / e**4

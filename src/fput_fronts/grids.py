@@ -80,6 +80,22 @@ def grid_for(L: float, h_max: float) -> UniformGrid:
         m += 1
 
 
+def coarsest_decimation(grid: UniformGrid, h_max: float) -> UniformGrid:
+    """Coarsest grid made of every r-th point of ``grid`` with spacing at most h_max.
+
+    Same L and N/r points for the largest integer r that divides N/2 (so
+    the center point N/2 maps to the center point N/(2r), and N/(2r), a
+    divisor of a 5-smooth number, is 5-smooth) and leaves N/r >= 256 with
+    2L/(N/r) <= h_max, the spacing test of ``grid_for``.  Returns ``grid``
+    itself when no r > 1 qualifies.
+    """
+    half = grid.N // 2
+    for r in range(half // (MIN_POINTS // 2), 1, -1):
+        if half % r == 0 and 2.0 * grid.L / (grid.N // r) <= h_max:
+            return UniformGrid(grid.L, grid.N // r)
+    return grid
+
+
 # Largest tent half-width: the kernel symbols and their poles stay well
 # defined up to here (values above ``spectral.EPS0_DEFAULT`` are experimental)
 EPS_HARD_MAX = 1.0

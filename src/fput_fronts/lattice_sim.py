@@ -241,7 +241,10 @@ def run(
         raise ConfigError("T and dt must be positive and finite")
     if output_every < 1:
         raise ConfigError(f"output_every must be at least 1, got {output_every}")
-    n_steps = int(round(T / dt))
+    steps = float(T) / float(dt)  # Python floats: an overflow is inf, not a warning
+    if not math.isfinite(steps):
+        raise ConfigError(f"T / dt = {float(T)!r} / {float(dt)!r} overflows the step count")
+    n_steps = int(round(steps))
     eps = 1.0 / state.gamma if eps is None else eps
     level = 0.5 * (state.r_left + state.r_right)
     times = [state.t]
@@ -357,13 +360,14 @@ def run_free_chain(
     with (D q)_n = q_{n+1} - q_n.  Energy sum(u^2)/2 + sum(Phi(r)) is
     non-increasing: the force term is skew in the (u, r) pairing and the
     damping contributes -gamma |D u+|^2.  A non-positive dt or gamma, a
-    negative ``n_steps`` or a non-finite initial state is a ``ConfigError``;
-    an energy that stops being finite raises ``NumericsError``.
+    negative ``n_steps`` or a non-finite dt, gamma or initial state is a
+    ``ConfigError``; an energy that stops being finite raises
+    ``NumericsError``.
     """
-    if not dt > 0:
-        raise ConfigError("dt must be positive")
-    if not gamma > 0:
-        raise ConfigError("gamma must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ConfigError("dt must be positive and finite")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ConfigError("gamma must be positive and finite")
     if n_steps < 0:
         raise ConfigError(f"n_steps must be non-negative, got {n_steps}")
     u = np.array(u0, dtype=float)

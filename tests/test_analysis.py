@@ -73,7 +73,7 @@ def hertz_fine():
 
 @pytest.fixture(scope="module")
 def hertz_sweep():
-    """The benchmark's Hertz sweep, every member on its shared N = 25600 grid."""
+    """The benchmark's Hertz sweep, its members on N = 6400, 12800 and 25600."""
     sols = continuation_sweep(hertz_potential(1.5), SWEEP_EPS)
     return {s.eps: s for s in sols}
 

@@ -12,6 +12,7 @@ from fput_fronts import (
     NewtonDivergenceError,
     NumericsError,
     hertz_potential,
+    polynomial_potential,
     quadratic_force_potential,
     solve_R0,
     solve_front,
@@ -28,7 +29,7 @@ from fput_fronts.front_solver import (
     leading_corrector,
     solver_grid,
 )
-from fput_fronts.grids import UniformGrid, periodic_shift, spectral_derivative
+from fput_fronts.grids import UniformGrid, max_spacing, periodic_shift, spectral_derivative
 from fput_fronts.spectral import symbol_a
 from oracles import kernel_physical
 
@@ -53,7 +54,7 @@ def hertz_sol(hertz):
     return solve_front(hertz, 0.1)
 
 
-# the benchmark's sweeps, and the H1 norm of W2 on their shared grids
+# the benchmark's sweeps, and the H1 norm of W2 on their first member's grids
 SWEEPS = {"quad": [0.4, 0.2, 0.1, 0.05], "hertz": [0.2, 0.1, 0.05]}
 W2_H1 = {"quad": 0.01914, "hertz": 0.013114}
 
@@ -258,13 +259,16 @@ class TestR0OnlyWork:
     """What depends on R0 alone is computed once per continuum."""
 
     def test_sweep_forces_R0_once(self, quad, monkeypatch):
+        """Once per member continuum; eps 0.1 and 0.11 share one grid and its continuum."""
         seen = []
         dphi = quad.dphi
         monkeypatch.setattr(quad, "dphi", lambda r: seen.append(r) or dphi(r))
-        sols = continuation_sweep(quad, [0.2, 0.1, 0.05])
-        cont = sols[0].continuum
-        assert all(s.continuum is cont for s in sols)
-        assert sum(r is cont.values for r in seen) == 1
+        sols = continuation_sweep(quad, [0.2, 0.11, 0.1, 0.05])
+        assert [s.grid.N for s in sols] == [25600, 12800, 12800, 6400]
+        assert sols[1].continuum is sols[2].continuum
+        conts = {id(s.continuum): s.continuum for s in sols}.values()
+        assert len(conts) == 3
+        assert all(sum(r is cont.values for r in seen) == 1 for cont in conts)
 
     def test_cached_arrays_are_read_only(self, quad_sol):
         cont = quad_sol.continuum
@@ -292,7 +296,17 @@ class TestContinuation:
         eps_list = SWEEPS["quad"]
         sols = sweeps["quad"]
         assert [s.eps for s in sols] == sorted(eps_list)
-        assert all(s.grid == solver_grid(quad, *eps_list) for s in sols)
+        # the first member is on the sweep grid; each later one on the
+        # coarsest grid of every r-th point of the member before it (r
+        # divides N/2, N/r >= 256) whose spacing meets max_spacing(eps)
+        assert sols[0].grid == solver_grid(quad, *eps_list)
+        for prev, s in zip(sols, sols[1:]):
+            r, half = prev.grid.N // s.grid.N, prev.grid.N // 2
+            assert s.grid.L == prev.grid.L and half % r == 0
+            assert np.max(np.abs(s.grid.x - prev.grid.x[::r])) <= 1e-12
+            assert s.grid.h <= max_spacing(s.eps)
+            coarser = [q for q in range(r + 1, half // 128 + 1) if half % q == 0]
+            assert all(2.0 * s.grid.L / (prev.grid.N // q) > max_spacing(s.eps) for q in coarser)
         h1 = np.array([s.h1_dist_to_R0 for s in sols])
         assert np.all(np.diff(h1) > 0)  # distance grows with eps
         slope = np.polyfit(np.log(sorted(eps_list)), np.log(h1), 1)[0]
@@ -333,6 +347,55 @@ class TestContinuation:
         assert len(searches) == 1
         assert abs(sol.R[g.N // 2] - 0.5) <= 1e-13
         assert np.max(np.abs(sol.R - quad_sol.R)) <= 1e-13
+
+
+class TestMemberGrids:
+    """Default-grid sweep members on nested decimated grids, pinned ones on one grid."""
+
+    @pytest.mark.parametrize("which", ["quad", "hertz"])
+    def test_members_are_on_their_cold_grids(self, which, quad, hertz, sweeps):
+        pot = quad if which == "quad" else hertz
+        for s in sweeps[which]:
+            assert s.grid == solver_grid(pot, s.eps)
+            assert s.continuum.grid is s.grid
+            assert np.max(np.abs(s.R - solve_front(pot, s.eps).R)) <= 1e-9
+
+    @pytest.mark.parametrize("which", ["quad", "hertz"])
+    def test_member_continuum_is_solve_R0(self, which, sweeps):
+        for s in sweeps[which]:
+            assert np.array_equal(s.continuum.values, solve_R0(s.potential, grid=s.grid).values)
+        with pytest.raises(ConfigError, match=r"^grid half-length 60.0 differs from the continuum's 40.0$"):
+            s.continuum.on_grid(UniformGrid(60.0, 25600))
+
+    def test_untagged_sweep_solves_its_tables_once(self, monkeypatch):
+        from fput_fronts import continuum
+
+        cubic = polynomial_potential([0.0, 0.2, 0.3, 0.5])
+        bounds = []
+        dop853 = continuum._dop853
+        monkeypatch.setattr(
+            continuum, "_dop853", lambda f, t, y: bounds.append(t) or dop853(f, t, y)
+        )
+        sols = continuation_sweep(cubic, [0.2, 0.1])
+        assert bounds == [-40.0, 40.0]  # one run per branch
+        assert [s.grid.N for s in sols] == [12800, 6400]
+        monkeypatch.undo()
+        for s in sols:
+            assert np.array_equal(s.continuum.values, solve_R0(cubic, grid=s.grid).values)
+
+    def test_pinned_grid_keeps_one_grid_and_continuum(self, quad):
+        """Every member on the pinned grid, from one continuum and one W2."""
+        pinned = UniformGrid(40.0, 16384)
+        eps_list = [0.4, 0.2, 0.1]  # N 3200, 6400 and 12800 on the default grid
+        pinned_sols = continuation_sweep(quad, eps_list, grid=pinned)
+        cont = solve_R0(quad, grid=pinned)
+        W2 = leading_corrector(cont)
+        B = np.zeros(pinned.N)
+        for e, s in zip(sorted(eps_list), pinned_sols, strict=True):
+            assert s.grid is pinned and s.continuum is pinned_sols[0].continuum
+            ref = solve_front(quad, e, grid=pinned, initial=e**2 * W2 + e**4 * B, continuum=cont)
+            assert np.array_equal(s.R, ref.R) and np.array_equal(s.S, ref.S)
+            B = (ref.W - e**2 * W2) / e**4
 
 
 class TestFailurePaths:
@@ -584,17 +647,13 @@ class TestLeadingCorrector:
     @pytest.mark.parametrize("which", ["quad", "hertz"])
     def test_remainder_is_fourth_order(self, which, sweeps):
         """||W_eps - eps^2 W2||_H1 / eps^4 stays bounded over the sweep."""
-        sols = sweeps[which]
-        cont, grid = sols[0].continuum, sols[0].grid
-        W2 = leading_corrector(cont)
-        W2p = spectral_derivative(W2, grid)
-        S0 = cont.slope_profile()
-        ratios = np.array(
-            [
-                _h1(s.W - s.eps**2 * W2, S0 - s.S - s.eps**2 * W2p, grid.h) / s.eps**4
-                for s in sols
-            ]
-        )
+        ratios = []
+        for s in sweeps[which]:  # W2 of each member's own continuum
+            W2 = leading_corrector(s.continuum)
+            W2p = spectral_derivative(W2, s.grid)
+            S0 = s.continuum.slope_profile()
+            ratios.append(_h1(s.W - s.eps**2 * W2, S0 - s.S - s.eps**2 * W2p, s.grid.h) / s.eps**4)
+        ratios = np.array(ratios)
         assert np.all(ratios <= 0.1 * W2_H1[which])
         assert np.max(ratios) <= 1.05 * np.min(ratios)
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fput_fronts import ConfigError, UniformGrid, grid_for, quadratic_force_potential, solve_front
-from fput_fronts.grids import max_spacing
+from fput_fronts.grids import coarsest_decimation, max_spacing
 
 
 def _smooth5(m: int) -> bool:
@@ -75,6 +75,27 @@ def test_uniform_grid_rejects(N, reason):
 def test_uniform_grid_accepts(N):
     grid = UniformGrid(40.0, N)
     assert grid.x[N // 2] == 0.0 and grid.index_of(0.0) == N // 2
+
+
+@pytest.mark.parametrize(
+    "N, h_max, coarse",
+    [
+        (25600, max_spacing(0.4), 3200),  # r = 8, spacing exactly 0.025
+        (25600, max_spacing(0.3), 5120),  # r = 6 does not divide N/2 = 2^9 5^2
+        (1280, 1.0, 256),  # r = 5, the most that keeps N/r >= 256
+        (768, 1.0, 256),  # r = 3
+        (25600, max_spacing(0.05), 25600),  # no r > 1 qualifies
+        (256, 1.0, 256),
+    ],
+)
+def test_coarsest_decimation(N, h_max, coarse):
+    grid = UniformGrid(40.0, N)
+    out = coarsest_decimation(grid, h_max)
+    assert out == UniformGrid(40.0, coarse)
+    assert (out is grid) == (coarse == N)
+    r = N // coarse
+    assert out.h <= h_max and out.x[coarse // 2] == grid.x[N // 2] == 0.0
+    assert np.max(np.abs(out.x - grid.x[::r])) <= 1e-12
 
 
 def test_pinned_power_of_two_front_keeps_its_x_bits():

@@ -143,6 +143,15 @@ class TestStepImex:
             run(state, args["T"], args["dt"], quad)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T, dt", [(1e300, 1e-10), (np.float64(1e300), np.float64(1e-10))])
+    def test_run_rejects_a_step_count_that_overflows(self, quad, quad_sol, T, dt):
+        state = init_chain(400, quad_sol, 0.1)
+        with pytest.raises(
+            ConfigError, match=r"^T / dt = 1e\+300 / 1e-10 overflows the step count$"
+        ):
+            run(state, T, dt, quad)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", BAD_TIMES)
     def test_step_rejects_non_finite_or_non_positive_dt(self, quad, quad_sol, bad):
         state = init_chain(400, quad_sol, 0.1)
@@ -324,14 +333,17 @@ class TestFreeChainDissipation:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"dt": -0.01}, "dt must be positive"),
-            ({"dt": 0.0}, "dt must be positive"),
-            ({"gamma": -1.0}, "gamma must be positive"),
+            ({"dt": -0.01}, "dt must be positive and finite"),
+            ({"dt": 0.0}, "dt must be positive and finite"),
+            ({"dt": np.inf}, "dt must be positive and finite"),
+            ({"gamma": -1.0}, "gamma must be positive and finite"),
+            ({"gamma": np.inf}, "gamma must be positive and finite"),
             ({"n_steps": -3}, "n_steps must be non-negative, got -3"),
             ({"u0": 3}, "non-finite initial state"),
             ({"r0": 5}, "non-finite initial state"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_inputs_are_config_errors(self, quad, change, message):
         rng = np.random.default_rng(7)
         args = {
