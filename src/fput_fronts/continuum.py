@@ -44,7 +44,6 @@ from decimal import Decimal, localcontext
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, DomainTooSmallError
 from .grids import UniformGrid, grid_for, max_spacing
@@ -250,6 +249,8 @@ def _dop853(fun, t_bound: float, y0: float) -> _DenseTable:
     count and each step's dense-output rows.  Raises ``DomainTooSmallError``
     if the integration fails, as it does when the step size collapses.
     """
+    from scipy.integrate import solve_ivp
+
     # scipy's RMS norm squares f / atol, which overflows near a zero state;
     # a step that goes wrong that way fails the integration instead
     with np.errstate(all="ignore"):

@@ -401,12 +401,13 @@ def solve_front(
     iterations and tolerance), as does a non-finite residual; a converged
     solution keeps the same records in ``steps``.  A non-finite ``initial``
     is a ``ConfigError``.  A ``continuum`` is reused only if it was solved
-    for this potential on this grid; otherwise R0 is solved afresh.
+    for this potential on this grid or an equal one; otherwise R0 is solved
+    afresh.
     """
     if grid is None:
         grid = solver_grid(potential, eps)
     require_bandwidth(grid, eps)
-    if continuum is None or continuum.grid is not grid or continuum.potential is not potential:
+    if continuum is None or continuum.grid != grid or continuum.potential is not potential:
         continuum = solve_R0(potential, grid=grid)
 
     F1 = background_term(eps, continuum)

@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.interpolate import BarycentricInterpolator
 
 from .errors import ConfigError
 
@@ -147,6 +146,8 @@ def interpolate_local(
     Uses the ``order`` nearest points (wrapping periodically); adequate for
     smooth profiles at sub-grid points, much cheaper than a full Fourier sum.
     """
+    from scipy.interpolate import BarycentricInterpolator
+
     j0 = grid.index_of(x0)
     offs = np.arange(-(order // 2) + 1, order // 2 + 1)
     idx = (j0 + offs) % grid.N

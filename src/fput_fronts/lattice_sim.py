@@ -52,8 +52,8 @@ class LatticeState:
             raise ConfigError(f"chain too short: M = {self.r.size} < 200")
         if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.v))):
             raise ConfigError("non-finite initial state")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ConfigError("gamma must be positive and finite")
 
     @property
     def M(self) -> int:
@@ -152,25 +152,28 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
 
 
-def _advance(r, v, t, dt, potential, factor, f_left, f_right, work):
+def _advance(r, v, t, dt, potential, factor, f_left, f_right, work, out):
     """One IMEX step on arrays from time t; f_left/f_right are the ghost forces.
 
-    ``work`` is an array of r's size that the step overwrites.
+    ``work`` and ``out`` are arrays of r's size, neither of them r: the step
+    overwrites ``work`` and writes the new strains into ``out``, so the solve's
+    output (the new velocities) is the only array it allocates.
     """
     rhs = _laplacian(potential.dphi(r), f_left, f_right, work)
     np.multiply(rhs, dt, out=rhs)
     np.add(v, rhs, out=rhs)
-    if not _all_finite(rhs):
-        raise NumericsError(
-            f"blow-up at t = {t + dt:.4g}: max |v| = {np.max(np.abs(v)):.3g}"
-        )
     v_new = solve_banded(factor, rhs)
-    r_new = r + dt * v_new
-    if not _all_finite(r_new):
+    np.multiply(v_new, dt, out=out)
+    np.add(r, out, out=out)  # r + dt * v_new
+    # one screen covers both arrays: a non-finite entry of rhs carries through
+    # the solve into v_new and so into r_new.  The message is the one of the
+    # first array that is not finite
+    if not _all_finite(out):
+        bad = v if not _all_finite(rhs) else v_new
         raise NumericsError(
-            f"blow-up at t = {t + dt:.4g}: max |v| = {np.max(np.abs(v_new)):.3g}"
+            f"blow-up at t = {t + dt:.4g}: max |v| = {np.max(np.abs(bad)):.3g}"
         )
-    return r_new, v_new
+    return out, v_new
 
 
 def _ghost_forces(state: LatticeState, potential: Potential) -> tuple[float, float]:
@@ -184,7 +187,7 @@ def step_imex(state: LatticeState, dt: float, potential: Potential) -> LatticeSt
     factor = _damping_factor(state.M, dt * state.gamma)
     r, v = _advance(
         state.r, state.v, state.t, dt, potential, factor,
-        *_ghost_forces(state, potential), np.empty(state.M),
+        *_ghost_forces(state, potential), np.empty(state.M), np.empty(state.M),
     )
     return replace(state, r=r, v=v, t=state.t + dt)
 
@@ -259,9 +262,11 @@ def run(
     factor = _damping_factor(state.M, dt * state.gamma)
     f_left, f_right = _ghost_forces(state, potential)
     work = np.empty(state.M)
+    # the new strains go to the buffer that does not hold r, never to state.r
+    bufs = (np.empty(state.M), np.empty(state.M))
     r, v, t = state.r, state.v, state.t
     for step in range(1, n_steps + 1):
-        r, v = _advance(r, v, t, dt, potential, factor, f_left, f_right, work)
+        r, v = _advance(r, v, t, dt, potential, factor, f_left, f_right, work, bufs[step & 1])
         t = t + dt
         c = crossing_position(r, level)
         if c is not None:
@@ -309,24 +314,105 @@ def _front_strains(sol: FrontSolution, x, r_left: float, r_right: float) -> np.n
     return r_right + (r_left - r_right) * np.interp(x, sol.grid.x, sol.R, left=1.0, right=0.0)
 
 
+# the compared window holds the sites that reach where the front differs
+# from both far fields by at least this fraction of the jump.  It sizes the
+# window, and so the speed of profile_distances, never its values: on
+# 2000-site chains 1e-4 leaves the window's maximum below the bound too
+# often and 1e-7 evaluates more sites than needed
+WINDOW_TAIL = 1e-5
+
+
+def _window_edges(sol: FrontSolution) -> tuple[float, float]:
+    """Grid x of the first and last front value at least WINDOW_TAIL from its far field."""
+    # both exist: the front is pinned to R = 1/2 at x = 0
+    x, R = sol.grid.x, sol.R
+    left = np.flatnonzero(np.abs(R - 1.0) >= WINDOW_TAIL)[0]
+    right = np.flatnonzero(np.abs(R) >= WINDOW_TAIL)[-1]
+    return x[left], x[right]
+
+
+def _tail_bound(sol, sites: range, r, eps, shifts, r_ends) -> float:
+    """Bound on the distance profile_distances computes at ``sites``, for any shift.
+
+    ``sites`` are consecutive 1-based sites with strains ``r``, the shift s
+    runs over ``shifts`` = (s_lo, s_hi) and ``r_ends`` = (r_left, r_right).
+    Rounding is monotone, so each site's x = eps (n - s) stays between its
+    values at s_hi and s_lo, and all of them in [x_min, x_max], from the
+    first site at s_hi to the last at s_lo.  There ``np.interp`` gives
+    slope*(x - x_j) + R_j on [x_j, x_j+1), between R_j and R_j+1 up to a few
+    roundings of their size, and the clamp values 1 and 0 off the grid: the
+    range of those values, widened by 16 machine epsilons of its size, holds
+    every interpolated value I.  F = r_right + (r_left - r_right) I and then
+    |r - F|, computed at the two ends of that range, bound what any I in it
+    gives.
+    """
+    x, R = sol.grid.x, sol.R
+    x_min = eps * (sites[0] - shifts[1])
+    x_max = eps * (sites[-1] - shifts[0])
+    j0 = max(int(np.searchsorted(x, x_min, side="right")) - 2, 0)
+    j1 = min(int(np.searchsorted(x, x_max, side="left")) + 1, x.size - 1)
+    values = R[j0 : j1 + 1]
+    lo, hi = float(values.min()), float(values.max())
+    if x_min < x[0]:
+        lo, hi = min(lo, 1.0), max(hi, 1.0)
+    if x_max > x[-1]:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    fp = np.finfo(float)
+    pad = 16.0 * (fp.eps * max(abs(lo), abs(hi)) + fp.smallest_subnormal)
+    r_left, r_right = r_ends
+    return max(
+        float(np.abs(r - (r_right + (r_left - r_right) * i)).max())
+        for i in (lo - pad, hi + pad)
+    )
+
+
 def profile_distances(traj: Trajectory, sol: FrontSolution) -> np.ndarray:
-    """Min-over-shift sup distance to the solved front, one value per snapshot."""
+    """Min-over-shift sup distance to the solved front, one value per snapshot.
+
+    Each snapshot is aligned on its level crossing c and the shift searched
+    over [c - 3, c + 3].  An evaluation first takes the maximum over a
+    window of sites around the front and returns it if it is at least
+    ``_tail_bound`` of the other sites; otherwise it takes the maximum over
+    all sites.  Either way it is the maximum of ``_front_strains``' distance
+    over all sites, bit for bit.
+    """
     from scipy.optimize import minimize_scalar
 
-    n = np.arange(1, traj.snapshots.shape[1] + 1)
-    r_left, r_right = traj.final_state.r_left, traj.final_state.r_right
+    M = traj.snapshots.shape[1]
+    n = np.arange(1, M + 1)
+    eps = traj.eps
+    r_ends = r_left, r_right = traj.final_state.r_left, traj.final_state.r_right
     level = 0.5 * (r_left + r_right)
+    x_a, x_b = _window_edges(sol)
     out = np.empty(len(traj.snapshots))
     for k, snap in enumerate(traj.snapshots):
         c = crossing_position(snap, level)
         if c is None:
             raise NumericsError("snapshot has no level crossing to align on")
+        shifts = c_lo, c_hi = c - 3.0, c + 3.0
+        # 0-based sites i0 .. i1 - 1 reach [x_a, x_b] at some shift in range
+        i0 = min(max(math.floor(c_lo + x_a / eps) - 2, 0), M)
+        i1 = min(max(math.ceil(c_hi + x_b / eps) + 1, i0), M)
+        window = slice(i0, i1)
+        tails = [(range(1, i0 + 1), snap[:i0]), (range(i1 + 1, M + 1), snap[i1:])]
+        # np.max keeps a NaN, which sends every evaluation to all sites
+        bound = np.max(
+            [_tail_bound(sol, sites, r, eps, shifts, r_ends) for sites, r in tails if sites],
+            initial=0.0,
+        )
+
+        def sup(sites, center):
+            x = eps * (n[sites] - center)
+            return float(np.max(np.abs(snap[sites] - _front_strains(sol, x, r_left, r_right))))
 
         def dist(center):
-            x = traj.eps * (n - center)
-            return float(np.max(np.abs(snap - _front_strains(sol, x, r_left, r_right))))
+            if c_lo <= center <= c_hi:  # where the bound holds
+                inside = sup(window, center)
+                if inside >= bound:
+                    return inside
+            return sup(slice(None), center)
 
-        res = minimize_scalar(dist, bounds=(c - 3.0, c + 3.0), method="bounded",
+        res = minimize_scalar(dist, bounds=shifts, method="bounded",
                               options={"xatol": 1e-10})
         out[k] = float(res.fun)
     return out
@@ -378,21 +464,23 @@ def run_free_chain(
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(r))):
         raise ConfigError("non-finite initial state")
     factor = _damping_factor(M, dt * gamma, free_ends=True)
-
-    def dT(w):  # D^T: (M-1,) -> (M,)
-        out = np.empty(M)
-        out[0] = -w[0]
-        out[1:-1] = w[:-1] - w[1:]
-        out[-1] = w[-1]
-        return out
+    work = np.empty(M)  # D^T dphi(r), then the solve's right-hand side, then u^2
+    du = np.empty(M - 1)
 
     energies = [float(np.sum(u**2) / 2 + np.sum(potential.phi(r)))]
     times = [0.0]
     for s in range(1, n_steps + 1):
-        rhs = u - dt * dT(potential.dphi(r))
-        u = solve_banded(factor, rhs)
-        r = r + dt * np.diff(u)
-        energy = float(np.sum(u**2) / 2 + np.sum(potential.phi(r)))
+        f = potential.dphi(r)
+        work[0] = -f[0]  # D^T: (M-1,) -> (M,)
+        np.subtract(f[:-1], f[1:], out=work[1:-1])
+        work[-1] = f[-1]
+        np.multiply(work, dt, out=work)
+        np.subtract(u, work, out=work)  # u - dt D^T dphi(r)
+        u = solve_banded(factor, work)
+        np.subtract(u[1:], u[:-1], out=du)  # D u, as np.diff forms it
+        np.multiply(du, dt, out=du)
+        np.add(r, du, out=r)  # r + dt D u
+        energy = float(np.sum(np.square(u, out=work)) / 2 + np.sum(potential.phi(r)))
         if not math.isfinite(energy):
             raise NumericsError(f"blow-up at t = {s * dt:.4g}: energy {energy}")
         energies.append(energy)

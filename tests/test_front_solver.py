@@ -459,6 +459,18 @@ class TestFailurePaths:
         assert np.max(np.abs(sol.R - quad_sol.R)) <= 1e-12
         assert sol.residual_tent() <= 1e-7
 
+    def test_continuum_on_an_equal_grid_is_reused(self, quad, monkeypatch):
+        """UniformGrid is a frozen dataclass: an equal grid, not only the same object, will do."""
+        cont = solve_R0(quad, grid=UniformGrid(40.0, 12800))
+        calls = []
+        solve = front_solver.solve_R0
+        monkeypatch.setattr(
+            front_solver, "solve_R0", lambda *a, **k: calls.append(a) or solve(*a, **k)
+        )
+        sol = solve_front(quad, 0.1, grid=UniformGrid(40.0, 12800), continuum=cont)
+        assert calls == []
+        assert sol.continuum is cont
+
 
 def _strict(monkeypatch, solve, *args, **kwargs):
     """``solve`` with every LSMR solve run to KRYLOV_TOL relative (no forcing)."""

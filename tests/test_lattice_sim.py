@@ -1,5 +1,8 @@
 """Damped-chain integrator: transport, relaxation, dissipation, failure modes."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,9 @@ from fput_fronts.lattice_sim import (
     run_free_chain,
     step_imex,
 )
+from fput_fronts.lattice_sim import _tail_bound, _window_edges
+from oracles import free_chain_energies, imex_steps
+from oracles import profile_distances as reference_distances
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +51,18 @@ def front_traj(quad, quad_sol):
 def step_traj(quad):
     state = init_chain(1200, "step", 0.1)
     return run(state, 300.0, 0.05, quad, output_every=400)
+
+
+@pytest.fixture(scope="module")
+def hertz_raw_chain():
+    """Hertz chain from 4 to 0 (c = sqrt 2) at physical gamma 10: trajectory and front."""
+    raw = hertz_potential(1.5, 4.0)
+    norm, fmap = raw.renormalize()
+    c = fmap.speed
+    eps_n = c / 10.0
+    sol = solve_front(norm, eps_n)
+    state = init_chain(2000, sol, eps_n, r_minus=4.0, r_plus=0.0, c=c)
+    return run(state, 50.0, 0.05, raw, output_every=200, eps=eps_n), sol, c
 
 
 class TestInitChain:
@@ -72,6 +90,12 @@ class TestInitChain:
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
             init_chain(400, "ramp", 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ConfigError, match=r"^gamma must be positive and finite$"):
+            LatticeState(r=np.full(400, 0.5), v=np.zeros(400), t=0.0, gamma=gamma)
 
 
 class TestStepImex:
@@ -108,6 +132,40 @@ class TestStepImex:
                 for _ in range(200):
                     state = step_imex(state, 50.0, quad)
 
+    # a strain step whose force overflows (the right-hand side stops being
+    # finite first), and a uniform chain whose forces cancel but whose new
+    # strains overflow (the velocities are finite, r + dt v is not)
+    BLOW_UPS = {
+        "force": (np.where(np.arange(400) < 200, 1e250, 0.0), np.zeros(400), 1e250, 0.0),
+        "strain": (np.full(400, 4e307), np.full(400, 1e307), 4e307, 4e307),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", BLOW_UPS)
+    def test_run_blows_up_as_the_step_loop(self, quad, case):
+        # a right-hand side that is not finite reports the velocities the
+        # step started from, finite new strains the new velocities
+        r, v, r_left, r_right = self.BLOW_UPS[case]
+        state = LatticeState(r=r, v=v, t=0.0, gamma=10.0, r_left=r_left, r_right=r_right)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError) as stepped:
+                for _ in range(200):
+                    state = step_imex(state, 50.0, quad)
+            v_max = np.max(np.abs(state.v)) if case == "force" else np.inf
+            assert str(stepped.value) == f"blow-up at t = {state.t + 50.0:.4g}: max |v| = {v_max:.3g}"
+            state = LatticeState(r=r, v=v, t=0.0, gamma=10.0, r_left=r_left, r_right=r_right)
+            with pytest.raises(NumericsError) as ran:
+                run(state, 200 * 50.0, 50.0, quad)
+        assert str(ran.value) == str(stepped.value)
+
+    def test_run_leaves_the_state_alone(self, quad, quad_sol):
+        state = init_chain(400, quad_sol, 0.1)
+        r, v = state.r.copy(), state.v.copy()
+        traj = run(state, 2.0, 0.05, quad)
+        assert state.r.tobytes() == r.tobytes() and state.v.tobytes() == v.tobytes()
+        assert traj.snapshots[0].tobytes() == r.tobytes()
+        assert not np.shares_memory(traj.final_state.r, state.r)
+
     def test_run_matches_step_loop(self, quad, quad_sol):
         # the perturbation pushes strains out of the core, so the force-law
         # extension runs too
@@ -125,6 +183,13 @@ class TestStepImex:
         track = np.array([crossing_position(s.r) for s in stepped])
         assert traj.crossing_positions.tobytes() == track.tobytes()
         assert traj.crossing_times.tobytes() == np.array([s.t for s in stepped]).tobytes()
+
+    def test_run_matches_plain_steps(self, quad, quad_sol):
+        state = init_chain(400, quad_sol, 0.1)
+        state.r = state.r + 1e-6 * np.random.default_rng(5).uniform(-1.0, 1.0, 400)
+        final = run(state, 2.0, 0.05, quad).final_state
+        r, v = imex_steps(state, 0.05, 40, quad)
+        assert final.r.tobytes() == r.tobytes() and final.v.tobytes() == v.tobytes()
 
     def test_output_every_must_be_positive(self, quad, quad_sol):
         state = init_chain(400, quad_sol, 0.1)
@@ -195,16 +260,10 @@ class TestFrontTransport:
 
 
 class TestUnnormalizedChain:
-    def test_hertz_speed_matches_jump_condition(self):
-        raw = hertz_potential(1.5, 4.0)
-        norm, fmap = raw.renormalize()
-        c = fmap.speed
+    def test_hertz_speed_matches_jump_condition(self, hertz_raw_chain):
+        traj, sol, c = hertz_raw_chain
         assert abs(c - np.sqrt(2.0)) <= 1e-12
-        eps_n = c / 10.0  # physical gamma = 10
-        sol = solve_front(norm, eps_n)
-        state = init_chain(2000, sol, eps_n, r_minus=4.0, r_plus=0.0, c=c)
-        assert state.gamma == pytest.approx(10.0)
-        traj = run(state, 50.0, 0.05, raw, output_every=200, eps=eps_n)
+        assert traj.final_state.gamma == pytest.approx(10.0)
         c_fit, r2 = measure_front_speed(traj)
         assert abs(c_fit / np.sqrt(2.0) - 1.0) <= 0.02
         assert r2 >= 0.9999
@@ -241,6 +300,81 @@ class TestStepRelaxation:
         mid = int(cross) - 150
         r_m = (np.sqrt(5.0) - 1.0) / 2.0
         assert abs(np.median(r[mid - 50 : mid + 50]) - r_m) <= 0.02
+
+
+@pytest.fixture(scope="module", params=[("quad", 10.0), ("quad", 20.0), ("hertz", 10.0), ("hertz", 20.0)],
+                ids=lambda p: f"{p[0]}-gamma{p[1]:g}")
+def seeded_chain(request, quad, quad_sol):
+    """Front-seeded chain of 2000 sites with a 1e-6 strain perturbation, to T = 50."""
+    name, gamma = request.param
+    pot = quad if name == "quad" else hertz_potential(1.5)
+    eps = 1.0 / gamma
+    sol = quad_sol if (name, gamma) == ("quad", 10.0) else solve_front(pot, eps)
+    state = init_chain(2000, sol, eps)
+    state.r = state.r + 1e-6 * np.random.default_rng(int(gamma)).uniform(-1.0, 1.0, 2000)
+    return run(state, 50.0, 0.05, pot, output_every=100), sol
+
+
+class TestProfileDistancesExact:
+    """The windowed comparison returns the bits of the one over every site."""
+
+    def test_seeded_chains(self, seeded_chain):
+        traj, sol = seeded_chain
+        assert profile_distances(traj, sol).tobytes() == reference_distances(traj, sol).tobytes()
+
+    def test_step_relaxation(self, step_traj, quad_sol):
+        assert (
+            profile_distances(step_traj, quad_sol).tobytes()
+            == reference_distances(step_traj, quad_sol).tobytes()
+        )
+
+    def test_unnormalized_chain(self, hertz_raw_chain):
+        traj, sol, _ = hertz_raw_chain
+        assert profile_distances(traj, sol).tobytes() == reference_distances(traj, sol).tobytes()
+
+    @pytest.mark.parametrize("defect", [0.01, np.nan])
+    @pytest.mark.parametrize("site", [6, 1995])
+    def test_far_tail_defect_takes_every_site(self, front_traj, quad_sol, site, defect):
+        # each site lies far outside the window: only the evaluation over
+        # all sites sees it, and it is the worst site of every snapshot
+        snaps = front_traj.snapshots.copy()
+        snaps[:, site - 1] += defect
+        traj = replace(front_traj, snapshots=snaps)
+        d = profile_distances(traj, quad_sol)
+        assert d.tobytes() == reference_distances(traj, quad_sol).tobytes()
+        if np.isnan(defect):
+            assert np.all(np.isnan(d))
+        else:
+            assert np.all(d >= 0.99 * defect)
+
+    def test_tail_bound_holds_at_every_shift(self, front_traj, quad_sol):
+        # at r = r_left the distance grows as the shift moves the front's
+        # tail toward the sites, so the bound must come from the whole range
+        eps = front_traj.eps
+        c = crossing_position(front_traj.snapshots[-1])
+        shifts = (c - 3.0, c + 3.0)
+        i0 = int(shifts[0] + _window_edges(quad_sol)[0] / eps) - 2
+        sites = range(1, i0 + 1)
+        r = np.ones(i0)
+        bound = _tail_bound(quad_sol, sites, r, eps, shifts, (1.0, 0.0))
+        n = np.arange(1, i0 + 1)
+        for s in np.linspace(*shifts, 61):
+            front = np.interp(eps * (n - s), quad_sol.grid.x, quad_sol.R, left=1.0, right=0.0)
+            assert np.max(np.abs(r - front)) <= bound
+        assert bound <= 1e-5
+
+    def test_tail_bound_covers_interpolation_rounding(self):
+        # on [-100, 0) the interpolant slope*(x + 100) + 0.25 rounds past its
+        # end value 1.9 just left of 0, where x + 100 rounds to 100
+        front = SimpleNamespace(
+            grid=SimpleNamespace(x=np.array([-100.0, 0.0, 100.0])), R=np.array([0.25, 1.9, 0.25])
+        )
+        shifts = (1.0, 1.0 + 2.0**-52)
+        x = 0.1 * (1 - shifts[1])
+        value = np.interp(x, front.grid.x, front.R, left=1.0, right=0.0)
+        if not value > 1.9:
+            pytest.skip("np.interp does not round past its end values on this platform")
+        assert value <= _tail_bound(front, range(1, 2), np.zeros(1), 0.1, shifts, (1.0, 0.0))
 
 
 class TestSpeedMeasurement:
@@ -360,6 +494,14 @@ class TestFreeChainDissipation:
                 args[key] = value
         with pytest.raises(ConfigError, match=f"^{message}$"):
             run_free_chain(potential=quad, **args)
+
+    def test_energies_match_plain_steps(self, quad):
+        rng = np.random.default_rng(13)
+        u0 = 0.1 * rng.standard_normal(300)
+        r0 = 0.5 + 0.1 * rng.standard_normal(299)
+        trace = run_free_chain(u0, r0, gamma=10.0, dt=0.02, n_steps=100, potential=quad)
+        expected = free_chain_energies(u0, r0, 10.0, 0.02, 100, quad)
+        assert trace.energies.tobytes() == expected.tobytes()
 
     def test_zero_steps_keep_the_initial_energy(self, quad):
         trace = run_free_chain(np.zeros(300), np.full(299, 0.5), 10.0, 0.02, 0, quad)
