@@ -413,7 +413,8 @@ class ContinuumSolution:
 
     ``rates`` are the tail rates (left, right) of ``decay_rates(potential)``;
     ``values`` are R0 on the grid: the closed form's when ``front`` (a
-    power law's ``_PowerFront``) is given, the tables' otherwise.  The
+    power law's ``_PowerFront``) is given, the tables' otherwise, unless
+    ``on_grid`` passes them in as the same bits.  The
     grid arrays that every front solve on this continuum needs are computed
     once, on first use: ``force`` = dphi(R0), ``slope`` = S0 = -R0' and its
     spectrum ``slope_hat``.  They and ``values`` are read-only.
@@ -427,6 +428,7 @@ class ContinuumSolution:
         right_table: _DenseTable,
         rates: tuple[float, float],
         front: _PowerFront | None = None,
+        values: np.ndarray | None = None,
     ):
         self.potential = potential
         self.grid = grid
@@ -436,7 +438,9 @@ class ContinuumSolution:
         self._front = front
         self._qL = float(self._gap_table(np.array([-grid.L]))[0])
         self._rL = float(self._right_table(np.array([grid.L]))[0])
-        self.values = _read_only(self(grid.x) if front is None else front.profile(grid.x))
+        if values is None:
+            values = self(grid.x) if front is None else front.profile(grid.x)
+        self.values = _read_only(values)
 
     @property
     def L(self) -> float:
@@ -447,13 +451,29 @@ class ContinuumSolution:
 
         Equal to ``solve_R0(potential, grid=grid)`` bitwise without solving
         the tables again; a grid of another half-length is a ``ConfigError``.
+        When ``grid.x`` is every r-th point of this grid's ``x`` bit for bit,
+        as on a power-of-two decimation, ``values``, ``force`` and ``slope``
+        are contiguous copies of every r-th entry of this continuum's: the
+        same bits, since each is computed point by point.  On any other grid
+        they are evaluated afresh.
         """
         if grid.L != self.L:
             raise ConfigError(f"grid half-length {grid.L} differs from the continuum's {self.L}")
-        rates = (self.m_minus, self.m_plus)
-        return ContinuumSolution(
-            self.potential, grid, self._gap_table, self._right_table, rates, self._front
+        r = self.grid.N // grid.N
+        every_rth = self.grid.N % grid.N == 0 and np.array_equal(grid.x, self.grid.x[::r])
+        sol = ContinuumSolution(
+            self.potential,
+            grid,
+            self._gap_table,
+            self._right_table,
+            (self.m_minus, self.m_plus),
+            self._front,
+            values=self.values[::r].copy() if every_rth else None,
         )
+        if every_rth:  # filled in place of the cached properties' own evaluation
+            sol.force = _read_only(self.force[::r].copy())
+            sol.slope = _read_only(self.slope[::r].copy())
+        return sol
 
     def gap(self, x):
         """The left-side gap Q(x) = 1 - R0(x), accurate at tiny values."""

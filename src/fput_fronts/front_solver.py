@@ -63,8 +63,10 @@ against the continuum's segment polynomials and tails
 
 Everything that depends on R0 alone, dphi(R0), S0 = -R0' and FFT(S0), is
 computed once per continuum (``ContinuumSolution.force``, ``slope`` and
-``slope_hat``) and shared by every solve on it; the a_eps symbol is built
-once per solve and kept on the solution (``FrontSolution.a_hat``).
+``slope_hat``) and shared by every solve on it; a sweep's coarser members
+take R0, dphi(R0), S0 and W2 at every r-th point of the sweep grid's.  The
+a_eps symbol is built once per solve and kept on the solution
+(``FrontSolution.a_hat``).
 """
 
 from __future__ import annotations
@@ -538,16 +540,18 @@ def continuation_sweep(
 ) -> list[FrontSolution]:
     """Solve a family of fronts in ascending eps with predicted warm starts.
 
-    The R0 tables are solved once, on the sweep grid, by default
+    The R0-only work is done once per sweep, on the sweep grid, by default
     ``solver_grid(potential, *eps_list)`` (fine enough for the smallest
-    eps, long enough for every member).  On that default each member is
-    solved on the coarsest decimation of the member before it that meets
+    eps, long enough for every member): the R0 tables, R0, dphi(R0) and S0,
+    and W2 (``leading_corrector``).  On that default each member is solved
+    on the coarsest decimation of the member before it that meets
     ``max_spacing(eps)`` (``grids.coarsest_decimation``); its continuum is
-    the same tables' ``on_grid``, and W2 is its ``leading_corrector``, as in
-    a cold solve.  A pinned ``grid`` is every member's grid.  Each member
-    starts from W = eps^2 W2 + eps^4 B, where B = 0 for the first member and
-    B = (W_last - eps_last^2 W2_last) / eps_last^4 after each converged one,
-    taken at every r-th point when the grid is decimated by r.
+    the same tables' ``on_grid``, whose arrays on a power-of-two decimation
+    are every r-th entry of the finer grid's.  A pinned ``grid`` is every
+    member's grid.  Each member starts from W = eps^2 W2 + eps^4 B, where
+    B = 0 for the first member and B = (W_last - eps_last^2 W2) / eps_last^4
+    after each converged one; when the grid is decimated by r, W2 and B move
+    down together, as their every r-th point.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if not eps_list or eps_list[0] <= 0:
@@ -566,9 +570,9 @@ def continuation_sweep(
             coarse = coarsest_decimation(continuum.grid, max_spacing(e))
             if coarse is not continuum.grid:
                 # every r-th point, the center to the center
-                B = B[:: continuum.grid.N // coarse.N]
+                r = continuum.grid.N // coarse.N
+                B, W2 = B[::r], W2[::r]
                 continuum = continuum.on_grid(coarse)
-                W2 = leading_corrector(continuum)
         sol = solve_front(
             potential, e, grid=continuum.grid, initial=e**2 * W2 + e**4 * B, continuum=continuum
         )

@@ -148,8 +148,15 @@ def _all_finite(x: np.ndarray) -> bool:
     # a finite sum proves every entry finite: an inf or NaN entry carries
     # into it.  A sum that is not finite comes from such an entry or from
     # finite entries near 1e305 whose partial sums overflow, so only then
-    # is each entry checked
+    # is each entry checked.  Steps run under _QUIET, so that sum is silent
     return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
+
+
+# the floating-point state that steps run in, entered once per call of run
+# (around its whole step loop) or of step_imex: an
+# overflow or invalid result is a non-finite value, which the step's screen
+# turns into its NumericsError, so it is not also warned about
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 def _advance(r, v, t, dt, potential, factor, f_left, f_right, work, out):
@@ -185,10 +192,12 @@ def step_imex(state: LatticeState, dt: float, potential: Potential) -> LatticeSt
     if not (dt > 0 and math.isfinite(dt)):
         raise ConfigError("dt must be positive and finite")
     factor = _damping_factor(state.M, dt * state.gamma)
-    r, v = _advance(
-        state.r, state.v, state.t, dt, potential, factor,
-        *_ghost_forces(state, potential), np.empty(state.M), np.empty(state.M),
-    )
+    f_left, f_right = _ghost_forces(state, potential)
+    with np.errstate(**_QUIET):
+        r, v = _advance(
+            state.r, state.v, state.t, dt, potential, factor, f_left, f_right,
+            np.empty(state.M), np.empty(state.M),
+        )
     return replace(state, r=r, v=v, t=state.t + dt)
 
 
@@ -265,17 +274,18 @@ def run(
     # the new strains go to the buffer that does not hold r, never to state.r
     bufs = (np.empty(state.M), np.empty(state.M))
     r, v, t = state.r, state.v, state.t
-    for step in range(1, n_steps + 1):
-        r, v = _advance(r, v, t, dt, potential, factor, f_left, f_right, work, bufs[step & 1])
-        t = t + dt
-        c = crossing_position(r, level)
-        if c is not None:
-            ct.append(t)
-            cp.append(c)
-        if step % output_every == 0 or step == n_steps:
-            times.append(t)
-            snaps.append(r.copy())
-            mono = max(mono, monotone_defect(r))
+    with np.errstate(**_QUIET):
+        for step in range(1, n_steps + 1):
+            r, v = _advance(r, v, t, dt, potential, factor, f_left, f_right, work, bufs[step & 1])
+            t = t + dt
+            c = crossing_position(r, level)
+            if c is not None:
+                ct.append(t)
+                cp.append(c)
+            if step % output_every == 0 or step == n_steps:
+                times.append(t)
+                snaps.append(r.copy())
+                mono = max(mono, monotone_defect(r))
     return Trajectory(
         times=np.array(times),
         snapshots=np.array(snaps),

@@ -343,15 +343,26 @@ def _coefficient(t_below, t_above, lo, hi, side):
 
 
 def _horner(coeffs: tuple, x):
-    """``npoly.polyval(x, coeffs)`` in its exact operation order.
+    """``npoly.polyval(x, coeffs)`` bitwise at the strains a core gets: finite, +-0.0, NaN.
 
-    polyval seeds with ``coeffs[-1] + x*0`` (so inf gives NaN at any degree)
-    and steps ``c_j + y*x``; here on one array updated in place, or on plain
-    floats.
+    polyval seeds with ``coeffs[-1] + x*0`` and steps ``c_j + y*x``.  At
+    those x the seed is ``coeffs[-1]`` itself (NaN at NaN), so the first
+    step starts from ``x * coeffs[-1]``.  A -0.0 leading coefficient, whose
+    seed takes the sign of x*0, and a constant keep the seed.  At +-inf
+    polyval gives NaN and this may give +-inf, but a ``Potential`` clips
+    every strain into its finite core.  One array updated in place, or
+    plain floats.
     """
-    y = x * 0
-    y += coeffs[-1]
-    for c in coeffs[-2::-1]:
+    lead = coeffs[-1]
+    if len(coeffs) == 1 or (lead == 0.0 and math.copysign(1.0, lead) < 0.0):
+        y = x * 0
+        y += lead
+        rest = coeffs[-2::-1]
+    else:
+        y = x * lead
+        y += coeffs[-2]
+        rest = coeffs[-3::-1]
+    for c in rest:
         y *= x
         y += c
     return y

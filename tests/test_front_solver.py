@@ -259,16 +259,24 @@ class TestR0OnlyWork:
     """What depends on R0 alone is computed once per continuum."""
 
     def test_sweep_forces_R0_once(self, quad, monkeypatch):
-        """Once per member continuum; eps 0.1 and 0.11 share one grid and its continuum."""
-        seen = []
+        """dphi(R0) and W2 once per sweep, on the sweep grid; the coarser
+        members take every r-th entry.  eps 0.1 and 0.11 share one grid and
+        its continuum."""
+        seen, corrected = [], []
         dphi = quad.dphi
         monkeypatch.setattr(quad, "dphi", lambda r: seen.append(r) or dphi(r))
+        monkeypatch.setattr(
+            front_solver,
+            "leading_corrector",
+            lambda cont: corrected.append(cont) or leading_corrector(cont),
+        )
         sols = continuation_sweep(quad, [0.2, 0.11, 0.1, 0.05])
         assert [s.grid.N for s in sols] == [25600, 12800, 12800, 6400]
         assert sols[1].continuum is sols[2].continuum
-        conts = {id(s.continuum): s.continuum for s in sols}.values()
-        assert len(conts) == 3
-        assert all(sum(r is cont.values for r in seen) == 1 for cont in conts)
+        conts = list({id(s.continuum): s.continuum for s in sols}.values())
+        assert len(conts) == 3 and conts[0].grid == solver_grid(quad, 0.2, 0.11, 0.1, 0.05)
+        assert [sum(r is cont.values for r in seen) for cont in conts] == [1, 0, 0]
+        assert len(corrected) == 1 and corrected[0] is conts[0]
 
     def test_cached_arrays_are_read_only(self, quad_sol):
         cont = quad_sol.continuum
@@ -366,6 +374,32 @@ class TestMemberGrids:
             assert np.array_equal(s.continuum.values, solve_R0(s.potential, grid=s.grid).values)
         with pytest.raises(ConfigError, match=r"^grid half-length 60.0 differs from the continuum's 40.0$"):
             s.continuum.on_grid(UniformGrid(60.0, 25600))
+
+    @pytest.mark.parametrize("which", ["quad", "hertz", "cubic"])
+    def test_member_arrays_are_solve_R0s(self, which, sweeps):
+        """Every member's R0, dphi(R0) and S0 are solve_R0's on its grid, bit for bit."""
+        if which == "cubic":
+            sols = continuation_sweep(polynomial_potential([0.0, 0.2, 0.3, 0.5]), [0.2, 0.1])
+        else:
+            sols = sweeps[which]
+        assert len({s.grid.N for s in sols}) > 1
+        for s in sols:
+            fresh = solve_R0(s.potential, grid=s.grid)
+            for name in ("values", "force", "slope"):
+                a = getattr(s.continuum, name)
+                assert a.tobytes() == getattr(fresh, name).tobytes(), name
+                assert a.flags.c_contiguous and not a.flags.writeable
+
+    def test_fifth_point_decimation_matches_solve_R0(self, quad):
+        """N 64000 -> 12800: an x that may differ from x[::5] in its last bit."""
+        sols = continuation_sweep(quad, [0.02, 0.1])
+        assert [s.grid.N for s in sols] == [64000, 12800]
+        member = sols[1].continuum
+        assert np.max(np.abs(member.grid.x - sols[0].grid.x[::5])) <= 1e-12
+        fresh = solve_R0(quad, grid=member.grid)
+        for name in ("values", "force", "slope"):
+            assert getattr(member, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert np.max(np.abs(sols[1].R - solve_front(quad, 0.1).R)) <= 1e-9
 
     def test_untagged_sweep_solves_its_tables_once(self, monkeypatch):
         from fput_fronts import continuum

@@ -158,6 +158,21 @@ class TestStepImex:
                 run(state, 200 * 50.0, 50.0, quad)
         assert str(ran.value) == str(stepped.value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_screen_sum_raises_without_a_warning(self, quad):
+        # finite strains near 1e305 grow until the screen's sum overflows
+        # before any entry does, and then the strains themselves: the step's
+        # NumericsError, with no RuntimeWarning on the way (none is ignored here)
+        r, v = np.full(400, 1e305), np.full(400, 1e304)
+        state = LatticeState(r=r, v=v, t=0.0, gamma=10.0, r_left=1e305, r_right=1e305)
+        with pytest.raises(NumericsError) as stepped:
+            for _ in range(200):
+                state = step_imex(state, 50.0, quad)
+        state = LatticeState(r=r, v=v, t=0.0, gamma=10.0, r_left=1e305, r_right=1e305)
+        with pytest.raises(NumericsError) as ran:
+            run(state, 200 * 50.0, 50.0, quad)
+        assert str(ran.value) == str(stepped.value) == "blow-up at t = 300: max |v| = 3.02e+305"
+
     def test_run_leaves_the_state_alone(self, quad, quad_sol):
         state = init_chain(400, quad_sol, 0.1)
         r, v = state.r.copy(), state.v.copy()

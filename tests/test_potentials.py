@@ -311,8 +311,10 @@ class TestHorner:
         rng = np.random.default_rng(seed)
         c = rng.normal(size=seed + 1)
         c[rng.random(c.size) < 0.3] = -0.0  # signed zero coefficients
+        # the strains a core gets are finite, +-0.0 or NaN (a Potential clips
+        # into its core first); at +-inf _horner may give +-inf, not NaN
         x = np.concatenate(
-            [rng.normal(scale=3.0, size=500), [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300]]
+            [rng.normal(scale=3.0, size=500), [0.0, -0.0, np.nan, -np.nan, 1e300, -1e300]]
         )
         x_before = x.copy()
         with np.errstate(invalid="ignore", over="ignore"):
@@ -342,6 +344,48 @@ class TestCoreOutput:
             assert not np.shares_memory(out, r)
             assert out.tobytes() == np.clip(r, lo, 1.0).tobytes()
             assert np.array([f(float(x)) for x in r]).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [0.0, 0.0, 1.0],
+            [-0.0, 0.5, -0.0],
+            [0.25, -0.0, 2.0, -0.0],
+            [1.0, -0.0, 0.0],
+            [0.0, -0.0],
+            [-0.0, -0.0],
+            [-0.0, -0.0, -0.0],
+            [-0.0],
+            [0.0],
+            [0.5],
+        ],
+    )
+    @pytest.mark.parametrize("lo", [-1.0, 0.0])
+    def test_polynomial_cores_are_polyval(self, coeffs, lo):
+        # at core strains, +-0.0 and NaN each law is polyval's of its own
+        # coefficients, bit for bit, on arrays and on floats; leading and
+        # inner signed-zero coefficients included
+        c = np.array(coeffs)
+        laws = {
+            "phi": npoly.polyint(c),
+            "dphi": c,
+            "d2phi": npoly.polyder(c) if c.size > 1 else np.zeros(1),
+        }
+        rng = np.random.default_rng(len(coeffs))
+        r = np.concatenate(
+            [
+                [lo, -0.0, 0.0, 5e-324, -5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nan, -np.nan],
+                rng.uniform(lo, 1.0, 200),
+            ]
+        )
+        if lo == 0.0:
+            r = r[~(r < 0.0)]
+        pot = polynomial_potential(coeffs, r_plus=lo, r_minus=1.0)
+        for name, law in laws.items():
+            f = getattr(pot, name)
+            ref = npoly.polyval(r, law)
+            assert f(r).tobytes() == ref.tobytes(), name
+            assert np.array([f(float(x)) for x in r]).tobytes() == ref.tobytes(), name
 
     @pytest.mark.parametrize(
         "core",
