@@ -411,13 +411,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class ContinuumSolution:
     """Dense continuum front with grid samples and tail extension.
 
-    ``rates`` are the tail rates (left, right) of ``decay_rates(potential)``;
-    ``values`` are R0 on the grid: the closed form's when ``front`` (a
-    power law's ``_PowerFront``) is given, the tables' otherwise, unless
-    ``on_grid`` passes them in as the same bits.  The
-    grid arrays that every front solve on this continuum needs are computed
-    once, on first use: ``force`` = dphi(R0), ``slope`` = S0 = -R0' and its
-    spectrum ``slope_hat``.  They and ``values`` are read-only.
+    ``rates`` are the tail rates (left, right) of ``decay_rates(potential)``.
+    The grid arrays that every front solve on this continuum needs are
+    computed once, on first use: ``values`` = R0 on the grid (the closed
+    form's when ``front``, a power law's ``_PowerFront``, is given, the
+    tables' otherwise), ``force`` = dphi(R0), ``slope`` = S0 = -R0' and its
+    spectrum ``slope_hat``.  They are read-only.
     """
 
     def __init__(
@@ -428,7 +427,6 @@ class ContinuumSolution:
         right_table: _DenseTable,
         rates: tuple[float, float],
         front: _PowerFront | None = None,
-        values: np.ndarray | None = None,
     ):
         self.potential = potential
         self.grid = grid
@@ -436,11 +434,6 @@ class ContinuumSolution:
         self._right_table = right_table  # dense R0 on [0, L]
         self.m_minus, self.m_plus = rates  # decay_rates(potential), for the tails
         self._front = front
-        self._qL = float(self._gap_table(np.array([-grid.L]))[0])
-        self._rL = float(self._right_table(np.array([grid.L]))[0])
-        if values is None:
-            values = self(grid.x) if front is None else front.profile(grid.x)
-        self.values = _read_only(values)
 
     @property
     def L(self) -> float:
@@ -452,27 +445,22 @@ class ContinuumSolution:
         Equal to ``solve_R0(potential, grid=grid)`` bitwise without solving
         the tables again; a grid of another half-length is a ``ConfigError``.
         When ``grid.x`` is every r-th point of this grid's ``x`` bit for bit,
-        as on a power-of-two decimation, ``values``, ``force`` and ``slope``
-        are contiguous copies of every r-th entry of this continuum's: the
-        same bits, since each is computed point by point.  On any other grid
-        they are evaluated afresh.
+        as on a power-of-two decimation, ``values`` and ``force`` are
+        contiguous copies of every r-th entry of this continuum's: the same
+        bits, since each is computed point by point, as is ``slope`` from
+        them.  On any other grid they are evaluated afresh.
         """
         if grid.L != self.L:
             raise ConfigError(f"grid half-length {grid.L} differs from the continuum's {self.L}")
         r = self.grid.N // grid.N
         every_rth = self.grid.N % grid.N == 0 and np.array_equal(grid.x, self.grid.x[::r])
+        rates = (self.m_minus, self.m_plus)
         sol = ContinuumSolution(
-            self.potential,
-            grid,
-            self._gap_table,
-            self._right_table,
-            (self.m_minus, self.m_plus),
-            self._front,
-            values=self.values[::r].copy() if every_rth else None,
+            self.potential, grid, self._gap_table, self._right_table, rates, self._front
         )
         if every_rth:  # filled in place of the cached properties' own evaluation
+            sol.values = _read_only(self.values[::r].copy())
             sol.force = _read_only(self.force[::r].copy())
-            sol.slope = _read_only(self.slope[::r].copy())
         return sol
 
     def gap(self, x):
@@ -488,6 +476,16 @@ class ContinuumSolution:
 
     def _gap_points(self, x):
         return _split(x, x <= 0.0, self._eval_gap, lambda v: 1.0 - self._eval_right(v))
+
+    @cached_property
+    def _qL(self) -> float:
+        """Q(-L), where the left tail starts."""
+        return float(self._gap_table(np.array([-self.grid.L]))[0])
+
+    @cached_property
+    def _rL(self) -> float:
+        """R0(L), where the right tail starts."""
+        return float(self._right_table(np.array([self.grid.L]))[0])
 
     def _eval_gap(self, x):
         """Q on x <= 0: dense output on [-L, 0], exponential tail beyond."""
@@ -508,6 +506,12 @@ class ContinuumSolution:
             self._right_table,
             lambda v: self._rL * np.exp(-self.m_plus * (v - L)),
         )
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """R0 on the grid."""
+        x = self.grid.x
+        return _read_only(self(x) if self._front is None else self._front.profile(x))
 
     @cached_property
     def force(self) -> np.ndarray:

@@ -349,9 +349,10 @@ def _horner(coeffs: tuple, x):
     those x the seed is ``coeffs[-1]`` itself (NaN at NaN), so the first
     step starts from ``x * coeffs[-1]``.  A -0.0 leading coefficient, whose
     seed takes the sign of x*0, and a constant keep the seed.  At +-inf
-    polyval gives NaN and this may give +-inf, but a ``Potential`` clips
-    every strain into its finite core.  One array updated in place, or
-    plain floats.
+    polyval gives NaN; this gives NaN for a constant or a +-0.0 leading
+    coefficient and the leading term's signed inf otherwise, but a
+    ``Potential`` clips every strain into its finite core.  One array
+    updated in place, or plain floats.
     """
     lead = coeffs[-1]
     if len(coeffs) == 1 or (lead == 0.0 and math.copysign(1.0, lead) < 0.0):

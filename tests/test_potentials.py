@@ -311,18 +311,30 @@ class TestHorner:
         rng = np.random.default_rng(seed)
         c = rng.normal(size=seed + 1)
         c[rng.random(c.size) < 0.3] = -0.0  # signed zero coefficients
-        # the strains a core gets are finite, +-0.0 or NaN (a Potential clips
-        # into its core first); at +-inf _horner may give +-inf, not NaN
         x = np.concatenate(
-            [rng.normal(scale=3.0, size=500), [0.0, -0.0, np.nan, -np.nan, 1e300, -1e300]]
+            [
+                rng.normal(scale=3.0, size=500),
+                [0.0, -0.0, np.nan, -np.nan, 1e300, -1e300, np.inf, -np.inf],
+            ]
         )
         x_before = x.copy()
         with np.errstate(invalid="ignore", over="ignore"):
             ref = npoly.polyval(x, c)
             out = _horner(tuple(map(float, c)), x)
             scalars = np.array([_horner(tuple(map(float, c)), float(v)) for v in x])
-        assert out.tobytes() == ref.tobytes()
-        assert scalars.tobytes() == ref.tobytes()
+        # arrays and floats agree everywhere, +-inf included
+        assert scalars.tobytes() == out.tobytes()
+        # polyval's bits at every strain a core gets: finite, +-0.0 and NaN
+        core = ~np.isinf(x)
+        assert out[core].tobytes() == ref[core].tobytes()
+        # at +-inf polyval gives NaN; _horner gives NaN for a constant or a
+        # zero leading coefficient, else the leading term's signed inf
+        deg = c.size - 1
+        for v, y in zip(x[~core], out[~core]):
+            if deg == 0 or c[-1] == 0.0:
+                assert np.isnan(y)
+            else:
+                assert y == np.copysign(np.inf, c[-1] * np.sign(v) ** deg)
         assert x.tobytes() == x_before.tobytes()
 
 
