@@ -440,9 +440,8 @@ def ode(cfg, out):
     """Solve the continuum front R' + R = dphi(R) and write its profile."""
     potential = cfg["potential"]
     cont = solve_R0(potential, grid=cfg["grid"])
-    S = cont.slope_profile()
     out_path = _out_dir(out)
-    write_profile_csv(out_path / "R0_profile.csv", cont.grid.x, cont.values, S)
+    write_profile_csv(out_path / "R0_profile.csv", cont.grid.x, cont.values, cont.slope)
     write_json(
         out_path / "ode_report.json",
         {

@@ -530,10 +530,6 @@ class ContinuumSolution:
         """The rfft of ``slope``."""
         return _read_only(np.fft.rfft(self.slope))
 
-    def slope_profile(self) -> np.ndarray:
-        """S0 on the grid: ``slope``."""
-        return self.slope
-
     def tent_defect(self, eps: float, grid: UniformGrid | None = None) -> np.ndarray:
         """R0 - Lambda_eps * R0 on a grid inside [-L, L], exact on the segments.
 

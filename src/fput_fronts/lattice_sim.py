@@ -1,24 +1,30 @@
-"""Time integration of the damped chain in relative displacements.
+"""Time integration of the damped chain in particle velocities.
 
-The chain evolves r_n'' = (Delta dphi(r))_n + gamma (Delta r')_n with
-Dirichlet ghost values r_0 = r_minus, r_{M+1} = r_plus and zero velocity
-ghosts.  The stiff damping term (gamma = 1/eps is large) is treated
-implicitly: each step solves a tridiagonal system for the new velocities
-and then updates r explicitly.  The damping matrix I + dt gamma L is
-constant, so it is LDL^T-factored once per run (LAPACK ``dpttrf``) and each
-step only back-substitutes (``dpttrs``).  Fronts initialized from a solved
-profile should travel at unit speed; the crossing position of the 1/2 level
-is tracked every step so the speed can be fitted afterwards.
+Particles with velocities w are joined by springs whose strains r move as
+r' = D w, (D q)_j = q_{j+1} - q_j.  Each particle feels its two springs'
+forces f = dphi(r) and a damping gamma of its two velocity differences:
+w' = g - gamma D^T D w with g_1 = f_1 - f_left, g_j = f_j - f_{j-1} and
+g_last = f_right - f_last, where f_left and f_right are forces from outside
+the chain.  One step (``_advance``) treats the stiff damping (gamma = 1/eps
+is large) implicitly: it solves (I + dt gamma D^T D) w+ = w + dt g, then
+sets r+ = r + dt D w+.  The matrix is constant, so it is LDL^T-factored once
+per run (LAPACK ``dpttrf``) and each step only back-substitutes (``dpttrs``).
 
-A separate free-end integrator works in particle-velocity form (u are
-particle velocities, r the M-1 spring strains).  There the discrete
-energy sum(u^2)/2 + sum(Phi(r)) dissipates exactly through the damping
-term, which gives a sharp per-step check of the integrator.
+The Dirichlet chain (``LatticeState``, ``run``) has M strains, M + 1
+particles and ghost strains r_left, r_right whose forces are the boundary
+forces; its strain velocities v = D w follow the strain scheme
+v' = Delta dphi(r) + gamma Delta v.  A front seeded from a solved profile
+should travel at unit speed; the 1/2 level crossing is tracked every step
+so the speed can be fitted.  The free chain (``run_free_chain``) has zero
+boundary forces, and its energy sum(w^2)/2 + sum(Phi(r)) dissipates
+exactly, a sharp per-step check of the step; in the Dirichlet chain the
+boundary work dt (f_right w+_last - f_left w+_1) adds to that energy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,10 +40,10 @@ LEVEL = 0.5
 
 @dataclass
 class LatticeState:
-    """Chain state in relative displacements with Dirichlet ghosts."""
+    """Dirichlet chain: M strains r, M + 1 particle velocities w, ghost strains."""
 
     r: np.ndarray
-    v: np.ndarray
+    w: np.ndarray
     t: float
     gamma: float
     r_left: float = 1.0
@@ -45,12 +51,12 @@ class LatticeState:
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.r.shape != self.v.shape or self.r.ndim != 1:
-            raise ConfigError("r and v must be 1-d arrays of equal length")
+        self.w = np.asarray(self.w, dtype=float)
+        if self.r.ndim != 1 or self.w.shape != (self.r.size + 1,):
+            raise ConfigError("r and w must be 1-d arrays of M and M + 1 entries")
         if self.r.size < 200:
             raise ConfigError(f"chain too short: M = {self.r.size} < 200")
-        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.v))):
+        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.w))):
             raise ConfigError("non-finite initial state")
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ConfigError("gamma must be positive and finite")
@@ -58,6 +64,11 @@ class LatticeState:
     @property
     def M(self) -> int:
         return self.r.size
+
+    @property
+    def v(self) -> np.ndarray:
+        """Strain velocities D w, a new array on each access."""
+        return np.diff(self.w)
 
 
 def default_dt(potential: Potential) -> float:
@@ -77,60 +88,45 @@ def init_chain(
 ) -> LatticeState:
     """Initial state from either a solved front or a sharp step.
 
-    Front source (normalized defaults): r_n = R(eps (n - M // 2)),
-    v_n = eps S at the same points (the traveling-wave time derivative at
-    unit speed).  Outside the stored profile the tails are clamped to the
-    asymptotic values.  For an unnormalized chain pass the raw far fields
-    and the jump-condition speed c: the profile is scaled affinely,
-    v picks up the factor (r_minus - r_plus) c, and gamma = c / eps keeps
-    the physical damping consistent with the time rescaling t -> c t.
-    Step source jumps from r_minus to r_plus at site M // 2 with zero
-    velocities (the ghosts follow the far fields in both cases).
+    Front source (normalized defaults): r_n = R(eps (n - M // 2)), with
+    strain velocities v_n = eps S at the same points (the traveling-wave time
+    derivative at unit speed) and the last particle at rest, so the
+    particle velocities are w_j = -(v_j + ... + v_M).  Outside the stored
+    profile the tails are clamped to the asymptotic values.  For an
+    unnormalized chain pass the raw far fields and the jump-condition speed
+    c: the profile is scaled affinely, v picks up the factor
+    (r_minus - r_plus) c, and gamma = c / eps keeps the physical damping
+    consistent with the time rescaling t -> c t.  Step source jumps from
+    r_minus to r_plus at site M // 2 with every particle at rest (the ghosts
+    follow the far fields in both cases).
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    if c <= 0:
-        raise ConfigError("front speed must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ConfigError("eps must be positive and finite")
+    if not (c > 0 and math.isfinite(c)):
+        raise ConfigError("front speed must be positive and finite")
     n = np.arange(1, M + 1)
     n_center = M // 2
-    scale = r_minus - r_plus
+    w = np.zeros(n.size + 1)
     if isinstance(source, FrontSolution):
         x = eps * (n - n_center).astype(float)
         r = _front_strains(source, x, r_minus, r_plus)
-        v = scale * eps * c * np.interp(x, source.grid.x, source.S, left=0.0, right=0.0)
-        return LatticeState(
-            r=r, v=v, t=0.0, gamma=c / eps, r_left=r_minus, r_right=r_plus
-        )
-    if source == "step":
+        v = (r_minus - r_plus) * eps * c * np.interp(x, source.grid.x, source.S, left=0.0, right=0.0)
+        w[:-1] = -np.cumsum(v[::-1])[::-1]
+    elif source == "step":
         r = np.where(n < n_center, r_minus, r_plus).astype(float)
-        v = np.zeros_like(r)
-        return LatticeState(
-            r=r, v=v, t=0.0, gamma=c / eps, r_left=r_minus, r_right=r_plus
-        )
-    raise ConfigError(f"unknown chain source {source!r}")
+    else:
+        raise ConfigError(f"unknown chain source {source!r}")
+    return LatticeState(r=r, w=w, t=0.0, gamma=c / eps, r_left=r_minus, r_right=r_plus)
 
 
-def _laplacian(w: np.ndarray, left: float, right: float, out: np.ndarray) -> np.ndarray:
-    """Write the Dirichlet Laplacian of w into ``out`` (not w) and return it."""
-    mid = out[1:-1]
-    np.multiply(w[1:-1], 2.0, out=mid)
-    np.subtract(w[:-2], mid, out=mid)
-    np.add(mid, w[2:], out=mid)
-    out[0] = left - 2.0 * w[0] + w[1]
-    out[-1] = w[-2] - 2.0 * w[-1] + right
-    return out
+def _damping_factor(n: int, c: float):
+    """LDL^T factor of the SPD tridiagonal I + c D^T D on n particles, for ``solve_banded``.
 
-
-def _damping_factor(M: int, c: float, free_ends: bool = False):
-    """LDL^T factor of the SPD tridiagonal I + c L, for ``solve_banded``.
-
-    L is the negative Dirichlet Laplacian (diagonal 2, off-diagonals -1) or,
-    with ``free_ends``, D^T D for the forward difference D (corner entries 1).
+    D^T D has diagonal 2, corner entries 1 and off-diagonals -1.
     """
-    diag = np.full(M, 1.0 + 2.0 * c)
-    if free_ends:
-        diag[0] = diag[-1] = 1.0 + c
-    d, e, info = dpttrf(diag, np.full(M - 1, -c))
+    diag = np.full(n, 1.0 + 2.0 * c)
+    diag[0] = diag[-1] = 1.0 + c
+    d, e, info = dpttrf(diag, np.full(n - 1, -c))
     if info != 0:
         raise NumericsError(f"damping matrix not positive definite (dpttrf info = {info})")
     return d, e
@@ -153,52 +149,61 @@ def _all_finite(x: np.ndarray) -> bool:
 
 
 # the floating-point state that steps run in, entered once per call of run
-# (around its whole step loop) or of step_imex: an
+# or run_free_chain (around its whole step loop) or of step_imex: an
 # overflow or invalid result is a non-finite value, which the step's screen
 # turns into its NumericsError, so it is not also warned about
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
-def _advance(r, v, t, dt, potential, factor, f_left, f_right, work, out):
-    """One IMEX step on arrays from time t; f_left/f_right are the ghost forces.
+def _advance(r, w, t, dt, potential, factor, f_left, f_right, work, out):
+    """One step from time t of strains r and particle velocities w.
 
-    ``work`` and ``out`` are arrays of r's size, neither of them r: the step
-    overwrites ``work`` and writes the new strains into ``out``, so the solve's
-    output (the new velocities) is the only array it allocates.
+    f_left/f_right are the boundary forces.  ``work`` (w's size) and ``out``
+    (r's size, not r) are overwritten, ``out`` with the new strains, so the
+    solve's output (the new w) is the only array the step allocates.
     """
-    rhs = _laplacian(potential.dphi(r), f_left, f_right, work)
-    np.multiply(rhs, dt, out=rhs)
-    np.add(v, rhs, out=rhs)
-    v_new = solve_banded(factor, rhs)
-    np.multiply(v_new, dt, out=out)
-    np.add(r, out, out=out)  # r + dt * v_new
-    # one screen covers both arrays: a non-finite entry of rhs carries through
-    # the solve into v_new and so into r_new.  The message is the one of the
-    # first array that is not finite
+    f = potential.dphi(r)
+    np.subtract(f[1:], f[:-1], out=work[1:-1])
+    work[0] = f[0] - f_left
+    work[-1] = f_right - f[-1]
+    np.multiply(work, dt, out=work)
+    np.add(w, work, out=work)  # w + dt g
+    w_new = solve_banded(factor, work)
+    np.subtract(w_new[1:], w_new[:-1], out=out)  # D w+, as np.diff forms it
+    np.multiply(out, dt, out=out)
+    np.add(r, out, out=out)  # r + dt D w+
+    # one screen covers both arrays: a non-finite entry of the right-hand
+    # side carries through the solve into w_new and so into r_new.  The
+    # message is the one of the first array that is not finite
     if not _all_finite(out):
-        bad = v if not _all_finite(rhs) else v_new
+        bad = w if not _all_finite(work) else w_new
         raise NumericsError(
-            f"blow-up at t = {t + dt:.4g}: max |v| = {np.max(np.abs(bad)):.3g}"
+            f"blow-up at t = {t + dt:.4g}: max |w| = {np.max(np.abs(bad)):.3g}"
         )
-    return out, v_new
+    return out, w_new
 
 
 def _ghost_forces(state: LatticeState, potential: Potential) -> tuple[float, float]:
     return float(potential.dphi(state.r_left)), float(potential.dphi(state.r_right))
 
 
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def step_imex(state: LatticeState, dt: float, potential: Potential) -> LatticeState:
     """One semi-implicit step: implicit damping, explicit nonlinear force."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ConfigError("dt must be positive and finite")
-    factor = _damping_factor(state.M, dt * state.gamma)
+    factor = _damping_factor(state.M + 1, dt * state.gamma)
     f_left, f_right = _ghost_forces(state, potential)
     with np.errstate(**_QUIET):
-        r, v = _advance(
-            state.r, state.v, state.t, dt, potential, factor, f_left, f_right,
-            np.empty(state.M), np.empty(state.M),
+        r, w = _advance(
+            state.r, state.w, state.t, dt, potential, factor, f_left, f_right,
+            np.empty(state.M + 1), np.empty(state.M),
         )
-    return replace(state, r=r, v=v, t=state.t + dt)
+    return replace(state, r=r, w=w, t=state.t + dt)
 
 
 def crossing_position(r: np.ndarray, level: float = LEVEL) -> float | None:
@@ -251,6 +256,7 @@ def run(
     """
     if not (T > 0 and dt > 0 and math.isfinite(T) and math.isfinite(dt)):
         raise ConfigError("T and dt must be positive and finite")
+    _require_integer("output_every", output_every)
     if output_every < 1:
         raise ConfigError(f"output_every must be at least 1, got {output_every}")
     steps = float(T) / float(dt)  # Python floats: an overflow is inf, not a warning
@@ -268,15 +274,15 @@ def run(
         ct.append(state.t)
         cp.append(c0)
     mono = monotone_defect(state.r)
-    factor = _damping_factor(state.M, dt * state.gamma)
+    factor = _damping_factor(state.M + 1, dt * state.gamma)
     f_left, f_right = _ghost_forces(state, potential)
-    work = np.empty(state.M)
+    work = np.empty(state.M + 1)
     # the new strains go to the buffer that does not hold r, never to state.r
     bufs = (np.empty(state.M), np.empty(state.M))
-    r, v, t = state.r, state.v, state.t
+    r, w, t = state.r, state.w, state.t
     with np.errstate(**_QUIET):
         for step in range(1, n_steps + 1):
-            r, v = _advance(r, v, t, dt, potential, factor, f_left, f_right, work, bufs[step & 1])
+            r, w = _advance(r, w, t, dt, potential, factor, f_left, f_right, work, bufs[step & 1])
             t = t + dt
             c = crossing_position(r, level)
             if c is not None:
@@ -293,7 +299,7 @@ def run(
         crossing_positions=np.array(cp),
         dt=dt,
         eps=eps,
-        final_state=replace(state, r=r, v=v, t=t),
+        final_state=replace(state, r=r, w=w, t=t),
         monotone_defect=mono,
     )
 
@@ -450,49 +456,43 @@ def run_free_chain(
     n_steps: int,
     potential: Potential,
 ) -> FreeChainTrace:
-    """Free-end chain in particle velocities u (size M) and strains r (M-1).
+    """Free-end chain: particle velocities u (size M), strains r (M-1).
 
-    Step: (I + dt gamma D^T D) u+ = u - dt D^T dphi(r), then r+ = r + dt D u+,
-    with (D q)_n = q_{n+1} - q_n.  Energy sum(u^2)/2 + sum(Phi(r)) is
-    non-increasing: the force term is skew in the (u, r) pairing and the
-    damping contributes -gamma |D u+|^2.  A non-positive dt or gamma, a
-    negative ``n_steps`` or a non-finite dt, gamma or initial state is a
-    ``ConfigError``; an energy that stops being finite raises
+    The step is the Dirichlet chain's with zero boundary forces:
+    (I + dt gamma D^T D) u+ = u - dt D^T dphi(r), then r+ = r + dt D u+.
+    Energy sum(u^2)/2 + sum(Phi(r)) is non-increasing: the force term is
+    skew in the (u, r) pairing and the damping contributes -gamma |D u+|^2.
+    A non-positive dt or gamma, an ``n_steps`` that is negative or not an
+    integer, or a non-finite dt, gamma or initial state is a
+    ``ConfigError``; strains or an energy that stop being finite raise
     ``NumericsError``.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ConfigError("dt must be positive and finite")
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ConfigError("gamma must be positive and finite")
+    _require_integer("n_steps", n_steps)
     if n_steps < 0:
         raise ConfigError(f"n_steps must be non-negative, got {n_steps}")
-    u = np.array(u0, dtype=float)
-    r = np.array(r0, dtype=float)
+    u = np.asarray(u0, dtype=float)
+    r = np.asarray(r0, dtype=float)
     M = u.size
     if r.size != M - 1:
         raise ConfigError("free chain needs M velocities and M-1 strains")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(r))):
         raise ConfigError("non-finite initial state")
-    factor = _damping_factor(M, dt * gamma, free_ends=True)
-    work = np.empty(M)  # D^T dphi(r), then the solve's right-hand side, then u^2
-    du = np.empty(M - 1)
+    factor = _damping_factor(M, dt * gamma)
+    work = np.empty(M)  # the step's right-hand side, then u^2
+    bufs = (np.empty(M - 1), np.empty(M - 1))
 
     energies = [float(np.sum(u**2) / 2 + np.sum(potential.phi(r)))]
     times = [0.0]
-    for s in range(1, n_steps + 1):
-        f = potential.dphi(r)
-        work[0] = -f[0]  # D^T: (M-1,) -> (M,)
-        np.subtract(f[:-1], f[1:], out=work[1:-1])
-        work[-1] = f[-1]
-        np.multiply(work, dt, out=work)
-        np.subtract(u, work, out=work)  # u - dt D^T dphi(r)
-        u = solve_banded(factor, work)
-        np.subtract(u[1:], u[:-1], out=du)  # D u, as np.diff forms it
-        np.multiply(du, dt, out=du)
-        np.add(r, du, out=r)  # r + dt D u
-        energy = float(np.sum(np.square(u, out=work)) / 2 + np.sum(potential.phi(r)))
-        if not math.isfinite(energy):
-            raise NumericsError(f"blow-up at t = {s * dt:.4g}: energy {energy}")
-        energies.append(energy)
-        times.append(s * dt)
+    with np.errstate(**_QUIET):
+        for s in range(1, n_steps + 1):
+            r, u = _advance(r, u, (s - 1) * dt, dt, potential, factor, 0.0, 0.0, work, bufs[s & 1])
+            energy = float(np.sum(np.square(u, out=work)) / 2 + np.sum(potential.phi(r)))
+            if not math.isfinite(energy):
+                raise NumericsError(f"blow-up at t = {s * dt:.4g}: energy {energy}")
+            energies.append(energy)
+            times.append(s * dt)
     return FreeChainTrace(energies=np.array(energies), times=np.array(times))

@@ -3,8 +3,10 @@
 ``kernel_physical`` samples the fixed-point kernels in physical space from
 their symbols; ``position_of_level`` inverts the continuum front by
 quadrature, with no ODE integrator.  The lattice references write the
-integrators' arithmetic out plainly, one new array per operation:
-``imex_steps`` and ``free_chain_energies`` step the chains, and
+integrators' arithmetic out plainly, one new array per operation, each
+with its own LAPACK factor: ``particle_steps`` and ``free_chain_energies``
+step the chains as the package does, ``imex_steps`` steps the Dirichlet
+chain in the other variables (the strain scheme), and
 ``profile_distances`` compares a trajectory with the front at every site
 for every shift.
 """
@@ -15,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import minimize_scalar
 
 from fput_fronts.errors import ConfigError, NumericsError
 from fput_fronts.grids import UniformGrid, grid_for, max_spacing, require_bandwidth
-from fput_fronts.lattice_sim import _damping_factor, crossing_position, solve_banded
+from fput_fronts.lattice_sim import crossing_position
 from fput_fronts.potentials import Potential
 from fput_fronts.spectral import _check_eps_mu, symbol_a
 
@@ -111,10 +114,46 @@ def profile_distances(traj, sol) -> np.ndarray:
     return out
 
 
+def _factor(diag, c: float):
+    """LDL^T factor of the tridiagonal with diagonal ``diag`` and off-diagonals -c."""
+    return dpttrf(diag, np.full(diag.size - 1, -c))[:2]
+
+
+def _solve(factor, rhs):
+    return dpttrs(*factor, rhs)[0]
+
+
+def _free_end_factor(n: int, c: float):
+    """I + c D^T D on n particles: diagonal 1 + 2c, corner entries 1 + c."""
+    diag = np.full(n, 1.0 + 2.0 * c)
+    diag[0] = diag[-1] = 1.0 + c
+    return _factor(diag, c)
+
+
+def particle_steps(state, dt: float, n_steps: int, potential: Potential):
+    """Strains and particle velocities after ``n_steps`` steps of the Dirichlet chain."""
+    factor = _free_end_factor(state.M + 1, dt * state.gamma)
+    f_left, f_right = float(potential.dphi(state.r_left)), float(potential.dphi(state.r_right))
+    r, w = state.r, state.w
+    for _ in range(n_steps):
+        f = potential.dphi(r)
+        g = np.concatenate([[f[0] - f_left], f[1:] - f[:-1], [f_right - f[-1]]])
+        w = _solve(factor, w + dt * g)
+        r = r + dt * np.diff(w)
+    return r, w
+
+
 def imex_steps(state, dt: float, n_steps: int, potential: Potential):
-    """Strains and velocities after ``n_steps`` IMEX steps of the damped chain."""
+    """Strains and strain velocities after ``n_steps`` steps of the strain scheme.
+
+    The scheme v' = Delta dphi(r) + gamma Delta v with Dirichlet ghosts,
+    stepped as (I + dt gamma L) v+ = v + dt Delta dphi(r), r+ = r + dt v+
+    with L = -Delta: the particle step under D, so it agrees with it to
+    rounding, not bit for bit.
+    """
     M = state.r.size
-    factor = _damping_factor(M, dt * state.gamma)
+    c = dt * state.gamma
+    factor = _factor(np.full(M, 1.0 + 2.0 * c), c)
     f_left, f_right = float(potential.dphi(state.r_left)), float(potential.dphi(state.r_right))
     r, v = state.r, state.v
     for _ in range(n_steps):
@@ -123,20 +162,19 @@ def imex_steps(state, dt: float, n_steps: int, potential: Potential):
         lap[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
         lap[0] = f_left - 2.0 * f[0] + f[1]
         lap[-1] = f[-2] - 2.0 * f[-1] + f_right
-        v = solve_banded(factor, v + dt * lap)
+        v = _solve(factor, v + dt * lap)
         r = r + dt * v
     return r, v
 
 
 def free_chain_energies(u, r, gamma: float, dt: float, n_steps: int, potential: Potential):
     """Energies of the free-end chain in particle velocities, step by step."""
-    M = u.size
-    factor = _damping_factor(M, dt * gamma, free_ends=True)
+    factor = _free_end_factor(u.size, dt * gamma)
     energies = [float(np.sum(u**2) / 2 + np.sum(potential.phi(r)))]
     for _ in range(n_steps):
         f = potential.dphi(r)
         dT = np.concatenate([[-f[0]], f[:-1] - f[1:], [f[-1]]])
-        u = solve_banded(factor, u - dt * dT)
+        u = _solve(factor, u - dt * dT)
         r = r + dt * np.diff(u)
         energies.append(float(np.sum(u**2) / 2 + np.sum(potential.phi(r))))
     return np.array(energies)

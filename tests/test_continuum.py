@@ -322,7 +322,7 @@ class TestLinearization:
         assert abs(P[-1] - pot.p_plus) <= 1e-6
 
     def test_slope_profile_positive(self, hertz_solution):
-        S0 = hertz_solution.slope_profile()
+        S0 = hertz_solution.slope
         assert np.all(S0 >= 0)
         assert np.trapezoid(S0, dx=hertz_solution.grid.h) == pytest.approx(1.0, abs=1e-6)
 

@@ -126,7 +126,7 @@ class TestBackgroundTerm:
 
     def test_non_finite_ends_are_numerical_failures(self, quad, monkeypatch):
         cont = solve_R0(quad, grid=solver_grid(quad, 0.1))
-        S0 = cont.slope_profile().copy()
+        S0 = cont.slope.copy()
         S0[cont.grid.N // 2] = np.nan  # the FFT spreads it to both ends
         monkeypatch.setattr(cont, "slope_hat", np.fft.rfft(S0))
         with pytest.raises(NumericsError, match="has not settled"):
@@ -200,7 +200,7 @@ class TestSolverContract:
         assert sol.iterations == 0
         assert np.all(sol.W == 0.0)
         assert np.array_equal(sol.R, sol.continuum.values)
-        assert np.max(np.abs(sol.S - sol.continuum.slope_profile())) <= 1e-15
+        assert np.max(np.abs(sol.S - sol.continuum.slope)) <= 1e-15
         exact = 1.0 / (1.0 + np.exp(sol.grid.x))
         assert np.max(np.abs(sol.R - exact)) <= 1e-9
 
@@ -284,7 +284,6 @@ class TestR0OnlyWork:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
-        assert cont.slope_profile() is cont.slope
         assert np.array_equal(cont.force, quad_sol.potential.dphi(cont.values))
         assert np.array_equal(cont.slope, -(cont.force - cont.values))
         assert np.array_equal(cont.slope_hat, np.fft.rfft(cont.slope))
@@ -697,7 +696,7 @@ class TestLeadingCorrector:
         for s in sweeps[which]:  # W2 of each member's own continuum
             W2 = leading_corrector(s.continuum)
             W2p = spectral_derivative(W2, s.grid)
-            S0 = s.continuum.slope_profile()
+            S0 = s.continuum.slope
             ratios.append(_h1(s.W - s.eps**2 * W2, S0 - s.S - s.eps**2 * W2p, s.grid.h) / s.eps**4)
         ratios = np.array(ratios)
         assert np.all(ratios <= 0.1 * W2_H1[which])

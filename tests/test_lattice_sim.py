@@ -27,7 +27,7 @@ from fput_fronts.lattice_sim import (
     step_imex,
 )
 from fput_fronts.lattice_sim import _tail_bound, _window_edges
-from oracles import free_chain_energies, imex_steps
+from oracles import free_chain_energies, imex_steps, particle_steps
 from oracles import profile_distances as reference_distances
 
 
@@ -74,11 +74,12 @@ class TestInitChain:
         assert state.gamma == 10.0
         assert np.min(state.v) >= -1e-8  # slope positivity up to solver tolerance
         assert np.max(state.v) > 0.0
+        assert state.w.size == 2001 and state.w[-1] == 0.0  # at rest ahead of the front
 
     def test_step_source_is_heaviside(self):
         state = init_chain(400, "step", 0.1)
         assert set(np.unique(state.r)) == {0.0, 1.0}
-        assert np.all(state.v == 0.0)
+        assert state.w.size == 401 and np.all(state.w == 0.0)
 
     @pytest.mark.parametrize("M", [150, -1])
     @pytest.mark.parametrize("source", ["front", "step"])
@@ -95,18 +96,44 @@ class TestInitChain:
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
     def test_gamma_must_be_positive_and_finite(self, gamma):
         with pytest.raises(ConfigError, match=r"^gamma must be positive and finite$"):
-            LatticeState(r=np.full(400, 0.5), v=np.zeros(400), t=0.0, gamma=gamma)
+            LatticeState(r=np.full(400, 0.5), w=np.zeros(401), t=0.0, gamma=gamma)
+
+    @pytest.mark.parametrize("w_size", [400, 402])
+    def test_w_has_one_more_entry_than_r(self, w_size):
+        with pytest.raises(ConfigError, match=r"^r and w must be 1-d arrays of M and M \+ 1 entries$"):
+            LatticeState(r=np.full(400, 0.5), w=np.zeros(w_size), t=0.0, gamma=10.0)
+
+    def test_v_is_the_difference_of_w(self):
+        w = np.random.default_rng(2).uniform(-1.0, 1.0, 401)
+        state = LatticeState(r=np.full(400, 0.5), w=w, t=0.0, gamma=10.0)
+        assert state.v.tobytes() == np.diff(w).tobytes()
+        with pytest.raises(AttributeError):
+            state.v = np.zeros(400)
+
+    BAD_POSITIVE = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", BAD_POSITIVE)
+    @pytest.mark.parametrize("source", ["front", "step"])
+    @pytest.mark.parametrize(
+        "which, message",
+        [("eps", "eps must be positive and finite"), ("c", "front speed must be positive and finite")],
+    )
+    def test_eps_and_speed_must_be_positive_and_finite(self, quad_sol, source, which, message, bad):
+        args = {"eps": 0.1, "c": 1.0, which: bad}
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            init_chain(400, quad_sol if source == "front" else source, **args)
 
 
 class TestStepImex:
     def test_uniform_state_is_fixed_point(self, quad):
         state = LatticeState(
-            r=np.full(400, 0.3), v=np.zeros(400), t=0.0, gamma=10.0,
+            r=np.full(400, 0.3), w=np.zeros(401), t=0.0, gamma=10.0,
             r_left=0.3, r_right=0.3,
         )
         after = step_imex(state, 0.05, quad)
         assert np.array_equal(after.r, state.r)
-        assert np.array_equal(after.v, state.v)
+        assert np.array_equal(after.w, state.w)
 
     def test_first_order_in_dt(self, quad, quad_sol):
         finals = []
@@ -125,7 +152,7 @@ class TestStepImex:
         # the integrator must convert that to its own error
         r = np.where(np.arange(400) < 200, 1e250, 0.0)
         state = LatticeState(
-            r=r, v=np.zeros(400), t=0.0, gamma=10.0, r_left=1e250, r_right=0.0
+            r=r, w=np.zeros(401), t=0.0, gamma=10.0, r_left=1e250, r_right=0.0
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericsError, match="blow-up"):
@@ -134,50 +161,56 @@ class TestStepImex:
 
     # a strain step whose force overflows (the right-hand side stops being
     # finite first), and a uniform chain whose forces cancel but whose new
-    # strains overflow (the velocities are finite, r + dt v is not)
+    # strains overflow: at gamma 1e-3 the step in w barely spreads, so the
+    # new velocities stay finite and r + dt D w does not
     BLOW_UPS = {
-        "force": (np.where(np.arange(400) < 200, 1e250, 0.0), np.zeros(400), 1e250, 0.0),
-        "strain": (np.full(400, 4e307), np.full(400, 1e307), 4e307, 4e307),
+        "force": (np.where(np.arange(400) < 200, 1e250, 0.0), np.zeros(401), 1e250, 0.0, 10.0),
+        "strain": (np.full(400, 4e307), np.where(np.arange(401) < 200, 0.0, 1e307), 4e307, 4e307, 1e-3),
     }
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", BLOW_UPS)
     def test_run_blows_up_as_the_step_loop(self, quad, case):
         # a right-hand side that is not finite reports the velocities the
-        # step started from, finite new strains the new velocities
-        r, v, r_left, r_right = self.BLOW_UPS[case]
-        state = LatticeState(r=r, v=v, t=0.0, gamma=10.0, r_left=r_left, r_right=r_right)
+        # step started from, finite new strains the new velocities.  Those
+        # are averages of the first step's w (the solve's inverse is
+        # positive with unit row sums) and reach its maximum far from the step
+        r, w, r_left, r_right, gamma = self.BLOW_UPS[case]
+        state = LatticeState(r=r, w=w, t=0.0, gamma=gamma, r_left=r_left, r_right=r_right)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericsError) as stepped:
                 for _ in range(200):
                     state = step_imex(state, 50.0, quad)
-            v_max = np.max(np.abs(state.v)) if case == "force" else np.inf
-            assert str(stepped.value) == f"blow-up at t = {state.t + 50.0:.4g}: max |v| = {v_max:.3g}"
-            state = LatticeState(r=r, v=v, t=0.0, gamma=10.0, r_left=r_left, r_right=r_right)
+            if case == "strain":
+                assert state.t == 0.0
+            w_max = np.max(np.abs(state.w))
+            assert str(stepped.value) == f"blow-up at t = {state.t + 50.0:.4g}: max |w| = {w_max:.3g}"
+            state = LatticeState(r=r, w=w, t=0.0, gamma=gamma, r_left=r_left, r_right=r_right)
             with pytest.raises(NumericsError) as ran:
                 run(state, 200 * 50.0, 50.0, quad)
         assert str(ran.value) == str(stepped.value)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_screen_sum_raises_without_a_warning(self, quad):
-        # finite strains near 1e305 grow until the screen's sum overflows
-        # before any entry does, and then the strains themselves: the step's
-        # NumericsError, with no RuntimeWarning on the way (none is ignored here)
-        r, v = np.full(400, 1e305), np.full(400, 1e304)
-        state = LatticeState(r=r, v=v, t=0.0, gamma=10.0, r_left=1e305, r_right=1e305)
+        # finite strains near 1e305 (D w = 1e304 at every spring) grow: the
+        # screen's sum overflows from the first step on, before any entry
+        # does, and then the solve's output: the step's NumericsError, with no
+        # RuntimeWarning on the way (none is ignored here)
+        r, w = np.full(400, 1e305), 1e304 * np.arange(401)
+        state = LatticeState(r=r, w=w, t=0.0, gamma=10.0, r_left=1e305, r_right=1e305)
         with pytest.raises(NumericsError) as stepped:
             for _ in range(200):
                 state = step_imex(state, 50.0, quad)
-        state = LatticeState(r=r, v=v, t=0.0, gamma=10.0, r_left=1e305, r_right=1e305)
+        state = LatticeState(r=r, w=w, t=0.0, gamma=10.0, r_left=1e305, r_right=1e305)
         with pytest.raises(NumericsError) as ran:
             run(state, 200 * 50.0, 50.0, quad)
-        assert str(ran.value) == str(stepped.value) == "blow-up at t = 300: max |v| = 3.02e+305"
+        assert str(ran.value) == str(stepped.value) == "blow-up at t = 250: max |w| = inf"
 
     def test_run_leaves_the_state_alone(self, quad, quad_sol):
         state = init_chain(400, quad_sol, 0.1)
-        r, v = state.r.copy(), state.v.copy()
+        r, w = state.r.copy(), state.w.copy()
         traj = run(state, 2.0, 0.05, quad)
-        assert state.r.tobytes() == r.tobytes() and state.v.tobytes() == v.tobytes()
+        assert state.r.tobytes() == r.tobytes() and state.w.tobytes() == w.tobytes()
         assert traj.snapshots[0].tobytes() == r.tobytes()
         assert not np.shares_memory(traj.final_state.r, state.r)
 
@@ -193,7 +226,7 @@ class TestStepImex:
         final = stepped[-1]
         assert traj.final_state.t == final.t
         assert traj.final_state.r.tobytes() == final.r.tobytes()
-        assert traj.final_state.v.tobytes() == final.v.tobytes()
+        assert traj.final_state.w.tobytes() == final.w.tobytes()
         # every state has a crossing, so the track has one entry per state
         track = np.array([crossing_position(s.r) for s in stepped])
         assert traj.crossing_positions.tobytes() == track.tobytes()
@@ -203,13 +236,34 @@ class TestStepImex:
         state = init_chain(400, quad_sol, 0.1)
         state.r = state.r + 1e-6 * np.random.default_rng(5).uniform(-1.0, 1.0, 400)
         final = run(state, 2.0, 0.05, quad).final_state
+        r, w = particle_steps(state, 0.05, 40, quad)
+        assert final.r.tobytes() == r.tobytes() and final.w.tobytes() == w.tobytes()
+
+    def test_run_matches_the_strain_scheme(self, quad, quad_sol):
+        # the strain velocities v = D w step as v' = Delta dphi(r) + gamma Delta v
+        state = init_chain(400, quad_sol, 0.1)
+        state.r = state.r + 1e-6 * np.random.default_rng(5).uniform(-1.0, 1.0, 400)
+        final = run(state, 2.0, 0.05, quad).final_state
         r, v = imex_steps(state, 0.05, 40, quad)
-        assert final.r.tobytes() == r.tobytes() and final.v.tobytes() == v.tobytes()
+        assert np.max(np.abs(final.r - r)) <= 1e-12
+        assert np.max(np.abs(final.v - v)) <= 1e-12
 
     def test_output_every_must_be_positive(self, quad, quad_sol):
         state = init_chain(400, quad_sol, 0.1)
         with pytest.raises(ConfigError, match="output_every"):
             run(state, 1.0, 0.05, quad, output_every=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.nan, True, "2"])
+    def test_output_every_must_be_an_integer(self, quad, quad_sol, bad):
+        state = init_chain(400, quad_sol, 0.1)
+        with pytest.raises(ConfigError, match=r"^output_every must be an integer, got "):
+            run(state, 1.0, 0.05, quad, output_every=bad)
+
+    def test_output_every_takes_a_numpy_integer(self, quad, quad_sol):
+        state = init_chain(400, quad_sol, 0.1)
+        traj = run(state, 1.0, 0.05, quad, output_every=np.int64(5))
+        assert traj.times.size == 5
 
     BAD_TIMES = [np.nan, np.inf, -np.inf, 0.0, -0.05]
 
@@ -395,7 +449,7 @@ class TestProfileDistancesExact:
 class TestSpeedMeasurement:
     def test_stationary_state_raises(self, quad):
         flat = LatticeState(
-            r=np.full(400, 0.3), v=np.zeros(400), t=0.0, gamma=10.0,
+            r=np.full(400, 0.3), w=np.zeros(401), t=0.0, gamma=10.0,
             r_left=0.3, r_right=0.3,
         )
         traj = run(flat, 2.0, 0.05, quad)
@@ -461,6 +515,45 @@ class TestCrossingPosition:
         assert crossing_position(r, level) == _first_crossing(r, level)
 
 
+@pytest.fixture(scope="module", params=[(n, src) for n in ("quad", "hertz") for src in (0.1, 0.05, "step")],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def dirichlet_chain(request, quad, quad_sol):
+    """A 2000-site chain seeded from the front at eps 0.1 or 0.05, or from a step at eps 0.1."""
+    name, source = request.param
+    pot = quad if name == "quad" else hertz_potential(1.5)
+    if source == "step":
+        return init_chain(2000, "step", 0.1), pot
+    sol = quad_sol if (name, source) == ("quad", 0.1) else solve_front(pot, source)
+    return init_chain(2000, sol, source), pot
+
+
+class TestDirichletBalance:
+    """The Dirichlet chain is the free chain with two constant boundary forces."""
+
+    def test_energy_less_boundary_work_never_increases(self, dirichlet_chain):
+        # sum(w^2)/2 + sum(Phi(r)) gains the boundary work
+        # dt (f_right w+_last - f_left w+_1) per step and loses the damping's
+        state, pot = dirichlet_chain
+        f_left, f_right = float(pot.dphi(state.r_left)), float(pot.dphi(state.r_right))
+        dt = 0.05
+        balance = [0.5 * np.sum(state.w**2) + np.sum(pot.phi(state.r))]
+        work = 0.0
+        for _ in range(200):
+            state = step_imex(state, dt, pot)
+            work += dt * (f_right * state.w[-1] - f_left * state.w[0])
+            balance.append(0.5 * np.sum(state.w**2) + np.sum(pot.phi(state.r)) - work)
+        assert np.all(np.diff(balance) <= 1e-10 * dt)
+        assert np.all(np.diff(balance) < 0)
+
+    def test_momentum_takes_the_boundary_forces(self, dirichlet_chain):
+        # the damping conserves sum(w) exactly, so it changes by the net force
+        state, pot = dirichlet_chain
+        f_left, f_right = float(pot.dphi(state.r_left)), float(pot.dphi(state.r_right))
+        final = run(state, 10.0, 0.05, pot).final_state
+        gained = np.sum(final.w) - np.sum(state.w)
+        assert abs(gained - (f_right - f_left) * 10.0) <= 1e-10
+
+
 class TestFreeChainDissipation:
     def test_energy_never_increases(self, quad):
         rng = np.random.default_rng(7)
@@ -488,6 +581,9 @@ class TestFreeChainDissipation:
             ({"gamma": -1.0}, "gamma must be positive and finite"),
             ({"gamma": np.inf}, "gamma must be positive and finite"),
             ({"n_steps": -3}, "n_steps must be non-negative, got -3"),
+            ({"n_steps": 10.0}, "n_steps must be an integer, got 10.0"),
+            ({"n_steps": 2.5}, "n_steps must be an integer, got 2.5"),
+            ({"n_steps": np.nan}, "n_steps must be an integer, got nan"),
             ({"u0": 3}, "non-finite initial state"),
             ({"r0": 5}, "non-finite initial state"),
         ],
@@ -517,6 +613,10 @@ class TestFreeChainDissipation:
         trace = run_free_chain(u0, r0, gamma=10.0, dt=0.02, n_steps=100, potential=quad)
         expected = free_chain_energies(u0, r0, 10.0, 0.02, 100, quad)
         assert trace.energies.tobytes() == expected.tobytes()
+
+    def test_numpy_integer_step_count(self, quad):
+        trace = run_free_chain(np.zeros(300), np.full(299, 0.5), 10.0, 0.02, np.int64(3), quad)
+        assert trace.energies.size == 4
 
     def test_zero_steps_keep_the_initial_energy(self, quad):
         trace = run_free_chain(np.zeros(300), np.full(299, 0.5), 10.0, 0.02, 0, quad)
